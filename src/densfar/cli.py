@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import io as dfio
 from .analysis import (
+    DEFAULT_KMAX,
     impulse_response,
     leading_features,
     moment_basis,
@@ -39,7 +40,7 @@ from .forecast import (
     select_K_cv,
 )
 from .grid import inner, make_grid, project_zero_integral, quantile
-from .kde import KERNELS, estimate_panel, select_support
+from .kde import KERNELS, RawPanel, estimate_panel, select_support
 from .simulate import (
     FarGenerator,
     StudyConfig,
@@ -124,8 +125,10 @@ class PipelineConfig:
             raise _ValidationFailure("--n-test must be >= 1")
         if self.features_m < 1:
             raise _ValidationFailure("-m must be >= 1")
-        if not 1 <= self.kmax:
-            raise _ValidationFailure("--kmax must be >= 1")
+        if not 1 <= self.kmax <= DEFAULT_KMAX:
+            raise _ValidationFailure(
+                f"--kmax must lie in 1..{DEFAULT_KMAX}, got {self.kmax}"
+            )
         if not 0.0 < self.tail_quantile < 0.5:
             raise _ValidationFailure("--tail-quantile must lie in (0, 0.5)")
         if self.bootstrap_B < 0:
@@ -245,7 +248,9 @@ def _cmd_forecast(args) -> int:
     )
     model = _validated(dfio.load_model, config.model_path)
     raw = _validated(dfio.read_observations, config.input_path)
-    panel = _validated(estimate_panel, raw, model.grid, config.kernel)
+    # only the last period's density enters the forecast
+    last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
+    panel = _validated(estimate_panel, last, model.grid, config.kernel)
     w_T = project_zero_integral(panel.densities[-1] - model.mean_density)
     results = make_forecast(model, w_T, config.horizon)
     header = ["x"] + [f"f_step{r.horizon}" for r in results]
@@ -292,13 +297,16 @@ def _cmd_forecast(args) -> int:
 
 def _parse_functional(spec: str, model):
     kind, _, arg = spec.partition(":")
-    if kind == "moment":
-        p = int(arg) if arg else 1
-        return f"moment_{p}", moment_functional(p, model.grid)
-    if kind in ("left", "right"):
-        level = float(arg) if arg else (0.05 if kind == "left" else 0.95)
-        tau = quantile(model.mean_density, level)
-        return f"{kind}_tail_{level:g}", tail_indicator(model.grid, kind, tau)
+    try:
+        if kind == "moment":
+            p = int(arg) if arg else 1
+            return f"moment_{p}", moment_functional(p, model.grid)
+        if kind in ("left", "right"):
+            level = float(arg) if arg else (0.05 if kind == "left" else 0.95)
+            tau = quantile(model.mean_density, level)
+            return f"{kind}_tail_{level:g}", tail_indicator(model.grid, kind, tau)
+    except ValueError as exc:
+        raise _ValidationFailure(f"bad functional {spec!r}: {exc}") from None
     raise _ValidationFailure(
         f"unknown functional {spec!r}; use moment:P, left:Q, or right:Q"
     )
@@ -348,6 +356,15 @@ def _cmd_analyze(args) -> int:
         seed=args.seed,
     )
     model = _validated(dfio.load_model, config.model_path)
+    if args.mode == "features" and config.features_m > model.grid.n:
+        raise _ValidationFailure(
+            f"-m must not exceed the grid size {model.grid.n}, got {config.features_m}"
+        )
+    functionals = (
+        [_parse_functional(spec, model) for spec in config.functionals]
+        if args.mode in ("irf", "vardecomp")
+        else []
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     meta = {
         "mode": args.mode,
@@ -374,8 +391,7 @@ def _cmd_analyze(args) -> int:
         meta["strengths"] = [float(s) for s in feats.strengths]
     elif args.mode == "irf":
         meta["functionals"] = []
-        for spec in args.functional:
-            name, v = _parse_functional(spec, model)
+        for name, v in functionals:
             meta["functionals"].append(name)
             band = _maybe_band(args, model, irf_statistic(v), f"irf_{name}")
             point = impulse_response(model.A_hat, v)
@@ -391,8 +407,7 @@ def _cmd_analyze(args) -> int:
         basis = moment_basis(model.Q_hat, model.grid, args.kmax)
         meta["r_squared"] = {}
         meta["functionals"] = []
-        for spec in args.functional:
-            name, v = _parse_functional(spec, model)
+        for name, v in functionals:
             meta["functionals"].append(name)
             report = variance_decomposition(
                 v, model.A_hat, model.Q_hat, basis, model.Sigma_hat

@@ -15,6 +15,16 @@ Given a panel of densities f_1..f_T the pipeline is:
 The rank-K truncation regularizes the otherwise ill-posed inversion of Q;
 K must stay within the numerically usable rank of the estimated covariance.
 P and Sigma keep the divisor T even though only T-1 terms exist.
+
+:func:`fit` never decomposes or inverts an n-by-n kernel: with the demeaned
+panel stacked as a (T, n) array W, the spectrum of Q comes from the thin SVD
+of W (method of snapshots), and A and the residuals follow from the
+(T-1)-by-K scores C_K = W_0 diag(weights) V_K of the lagged periods:
+
+    A = (1/T) W_1^T C_K Lambda_K^{-1} V_K^T,   e = W_1 - (1/T) C_K Lambda_K^{-1} C_K^T W_1
+
+where W_0 and W_1 drop the last and the first period. The building blocks
+above remain for callers that hold dense kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from .grid import (
     compose,
     eigh_operator,
     project_zero_integral,
+    snapshot_spectrum,
     _require_same_grid,
 )
 from .kde import DensityPanel
@@ -172,6 +183,13 @@ def usable_rank(eigen: EigenSystem) -> int:
     return int(np.sum(vals > RANK_CUTOFF_REL * vals[0]))
 
 
+def _check_rank(eigen: EigenSystem, K: int) -> None:
+    if K > usable_rank(eigen):
+        raise RankDeficient(
+            f"K={K} exceeds the usable rank {usable_rank(eigen)} of the covariance"
+        )
+
+
 def regularized_inverse(eigen: EigenSystem, K: int) -> OperatorRep:
     """Rank-K inverse sum_{k<=K} lambda_k^{-1} v_k (x) v_k.
 
@@ -183,10 +201,7 @@ def regularized_inverse(eigen: EigenSystem, K: int) -> OperatorRep:
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    if K > usable_rank(eigen):
-        raise RankDeficient(
-            f"K={K} exceeds the usable rank {usable_rank(eigen)} of the covariance"
-        )
+    _check_rank(eigen, K)
     grid = eigen.grid
     kernel = np.zeros((grid.n, grid.n))
     for k in range(K):
@@ -223,6 +238,31 @@ def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:
     return OperatorRep(grid, mat.T @ mat / d)
 
 
+def _snapshots(panel: DensityPanel) -> tuple:
+    """Mean density, demeaned (T, n) panel and its covariance spectrum.
+
+    The panel matches :func:`mean_density` followed by :func:`demean` bit
+    for bit, so kernels built from it equal the dense building blocks'.
+    """
+    grid = panel.grid
+    dens = _values_matrix(panel.densities)
+    f_bar = GridFunction(grid, dens.mean(axis=0))
+    dev = dens - f_bar.values
+    # project_zero_integral row by row, with the same dot product
+    levels = np.array([np.dot(grid.weights, row) for row in dev]) / (grid.b - grid.a)
+    W = dev - levels[:, None]
+    W.setflags(write=False)
+    return f_bar, W, snapshot_spectrum(grid, W)
+
+
+def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int) -> tuple:
+    """Leading K eigenfunctions as a (K, n) array, and the (T-1, K) scores
+    <v_k, w_t> of the lagged periods w_1..w_{T-1}."""
+    grid = eigen.grid
+    V = np.array([f.values for f in eigen.functions[:K]]).reshape(K, grid.n)
+    return V, (W[:-1] * grid.weights) @ V.T
+
+
 def fit(panel: DensityPanel, K: int) -> FarModel:
     """Fit the full autoregression on a density panel with truncation K.
 
@@ -238,26 +278,24 @@ def fit(panel: DensityPanel, K: int) -> FarModel:
         raise TooFewPeriods(f"fit needs >= 5 periods, got {T}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    f_bar = mean_density(panel)
-    w = demean(panel, f_bar)
-    Q_hat = covariance_operator(w)
-    P_hat = lag1_cross_covariance(w)
-    eigen = principal_components(Q_hat)
-    Q_K_plus = regularized_inverse(eigen, K)
-    A_hat = estimate_operator(P_hat, Q_K_plus)
-    resid = residuals(w, A_hat)
-    Sigma_hat = noise_covariance(resid, divisor=T)
+    grid = panel.grid
+    f_bar, W, eigen = _snapshots(panel)
+    _check_rank(eigen, K)
+    V, C = _lagged_scores(W, eigen, K)
+    B = W[1:].T @ (C / eigen.eigenvalues[:K])
+    resid = W[1:] - C @ B.T / T
+    resid.setflags(write=False)
     return FarModel(
-        grid=panel.grid,
+        grid=grid,
         mean_density=f_bar,
         eigen=eigen,
         K=int(K),
-        A_hat=A_hat,
-        Q_hat=Q_hat,
-        P_hat=P_hat,
-        Sigma_hat=Sigma_hat,
-        residuals=tuple(resid),
+        A_hat=OperatorRep(grid, B @ V / T),
+        Q_hat=OperatorRep(grid, W.T @ W / T),
+        P_hat=OperatorRep(grid, W[1:].T @ W[:-1] / T),
+        Sigma_hat=OperatorRep(grid, resid.T @ resid / T),
+        residuals=tuple(GridFunction._wrap(grid, row) for row in resid),
         sample_size=T,
-        w_initial=w[0],
-        w_last=w[-1],
+        w_initial=GridFunction(grid, W[0]),
+        w_last=GridFunction(grid, W[-1]),
     )

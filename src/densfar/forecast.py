@@ -20,11 +20,17 @@ from .errors import (
     DegenerateForecast,
     EmptyPanel,
     NoFeasibleK,
-    RankDeficient,
     TooFewPeriods,
     ZeroVariance,
 )
-from .estimation import FarModel, fit, mean_density
+from .estimation import (
+    FarModel,
+    _lagged_scores,
+    _snapshots,
+    fit,
+    mean_density,
+    usable_rank,
+)
 from .grid import (
     GridFunction,
     apply_operator,
@@ -220,18 +226,22 @@ def error_metrics(f_hat: GridFunction, f_true: GridFunction) -> ErrorReport:
     )
 
 
-def _cv_score(panel: DensityPanel, K: int, n_validation: int) -> float:
-    # Mean L2 forecast error over the last n_validation periods, each
-    # forecast from a fit on all periods before it.
-    T = len(panel)
-    scores = []
-    for s in range(T - n_validation, T):
-        train = panel.head(s)
-        model = fit(train, K)
-        w_fc = forecast_one_step(model, model.w_last)
-        f_fc = to_density(w_fc, model.mean_density)
-        scores.append(error_metrics(f_fc, panel.densities[s]).d2)
-    return float(np.mean(scores))
+def _truncated_forecasts(train: DensityPanel, kmax: int) -> tuple:
+    """Mean density and the demeaned one-step forecasts for K = 1..kmax.
+
+    Row K-1 equals forecast_one_step(fit(train, K), w_last) up to roundoff:
+    A_K w_last = (1/T) sum_{k<=K} W_1^T c_k <v_k, w_last> / lambda_k is a
+    partial sum over one spectrum. kmax is cut to the usable rank.
+    """
+    grid = train.grid
+    T = len(train)
+    f_bar, W, eigen = _snapshots(train)
+    kmax = min(kmax, usable_rank(eigen))
+    V, C = _lagged_scores(W, eigen, kmax)
+    z = V @ (grid.weights * W[-1])
+    steps = np.cumsum(W[1:].T @ (C * (z / eigen.eigenvalues[:kmax])) / T, axis=1).T
+    levels = steps @ grid.weights / (grid.b - grid.a)
+    return f_bar, steps - levels[:, None]
 
 
 def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
@@ -240,8 +250,9 @@ def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
     For each candidate K, the periods before each of the last n_validation
     periods are used to fit and forecast that period; the score is the mean
     L2 density error. The smallest-scoring candidate wins, ties broken
-    toward smaller K. Candidates that hit a rank deficiency anywhere are
-    skipped.
+    toward smaller K. One spectrum per training prefix serves every K.
+    Candidates that exceed the usable rank, or whose forecast clips to a
+    density without mass (DegenerateForecast), in any fold are skipped.
 
     Raises
     ------
@@ -261,18 +272,26 @@ def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
             f"K selection needs T > n_validation + 5, got T={T}, "
             f"n_validation={n_validation}"
         )
-    best_k = None
-    best_score = np.inf
-    for K in candidates:
-        try:
-            score = _cv_score(panel, K, n_validation)
-        except RankDeficient:
-            continue
-        if score < best_score:
-            best_k, best_score = K, score
-    if best_k is None:
-        raise NoFeasibleK(f"all candidates {candidates} were rank deficient")
-    return best_k
+    scores = {K: [] for K in candidates}
+    for s in range(T - n_validation, T):
+        if not scores:
+            break
+        f_bar, steps = _truncated_forecasts(panel.head(s), max(scores))
+        for K in [K for K in scores if K > len(steps)]:
+            del scores[K]  # beyond the usable rank of this prefix
+        for K in list(scores):
+            try:
+                f_fc = to_density(GridFunction._wrap(panel.grid, steps[K - 1]), f_bar)
+            except DegenerateForecast:
+                del scores[K]
+                continue
+            scores[K].append(error_metrics(f_fc, panel.densities[s]).d2)
+    if not scores:
+        raise NoFeasibleK(
+            f"all candidates {candidates} were rank deficient or degenerate"
+        )
+    # min keeps the first, i.e. smallest, K among equal scores
+    return min(scores, key=lambda K: float(np.mean(scores[K])))
 
 
 @dataclass(frozen=True, eq=False)

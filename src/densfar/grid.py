@@ -45,6 +45,7 @@ __all__ = [
     "compose",
     "quadratic_form",
     "eigh_operator",
+    "snapshot_spectrum",
     "svd_operator",
     "cdf_from_density",
     "quantile",
@@ -355,6 +356,22 @@ def eigh_operator(K: OperatorRep) -> EigenSystem:
         for k in range(len(vals))
     )
     return EigenSystem(grid=grid, eigenvalues=vals, functions=functions)
+
+
+def snapshot_spectrum(grid: GridSpec, stack: np.ndarray) -> EigenSystem:
+    """Spectrum of the covariance (1/T) sum_t w_t (x) w_t of a stack of functions.
+
+    `stack` holds the values of w_1..w_T as a (T, n) array. The eigenpairs
+    come from the thin SVD of X = stack diag(sqrt(weights)) (the method of
+    snapshots): lambda_k = s_k^2 / T, and the right singular vectors mapped
+    back through W^{-1/2} are the quadrature-orthonormal eigenfunctions,
+    oriented as in :func:`eigh_operator`. The result holds min(T, n) pairs,
+    in descending order; every other eigenvalue of the covariance is zero.
+    """
+    sqrt_w = np.sqrt(grid.weights)
+    _, s, vt = np.linalg.svd(stack * sqrt_w, full_matrices=False)
+    functions = tuple(GridFunction._wrap(grid, _fix_sign(v / sqrt_w)) for v in vt)
+    return EigenSystem(grid=grid, eigenvalues=s * s / len(stack), functions=functions)
 
 
 def svd_operator(K: OperatorRep, m: int) -> SingularSystem:

@@ -154,6 +154,30 @@ def test_forecast_and_analyze(tmp_path, panel_csv):
         assert (tails_dir / name).exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vardecomp", "--kmax", "12"],
+        ["features", "-m", "500"],
+        ["irf", "--functional", "moment:abc"],
+    ],
+)
+def test_analyze_bad_option_exits_one(tmp_path, panel_csv, capsys, argv):
+    model_path = tmp_path / "model.bin"
+    assert main(
+        ["estimate", "--input", str(panel_csv), "--grid-n", "64",
+         "--K", "2", "--out", str(model_path)]
+    ) == 0
+    capsys.readouterr()
+    code = main(
+        ["analyze", argv[0], "--model", str(model_path),
+         "--out-dir", str(tmp_path / "out"), *argv[1:]]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_analyze_with_bootstrap_band(tmp_path, panel_csv):
     model_path = tmp_path / "model.bin"
     assert main(

@@ -16,6 +16,13 @@ from densfar.estimation import (
     regularized_inverse,
     residuals,
 )
+from densfar.forecast import (
+    _truncated_forecasts,
+    error_metrics,
+    forecast_one_step,
+    select_K_cv,
+    to_density,
+)
 from densfar.grid import (
     GridFunction,
     OperatorRep,
@@ -354,6 +361,65 @@ def test_fit_preconditions():
     panel, _ = _simulated_panel(T=20, seed=25)
     with pytest.raises(ValueError):
         fit(panel, 0)
+
+
+def _dense_reference(panel, K):
+    # the pre-snapshot fit, composed from the dense building blocks
+    w = demean(panel, mean_density(panel))
+    Q = covariance_operator(w)
+    P = lag1_cross_covariance(w)
+    eig = principal_components(Q)
+    A = estimate_operator(P, regularized_inverse(eig, K))
+    resid = residuals(w, A)
+    return Q, P, eig, A, resid, noise_covariance(resid, divisor=len(w))
+
+
+def _rel(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("T, n", [(40, 64), (150, 32)])
+def test_fit_matches_dense_reference(T, n):
+    panel, _ = _simulated_panel(T=T, seed=29, n=n)
+    K = 4
+    Q, P, eig, A, resid, Sigma = _dense_reference(panel, K)
+    model = fit(panel, K)
+    assert np.array_equal(model.Q_hat.kernel, Q.kernel)
+    assert np.array_equal(model.P_hat.kernel, P.kernel)
+    assert _rel(model.A_hat.kernel, A.kernel) < 1e-12
+    assert _rel(model.Sigma_hat.kernel, Sigma.kernel) < 1e-12
+    got_res = np.stack([r.values for r in model.residuals])
+    assert _rel(got_res, np.stack([r.values for r in resid])) < 1e-12
+    assert len(model.eigen) == min(T, n)
+    assert _rel(model.eigen.eigenvalues[:K], eig.eigenvalues[:K]) < 1e-12
+
+
+def test_select_k_cv_matches_per_k_fits():
+    panel, _ = _simulated_panel(T=40, seed=30, n=32)
+    candidates = range(1, 7)
+    T = len(panel)
+    folds = {
+        s: _truncated_forecasts(panel.head(s), max(candidates)) for s in range(T - 5, T)
+    }
+    scores = {}
+    for K in candidates:
+        ref, got = [], []
+        try:
+            for s, (f_bar, steps) in folds.items():
+                model = fit(panel.head(s), K)
+                f_fc = to_density(
+                    forecast_one_step(model, model.w_last), model.mean_density
+                )
+                ref.append(error_metrics(f_fc, panel.densities[s]).d2)
+                f_fc = to_density(GridFunction(panel.grid, steps[K - 1]), f_bar)
+                got.append(error_metrics(f_fc, panel.densities[s]).d2)
+        except RankDeficient:
+            assert K > min(len(steps) for _, steps in folds.values())
+            continue
+        assert np.mean(got) == pytest.approx(np.mean(ref), rel=1e-12, abs=0.0)
+        scores[K] = float(np.mean(ref))
+    assert len(scores) >= 4
+    assert select_K_cv(panel, candidates, n_validation=5) == min(scores, key=scores.get)
 
 
 # -- invariants ------------------------------------------------------------------------------------

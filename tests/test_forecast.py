@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from densfar.errors import DegenerateForecast, TooFewPeriods
+from densfar.errors import DegenerateForecast, NoFeasibleK, TooFewPeriods
 from densfar.estimation import fit
 from densfar.forecast import (
     error_metrics,
@@ -27,6 +27,7 @@ from densfar.grid import (
     make_grid,
     norm,
 )
+from densfar.kde import DensityPanel
 from densfar.simulate import cosine_modes, make_cosine_generator, simulate_far
 
 from conftest import uniform_density
@@ -196,6 +197,32 @@ def test_select_k_recovers_operator_rank():
 def test_select_k_too_few_periods():
     _, panel, _ = _fitted_model(T=10, seed=15)
     with pytest.raises(TooFewPeriods):
+        select_K_cv(panel, [1], n_validation=5)
+
+
+def test_select_k_skips_degenerate_candidate():
+    # A forecast clipped to a density keeps at least the mass of the mean,
+    # so only a panel whose periods carry almost no mass (2e-13, below the
+    # 1e-12 floor of to_density) can clip to zero; the unchecked constructor
+    # admits one. The strong first mode (coefficient a) has no lag-1
+    # correlation, so the K=1 forecast stays near the mean and clips to zero
+    # mass in every fold; the weak second mode (coefficient c) drove a one
+    # period later in training, so the K=2 forecast swings far negative.
+    grid = make_grid(0.0, 1.0, 32)
+    phi, chi = cosine_modes(grid, 2)
+    c = 0.1 * np.resize([1.0, 1.0, -1.0, -1.0], 30)
+    a = np.zeros(30)
+    a[1:25] = 300.0 * c[:24]
+    densities = [
+        GridFunction(grid, 2e-13 * (1.0 + a[t] * phi.values + c[t] * chi.values))
+        for t in range(30)
+    ]
+    panel = DensityPanel._wrap(grid, densities, [str(t) for t in range(30)])
+    model = fit(panel.head(25), 1)
+    with pytest.raises(DegenerateForecast):
+        to_density(forecast_one_step(model, model.w_last), model.mean_density)
+    assert select_K_cv(panel, [1, 2], n_validation=5) == 2
+    with pytest.raises(NoFeasibleK):
         select_K_cv(panel, [1], n_validation=5)
 
 
