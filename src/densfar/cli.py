@@ -572,6 +572,8 @@ def _cmd_simulate(args) -> int:
 # -- sample ----------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise _ValidationFailure(f"--n must be >= 1, got {args.n}")
     density = _validated(dfio.load_grid_function, args.density)
     draws = acceptance_sample(density, args.n, args.seed)
     dfio.write_csv(args.out, ["value"], [{"value": float(x)} for x in draws])

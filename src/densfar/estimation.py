@@ -23,13 +23,16 @@ of W (method of snapshots), and A and the residuals follow from the
 
     A = (1/T) W_1^T C_K Lambda_K^{-1} V_K^T,   e = W_1 - (1/T) C_K Lambda_K^{-1} C_K^T W_1
 
-where W_0 and W_1 drop the last and the first period. The building blocks
-above remain for callers that hold dense kernels.
+where W_0 and W_1 drop the last and the first period. :func:`fit_demeaned`
+does this from (grid, mean density, W, K), the state a model file stores, so
+fitting and loading share one code path. The building blocks above remain
+for callers that hold dense kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .grid import (
     eigh_operator,
     project_zero_integral,
     snapshot_spectrum,
+    _readonly,
     _require_same_grid,
 )
 from .kde import DensityPanel
@@ -66,6 +70,7 @@ __all__ = [
     "residuals",
     "noise_covariance",
     "fit",
+    "fit_demeaned",
 ]
 
 # An eigenvalue below this fraction of the largest one counts as numerically
@@ -75,44 +80,70 @@ RANK_CUTOFF_REL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class FarModel:
-    """Fitted artifacts of the density autoregression.
+    """Fitted density autoregression.
+
+    `grid`, `mean_density`, `demeaned` and `K` are what the fit is computed
+    from; :func:`fit_demeaned` derives the rest from them, so a model file
+    stores only those four. The derived fit stays in fields so that
+    `dataclasses.replace` can swap an operator for a what-if model.
 
     Attributes
     ----------
     grid : GridSpec
     mean_density : GridFunction
         Sample average of the panel densities.
-    eigen : EigenSystem
-        Eigenpairs of the covariance operator Q_hat.
+    demeaned : ndarray, shape (T, n)
+        Demeaned densities w_1..w_T, read-only.
     K : int
         Truncation level of the regularized inverse.
-    A_hat, Q_hat, P_hat, Sigma_hat : OperatorRep
-        Autoregressive operator, covariance, lag-1 cross-covariance, and
-        residual noise covariance.
+    eigen : EigenSystem
+        The min(T, n) leading eigenpairs of the covariance operator Q_hat.
+    A_hat, Sigma_hat : OperatorRep
+        Autoregressive operator and residual noise covariance.
     residuals : tuple of GridFunction
         T-1 fitted residuals.
-    sample_size : int
-        Number of panel periods T used in the fit.
-    w_initial, w_last : GridFunction
-        First and last demeaned densities; kept so that bootstrap
-        regeneration and forecasting work from the stored model alone.
     """
 
     grid: GridSpec
     mean_density: GridFunction
-    eigen: EigenSystem
+    demeaned: np.ndarray
     K: int
+    eigen: EigenSystem
     A_hat: OperatorRep
-    Q_hat: OperatorRep
-    P_hat: OperatorRep
     Sigma_hat: OperatorRep
     residuals: tuple
-    sample_size: int
-    w_initial: GridFunction
-    w_last: GridFunction
 
     def __post_init__(self):
+        if self.demeaned.flags.writeable:
+            object.__setattr__(self, "demeaned", _readonly(self.demeaned))
         object.__setattr__(self, "residuals", tuple(self.residuals))
+
+    @cached_property
+    def Q_hat(self) -> OperatorRep:
+        """Covariance operator (1/T) sum_t w_t (x) w_t."""
+        W = self.demeaned
+        return OperatorRep(self.grid, W.T @ W / len(W))
+
+    @cached_property
+    def P_hat(self) -> OperatorRep:
+        """Lag-1 cross-covariance (1/T) sum_t w_t (x) w_{t-1}."""
+        W = self.demeaned
+        return OperatorRep(self.grid, W[1:].T @ W[:-1] / len(W))
+
+    @property
+    def sample_size(self) -> int:
+        """Number of panel periods T used in the fit."""
+        return len(self.demeaned)
+
+    @property
+    def w_initial(self) -> GridFunction:
+        """First demeaned density, where bootstrap regeneration starts."""
+        return GridFunction._wrap(self.grid, self.demeaned[0])
+
+    @property
+    def w_last(self) -> GridFunction:
+        """Last demeaned density, where forecasts start."""
+        return GridFunction._wrap(self.grid, self.demeaned[-1])
 
 
 def _values_matrix(functions) -> np.ndarray:
@@ -239,7 +270,7 @@ def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:
 
 
 def _snapshots(panel: DensityPanel) -> tuple:
-    """Mean density, demeaned (T, n) panel and its covariance spectrum.
+    """Mean density and the demeaned (T, n) panel, read-only.
 
     The panel matches :func:`mean_density` followed by :func:`demean` bit
     for bit, so kernels built from it equal the dense building blocks'.
@@ -252,7 +283,7 @@ def _snapshots(panel: DensityPanel) -> tuple:
     levels = np.array([np.dot(grid.weights, row) for row in dev]) / (grid.b - grid.a)
     W = dev - levels[:, None]
     W.setflags(write=False)
-    return f_bar, W, snapshot_spectrum(grid, W)
+    return f_bar, W
 
 
 def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int) -> tuple:
@@ -273,13 +304,30 @@ def fit(panel: DensityPanel, K: int) -> FarModel:
     RankDeficient
         K exceeds the usable rank of the estimated covariance.
     """
-    T = len(panel)
+    f_bar, W = _snapshots(panel)
+    return fit_demeaned(panel.grid, f_bar, W, K)
+
+
+def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
+                 K: int) -> FarModel:
+    """Fit at truncation K from the read-only demeaned (T, n) panel W.
+
+    Every :class:`FarModel` is built here: :func:`fit` comes with the
+    snapshots of a density panel, a model loader with the stored ones.
+
+    Raises
+    ------
+    TooFewPeriods
+        Fewer than 5 periods.
+    RankDeficient
+        K exceeds the usable rank of the estimated covariance.
+    """
+    T = len(W)
     if T < 5:
         raise TooFewPeriods(f"fit needs >= 5 periods, got {T}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    grid = panel.grid
-    f_bar, W, eigen = _snapshots(panel)
+    eigen = snapshot_spectrum(grid, W)
     _check_rank(eigen, K)
     V, C = _lagged_scores(W, eigen, K)
     B = W[1:].T @ (C / eigen.eigenvalues[:K])
@@ -287,15 +335,11 @@ def fit(panel: DensityPanel, K: int) -> FarModel:
     resid.setflags(write=False)
     return FarModel(
         grid=grid,
-        mean_density=f_bar,
-        eigen=eigen,
+        mean_density=mean_density,
+        demeaned=W,
         K=int(K),
+        eigen=eigen,
         A_hat=OperatorRep(grid, B @ V / T),
-        Q_hat=OperatorRep(grid, W.T @ W / T),
-        P_hat=OperatorRep(grid, W[1:].T @ W[:-1] / T),
         Sigma_hat=OperatorRep(grid, resid.T @ resid / T),
         residuals=tuple(GridFunction._wrap(grid, row) for row in resid),
-        sample_size=T,
-        w_initial=GridFunction(grid, W[0]),
-        w_last=GridFunction(grid, W[-1]),
     )

@@ -38,6 +38,7 @@ from .grid import (
     inner,
     project_zero_integral,
     quadratic_form,
+    snapshot_spectrum,
     _check_density_values,
     _require_same_grid,
 )
@@ -235,7 +236,8 @@ def _truncated_forecasts(train: DensityPanel, kmax: int) -> tuple:
     """
     grid = train.grid
     T = len(train)
-    f_bar, W, eigen = _snapshots(train)
+    f_bar, W = _snapshots(train)
+    eigen = snapshot_spectrum(grid, W)
     kmax = min(kmax, usable_rank(eigen))
     V, C = _lagged_scores(W, eigen, kmax)
     z = V @ (grid.weights * W[-1])

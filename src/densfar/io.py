@@ -7,21 +7,30 @@ the same payload as nested arrays; Python serializes floats by shortest
 round-trip representation, so JSON round-trips are exact as well. All text
 output is written with 17 significant digits and files are written to a
 temporary name and atomically renamed.
+
+A model file (version 2) stores only what the fit is computed from: the
+grid, the mean density, K, T and the (T, n) demeaned panel. Loading refits
+the eigenpairs, operators and residuals through
+:func:`densfar.estimation.fit_demeaned`, the same core as `fit`. Version-1
+model files, which stored every operator, are rejected. Grid-function and
+operator files stay at version 1. A malformed model, grid-function or
+operator file raises :class:`FormatError`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyFile, FormatError, IoError, ParseError
-from .estimation import FarModel
-from .grid import EigenSystem, GridFunction, GridSpec, OperatorRep, make_grid
+from .errors import DensfarError, EmptyFile, FormatError, IoError, ParseError
+from .estimation import FarModel, fit_demeaned
+from .grid import GridFunction, GridSpec, OperatorRep, make_grid
 from .kde import RawPanel, natural_sort_key
 
 __all__ = [
@@ -36,12 +45,6 @@ __all__ = [
     "write_json",
     "fmt17",
 ]
-
-_MODEL_MAGIC = b"FARMODL1"
-_FUNC_MAGIC = b"FARFUNC1"
-_OPER_MAGIC = b"FAROPER1"
-_VERSION = 1
-
 
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (round-trip safe)."""
@@ -86,28 +89,30 @@ def read_observations(path) -> RawPanel:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty")
-        if [c.strip().lower() for c in header] != ["period", "value"]:
-            raise ParseError(
-                f"expected header 'period,value', got {','.join(header)!r}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
-            period = row[0].strip()
-            if not period:
-                raise ParseError("empty period label", line=lineno)
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ParseError(f"not a number: {row[1]!r}", line=lineno) from None
-            if not np.isfinite(value):
-                raise ParseError(f"non-finite value: {row[1]!r}", line=lineno)
-            blocks.setdefault(period, []).append(value)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFile(f"{path} is empty")
+            if [c.strip().lower() for c in header] != ["period", "value"]:
+                raise ParseError(
+                    f"expected header 'period,value', got {','.join(header)!r}", line=1
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
+                period = row[0].strip()
+                if not period:
+                    raise ParseError("empty period label", line=lineno)
+                try:
+                    value = float(row[1])
+                except ValueError:
+                    raise ParseError(f"not a number: {row[1]!r}", line=lineno) from None
+                if not np.isfinite(value):
+                    raise ParseError(f"non-finite value: {row[1]!r}", line=lineno)
+                blocks.setdefault(period, []).append(value)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} is not UTF-8 text") from None
     if not blocks:
         raise EmptyFile(f"{path} has a header but no data rows")
     labels = sorted(blocks, key=natural_sort_key)
@@ -117,70 +122,15 @@ def read_observations(path) -> RawPanel:
     )
 
 
-# -- binary primitives ---------------------------------------------------------
+# -- persistence ----------------------------------------------------------------
+#
+# Every artifact file is a header (format, version, grid a, b, n) followed by
+# named fields, each a nonnegative integer or a float64 array. JSON files key
+# them by name; binary files hold them in order behind a magic tag.
 
-class _BinReader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.path = path
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
-            raise FormatError(
-                f"{self.path}: truncated file, needed {count} more bytes",
-                offset=self.offset,
-            )
-        out = self.data[self.offset : self.offset + count]
-        self.offset += count
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
-
-    def done(self) -> None:
-        if self.offset != len(self.data):
-            raise FormatError(
-                f"{self.path}: {len(self.data) - self.offset} trailing bytes",
-                offset=self.offset,
-            )
-
-
-def _pack_u32(x: int) -> bytes:
-    return struct.pack("<I", int(x))
-
-
-def _pack_f64(x: float) -> bytes:
-    return struct.pack("<d", float(x))
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _grid_header_bytes(grid: GridSpec) -> bytes:
-    return _pack_f64(grid.a) + _pack_f64(grid.b) + _pack_u32(grid.n)
-
-
-def _read_grid(reader: _BinReader) -> GridSpec:
-    a = reader.f64()
-    b = reader.f64()
-    n = reader.u32()
-    return make_grid(a, b, n)
-
-
-def _grid_header_json(grid: GridSpec) -> dict:
-    return {"a": grid.a, "b": grid.b, "n": grid.n}
-
-
-def _grid_from_json(obj: dict) -> GridSpec:
-    return make_grid(obj["a"], obj["b"], obj["n"])
+_FUNC = ("grid-function", b"FARFUNC1", 1)
+_OPER = ("operator", b"FAROPER1", 1)
+_MODEL = ("far-model", b"FARMODL1", 2)
 
 
 def _mode_for(path, mode: str | None) -> str:
@@ -191,230 +141,206 @@ def _mode_for(path, mode: str | None) -> str:
     return "json" if os.fspath(path).endswith(".json") else "binary"
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+def _save(path, mode, fmt: tuple, grid: GridSpec, fields: dict) -> None:
+    kind, magic, version = fmt
+    if _mode_for(path, mode) == "json":
+        payload = {"format": kind, "version": version,
+                   "grid": {"a": grid.a, "b": grid.b, "n": grid.n}}
+        for key, value in fields.items():
+            payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        _atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
+        return
+    parts = [magic, struct.pack("<IddI", version, grid.a, grid.b, grid.n)]
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            parts.append(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        else:
+            parts.append(struct.pack("<I", value))
+    _atomic_write(path, b"".join(parts))
 
 
-def _load_bytes(path) -> bytes:
+def _reader(path, mode, fmt: tuple):
+    """A reader of the file's fields, with its format and version checked."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    if _mode_for(path, mode) == "json":
+        return _JsonReader(path, data, fmt)
+    return _BinReader(path, data, fmt)
 
 
-def _check_magic(reader: _BinReader, magic: bytes) -> None:
-    got = reader.take(len(magic))
-    if got != magic:
-        raise FormatError(
-            f"{reader.path}: bad magic {got!r}, expected {magic!r}", offset=0
-        )
-    version = reader.u32()
-    if version != _VERSION:
-        raise FormatError(f"{reader.path}: unsupported version {version}", offset=8)
+def _make_grid(path, a, b, n, size: int) -> GridSpec:
+    try:
+        # every file holds at least n values, so a larger n is corrupt
+        if int(n) > size:
+            raise ValueError(f"n={n} exceeds the file size")
+        return make_grid(a, b, n)
+    except (TypeError, ValueError, OverflowError, DensfarError) as exc:
+        raise FormatError(f"{path}: bad grid header: {exc}") from None
 
 
-# -- grid functions and operators ----------------------------------------------
+class _BinReader:
+    def __init__(self, path, data: bytes, fmt: tuple):
+        kind, magic, version = fmt
+        self.path = path
+        self.data = data
+        self.offset = 0
+        got = self._take(len(magic))
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}", offset=0)
+        found = self.count("version")
+        if found != version:
+            raise FormatError(
+                f"{path}: unsupported {kind} version {found}, expected {version}",
+                offset=len(magic),
+            )
+
+    def _take(self, count: int) -> bytes:
+        if self.offset + count > len(self.data):
+            raise FormatError(
+                f"{self.path}: truncated file, needed {count} more bytes",
+                offset=self.offset,
+            )
+        out = self.data[self.offset : self.offset + count]
+        self.offset += count
+        return out
+
+    def grid(self) -> GridSpec:
+        a, b, n = struct.unpack("<ddI", self._take(20))
+        return _make_grid(self.path, a, b, n, len(self.data))
+
+    def count(self, key: str) -> int:
+        return struct.unpack("<I", self._take(4))[0]
+
+    def array(self, key: str, shape: tuple) -> np.ndarray:
+        start = self.offset
+        raw = self._take(8 * math.prod(shape))
+        out = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(out)):
+            raise FormatError(f"{self.path}: non-finite value in {key}", offset=start)
+        return out
+
+    def done(self) -> None:
+        if self.offset != len(self.data):
+            raise FormatError(
+                f"{self.path}: {len(self.data) - self.offset} trailing bytes",
+                offset=self.offset,
+            )
+
+
+class _JsonReader:
+    def __init__(self, path, data: bytes, fmt: tuple):
+        kind, _, version = fmt
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or obj.get("format") != kind:
+            raise FormatError(f"{path}: not a {kind} file")
+        if obj.get("version") != version:
+            raise FormatError(
+                f"{path}: unsupported {kind} version {obj.get('version')}, "
+                f"expected {version}"
+            )
+        self.path = path
+        self.obj = obj
+        self.size = len(data)
+
+    def _field(self, obj, key: str):
+        try:
+            return obj[key]
+        except (KeyError, TypeError):
+            raise FormatError(f"{self.path}: missing field {key!r}") from None
+
+    def grid(self) -> GridSpec:
+        header = self._field(self.obj, "grid")
+        a, b, n = (self._field(header, key) for key in ("a", "b", "n"))
+        return _make_grid(self.path, a, b, n, self.size)
+
+    def count(self, key: str) -> int:
+        value = self._field(self.obj, key)
+        if type(value) is not int or value < 0:
+            raise FormatError(f"{self.path}: {key} must be a nonnegative integer")
+        return value
+
+    def array(self, key: str, shape: tuple) -> np.ndarray:
+        try:
+            out = np.asarray(self._field(self.obj, key), dtype=np.float64)
+        except (TypeError, ValueError):
+            out = None
+        if out is None or out.shape != shape or not np.all(np.isfinite(out)):
+            raise FormatError(f"{self.path}: {key} must hold {shape} finite numbers")
+        return out
+
+    def done(self) -> None:
+        pass
+
 
 def save_grid_function(f: GridFunction, path, mode: str | None = None) -> None:
     """Write a grid function (e.g. a density) in JSON or binary form.
 
     Mode defaults by extension: `.json` is text, anything else binary.
     """
-    if _mode_for(path, mode) == "json":
-        payload = {
-            "format": "grid-function",
-            "version": _VERSION,
-            "grid": _grid_header_json(f.grid),
-            "values": f.values.tolist(),
-        }
-        _atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
-    else:
-        data = _FUNC_MAGIC + _pack_u32(_VERSION) + _grid_header_bytes(f.grid)
-        data += _pack_array(f.values)
-        _atomic_write(path, data)
+    _save(path, mode, _FUNC, f.grid, {"values": f.values})
 
 
 def load_grid_function(path, mode: str | None = None) -> GridFunction:
-    if _mode_for(path, mode) == "json":
-        obj = _load_json(path)
-        if obj.get("format") != "grid-function":
-            raise FormatError(f"{path}: not a grid-function file")
-        grid = _grid_from_json(obj["grid"])
-        return GridFunction(grid, np.asarray(obj["values"], dtype=np.float64))
-    reader = _BinReader(_load_bytes(path), path)
-    _check_magic(reader, _FUNC_MAGIC)
-    grid = _read_grid(reader)
-    values = reader.array(grid.n)
-    reader.done()
+    src = _reader(path, mode, _FUNC)
+    grid = src.grid()
+    values = src.array("values", (grid.n,))
+    src.done()
     return GridFunction(grid, values)
 
 
 def save_operator(K: OperatorRep, path, mode: str | None = None) -> None:
     """Write an operator kernel in JSON or binary form."""
-    if _mode_for(path, mode) == "json":
-        payload = {
-            "format": "operator",
-            "version": _VERSION,
-            "grid": _grid_header_json(K.grid),
-            "kernel": K.kernel.tolist(),
-        }
-        _atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
-    else:
-        data = _OPER_MAGIC + _pack_u32(_VERSION) + _grid_header_bytes(K.grid)
-        data += _pack_array(K.kernel)
-        _atomic_write(path, data)
+    _save(path, mode, _OPER, K.grid, {"kernel": K.kernel})
 
 
 def load_operator(path, mode: str | None = None) -> OperatorRep:
-    if _mode_for(path, mode) == "json":
-        obj = _load_json(path)
-        if obj.get("format") != "operator":
-            raise FormatError(f"{path}: not an operator file")
-        grid = _grid_from_json(obj["grid"])
-        return OperatorRep(grid, np.asarray(obj["kernel"], dtype=np.float64))
-    reader = _BinReader(_load_bytes(path), path)
-    _check_magic(reader, _OPER_MAGIC)
-    grid = _read_grid(reader)
-    kernel = reader.array(grid.n * grid.n).reshape(grid.n, grid.n)
-    reader.done()
+    src = _reader(path, mode, _OPER)
+    grid = src.grid()
+    kernel = src.array("kernel", (grid.n, grid.n))
+    src.done()
     return OperatorRep(grid, kernel)
 
 
-# -- fitted model ----------------------------------------------------------------
-
 def save_model(model: FarModel, path, mode: str | None = None) -> None:
-    """Persist a fitted model (JSON or binary; binary round-trips bit-exact).
+    """Persist what a fitted model is computed from (JSON or binary).
 
-    The file carries the grid header, mean density, eigenpairs, truncation
-    level, the four operator kernels, the residual matrix, the sample size,
-    and the first/last demeaned periods.
+    The file carries the grid header, the mean density, K, T and the (T, n)
+    demeaned panel; :func:`load_model` refits everything else from them.
     """
-    eig_mat = np.stack([f.values for f in model.eigen.functions])
-    res_mat = (
-        np.stack([r.values for r in model.residuals])
-        if model.residuals
-        else np.zeros((0, model.grid.n))
-    )
-    if _mode_for(path, mode) == "json":
-        payload = {
-            "format": "far-model",
-            "version": _VERSION,
-            "grid": _grid_header_json(model.grid),
-            "mean_density": model.mean_density.values.tolist(),
-            "eigenvalues": model.eigen.eigenvalues.tolist(),
-            "eigenfunctions": eig_mat.tolist(),
-            "K": model.K,
-            "A_kernel": model.A_hat.kernel.tolist(),
-            "Q_kernel": model.Q_hat.kernel.tolist(),
-            "P_kernel": model.P_hat.kernel.tolist(),
-            "Sigma_kernel": model.Sigma_hat.kernel.tolist(),
-            "residuals": res_mat.tolist(),
-            "sample_size": model.sample_size,
-            "w_initial": model.w_initial.values.tolist(),
-            "w_last": model.w_last.values.tolist(),
-        }
-        _atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
-        return
-    parts = [
-        _MODEL_MAGIC,
-        _pack_u32(_VERSION),
-        _grid_header_bytes(model.grid),
-        _pack_array(model.mean_density.values),
-        _pack_u32(len(model.eigen)),
-        _pack_array(model.eigen.eigenvalues),
-        _pack_array(eig_mat),
-        _pack_u32(model.K),
-        _pack_array(model.A_hat.kernel),
-        _pack_array(model.Q_hat.kernel),
-        _pack_array(model.P_hat.kernel),
-        _pack_array(model.Sigma_hat.kernel),
-        _pack_u32(res_mat.shape[0]),
-        _pack_array(res_mat),
-        _pack_u32(model.sample_size),
-        _pack_array(model.w_initial.values),
-        _pack_array(model.w_last.values),
-    ]
-    _atomic_write(path, b"".join(parts))
-
-
-def _model_from_parts(grid, mean_density, eigenvalues, eig_mat, K, a_k, q_k, p_k,
-                      s_k, res_mat, sample_size, w_initial, w_last) -> FarModel:
-    eigen = EigenSystem(
-        grid=grid,
-        eigenvalues=eigenvalues,
-        functions=tuple(GridFunction(grid, row) for row in eig_mat),
-    )
-    return FarModel(
-        grid=grid,
-        mean_density=GridFunction(grid, mean_density),
-        eigen=eigen,
-        K=int(K),
-        A_hat=OperatorRep(grid, a_k),
-        Q_hat=OperatorRep(grid, q_k),
-        P_hat=OperatorRep(grid, p_k),
-        Sigma_hat=OperatorRep(grid, s_k),
-        residuals=tuple(GridFunction(grid, row) for row in res_mat),
-        sample_size=int(sample_size),
-        w_initial=GridFunction(grid, w_initial),
-        w_last=GridFunction(grid, w_last),
-    )
+    W = model.demeaned
+    _save(path, mode, _MODEL, model.grid, {
+        "mean_density": model.mean_density.values,
+        "K": model.K,
+        "T": len(W),
+        "demeaned": W,
+    })
 
 
 def load_model(path, mode: str | None = None) -> FarModel:
-    """Load a model written by :func:`save_model`."""
-    if _mode_for(path, mode) == "json":
-        obj = _load_json(path)
-        if obj.get("format") != "far-model":
-            raise FormatError(f"{path}: not a model file")
-        grid = _grid_from_json(obj["grid"])
-        try:
-            return _model_from_parts(
-                grid,
-                np.asarray(obj["mean_density"], dtype=np.float64),
-                np.asarray(obj["eigenvalues"], dtype=np.float64),
-                np.asarray(obj["eigenfunctions"], dtype=np.float64).reshape(-1, grid.n),
-                obj["K"],
-                np.asarray(obj["A_kernel"], dtype=np.float64),
-                np.asarray(obj["Q_kernel"], dtype=np.float64),
-                np.asarray(obj["P_kernel"], dtype=np.float64),
-                np.asarray(obj["Sigma_kernel"], dtype=np.float64),
-                np.asarray(obj["residuals"], dtype=np.float64).reshape(-1, grid.n),
-                obj["sample_size"],
-                np.asarray(obj["w_initial"], dtype=np.float64),
-                np.asarray(obj["w_last"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing field {exc}") from exc
-    reader = _BinReader(_load_bytes(path), path)
-    _check_magic(reader, _MODEL_MAGIC)
-    grid = _read_grid(reader)
-    n = grid.n
-    mean_density = reader.array(n)
-    n_eig = reader.u32()
-    eigenvalues = reader.array(n_eig)
-    eig_mat = reader.array(n_eig * n).reshape(n_eig, n)
-    K = reader.u32()
-    a_k = reader.array(n * n).reshape(n, n)
-    q_k = reader.array(n * n).reshape(n, n)
-    p_k = reader.array(n * n).reshape(n, n)
-    s_k = reader.array(n * n).reshape(n, n)
-    n_res = reader.u32()
-    res_mat = reader.array(n_res * n).reshape(n_res, n)
-    sample_size = reader.u32()
-    w_initial = reader.array(n)
-    w_last = reader.array(n)
-    reader.done()
-    return _model_from_parts(
-        grid, mean_density, eigenvalues, eig_mat, K, a_k, q_k, p_k, s_k,
-        res_mat, sample_size, w_initial, w_last,
-    )
+    """Load a model written by :func:`save_model` and refit it at its K.
+
+    Raises
+    ------
+    FormatError
+        Not a version-2 model file, a missing field, a wrong shape, a
+        non-finite value, or a K outside 1..usable rank of the panel.
+    """
+    src = _reader(path, mode, _MODEL)
+    grid = src.grid()
+    mean = src.array("mean_density", (grid.n,))
+    K = src.count("K")
+    W = src.array("demeaned", (src.count("T"), grid.n))
+    src.done()
+    try:
+        return fit_demeaned(grid, GridFunction(grid, mean), W, K)
+    except (DensfarError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot refit the stored panel: {exc}") from None
 
 
 # -- tables ----------------------------------------------------------------------

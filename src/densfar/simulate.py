@@ -13,6 +13,7 @@ the AVE/LAST benchmarks against the true simulated density.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import median
 
 import numpy as np
@@ -111,20 +112,22 @@ class FarGenerator:
                 return pool[rng.integers(0, len(pool))]
 
             return draw
-        eigen = eigh_operator(self.noise_covariance)
-        lam = eigen.eigenvalues
-        keep = lam > 1e-14 * (lam[0] if len(lam) else 0.0)
-        if not np.any(keep):
-            zero = np.zeros(self.grid.n)
-            return lambda rng: zero
-        factor = np.stack(
-            [f.values for f, k in zip(eigen.functions, keep) if k]
-        ).T * np.sqrt(lam[keep])
+        factor = self._noise_factor
 
         def draw(rng):
             return factor @ rng.standard_normal(factor.shape[1])
 
         return draw
+
+    @cached_property
+    def _noise_factor(self) -> np.ndarray:
+        # (n, r) factor F with F F^T = noise covariance, over the r eigenpairs
+        # above roundoff; r = 0 draws zeros
+        eigen = eigh_operator(self.noise_covariance)
+        lam = eigen.eigenvalues
+        keep = lam > 1e-14 * (lam[0] if len(lam) else 0.0)
+        vecs = np.array([f.values for f, k in zip(eigen.functions, keep) if k])
+        return vecs.reshape(-1, self.grid.n).T * np.sqrt(lam[keep])
 
 
 def default_mean_density(grid: GridSpec) -> GridFunction:

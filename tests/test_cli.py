@@ -7,7 +7,7 @@ import pytest
 
 from densfar.cli import main
 from densfar.grid import make_grid
-from densfar.io import save_grid_function
+from densfar.io import load_model, save_grid_function, save_model
 from densfar.simulate import acceptance_sample, make_cosine_generator, simulate_far
 
 from conftest import triangular_density
@@ -298,3 +298,80 @@ def test_runtime_error_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def json_model(tmp_path_factory, panel_csv):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(
+        ["estimate", "--input", str(panel_csv), "--grid-n", "64",
+         "--K", "2", "--out", str(path)]
+    ) == 0
+    return json.loads(path.read_text())
+
+
+def _analyze_model(tmp_path, obj):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    return ["analyze", "features", "--model", str(path),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def _v1_model(tmp_path, obj):
+    argv = _analyze_model(tmp_path, obj)
+    path = tmp_path / "model.bin"
+    save_model(load_model(argv[3]), path)
+    data = bytearray(path.read_bytes())
+    data[8:12] = (1).to_bytes(4, "little")  # the version after the magic tag
+    path.write_bytes(bytes(data))
+    argv[3] = str(path)
+    return argv
+
+
+def _sample(tmp_path, density, n=10):
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(density))
+    return ["sample", "--density", str(path), "--n", str(n), "--seed", "1",
+            "--out", str(tmp_path / "draws.csv")]
+
+
+def _density(**edits):
+    grid = make_grid(0.0, 1.0, 64)
+    obj = {"format": "grid-function", "version": 1,
+           "grid": {"a": 0.0, "b": 1.0, "n": 64},
+           "values": triangular_density(grid).values.tolist()}
+    obj.update(edits)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+def _non_utf8_csv(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"period,value\n1,0.5\n\xff\xfe,0.25\n")
+    return ["estimate", "--input", str(path), "--K", "1",
+            "--out", str(tmp_path / "m.bin")]
+
+
+BAD_INPUTS = {
+    "model_v1": _v1_model,
+    "model_k99": lambda tmp, obj: _analyze_model(tmp, {**obj, "K": 99}),
+    "model_missing_key": lambda tmp, obj: _analyze_model(
+        tmp, {k: v for k, v in obj.items() if k != "mean_density"}),
+    "model_truncated_w": lambda tmp, obj: _analyze_model(
+        tmp, {**obj, "demeaned": obj["demeaned"][:-1]}),
+    "model_top_level_list": lambda tmp, obj: _analyze_model(tmp, [obj]),
+    "density_no_grid": lambda tmp, obj: _sample(tmp, _density(grid=None)),
+    "density_short_values": lambda tmp, obj: _sample(
+        tmp, _density(values=[1.0] * 5)),
+    "csv_not_utf8": lambda tmp, obj: _non_utf8_csv(tmp),
+    "sample_n_zero": lambda tmp, obj: _sample(tmp, _density(), n=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one(tmp_path, json_model, capsys, case):
+    argv = BAD_INPUTS[case](tmp_path, json_model)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

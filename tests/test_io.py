@@ -1,5 +1,7 @@
 """File formats: observation CSV, model persistence, table output."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,17 @@ def test_write_csv_deterministic(tmp_path):
     text = p1.read_text()
     assert text.splitlines()[0] == "a,b"
     assert "0.33333333333333331" in text
+
+
+def test_model_edited_k_refits(tmp_path):
+    grid = make_grid(0.0, 1.0, 32)
+    gen = make_cosine_generator(grid, strengths=(0.7, 0.5), noise_sds=(0.02, 0.015))
+    panel = simulate_far(gen, 29, seed=3, burn_in=40)
+    path = tmp_path / "model.json"
+    save_model(fit(panel, 2), path)
+    obj = json.loads(path.read_text())
+    obj["K"] = 1
+    path.write_text(json.dumps(obj))
+    back = load_model(path)
+    assert back.K == 1
+    assert np.array_equal(back.A_hat.kernel, fit(panel, 1).A_hat.kernel)
