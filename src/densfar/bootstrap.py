@@ -6,6 +6,13 @@ period, the model refitted at the same truncation level, and the statistic
 re-evaluated. Pointwise percentile bands across replications form the
 confidence band. Every replication draws from its own (seed, index) random
 stream, so parallel and serial runs agree bit for bit.
+
+Regeneration steps the state through the fitted operator's rank-K factor
+A_hat diag(weights) = L R, with R = V_K diag(weights) (K x n) and L (n x K),
+at O(nK) per period instead of an n-by-n product. The factor is built once
+per call and must reproduce the kernel to 1e-12 (relative); an A_hat that
+does not factor, e.g. one swapped in with `dataclasses.replace`, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -82,17 +89,33 @@ def vardecomp_statistic(v: GridFunction, kmax: int):
     return stat
 
 
-def _regenerate_panel(model: FarModel, pool: np.ndarray, rng) -> DensityPanel:
+def _operator_factor(model: FarModel) -> tuple:
+    # a_w = A_hat diag(w) = (B / T) V_K diag(w) = L R. L is solved for, not
+    # taken as A_hat R^T, which assumes V_K orthonormal: eigenfunctions from
+    # the Gram matrix are so only to about eps * lambda_1 / lambda_K
+    weights = model.grid.weights
+    R = np.array([f.values for f in model.eigen.functions[: model.K]]) * weights
+    a_w = model.A_hat.kernel * weights
+    L = np.linalg.solve(R @ R.T, R @ a_w.T).T
+    if np.max(np.abs(L @ R - a_w)) > 1e-12 * np.max(np.abs(a_w)):
+        raise ValueError(f"A_hat does not factor through the {model.K} leading "
+                         "eigenfunctions")
+    return L, R
+
+
+def _regenerate_panel(model: FarModel, factor: tuple, pool: np.ndarray,
+                      rng) -> DensityPanel:
     # w*_1 is the observed first demeaned period; later periods follow the
-    # fitted recursion with residuals resampled from the centered pool.
+    # fitted recursion w*_{t+1} = L (R w*_t) + e*_t, with residuals resampled
+    # from the centered pool
     grid = model.grid
     T = model.sample_size
-    a_w = model.A_hat.kernel * grid.weights[None, :]
+    L, R = factor
     idx = rng.integers(0, len(pool), size=T - 1)
     states = np.empty((T, grid.n))
     states[0] = model.w_initial.values
     for t in range(T - 1):
-        states[t + 1] = a_w @ states[t] + pool[idx[t]]
+        states[t + 1] = L @ (R @ states[t]) + pool[idx[t]]
     # same clip-and-rescale conversion as to_density, vectorized over periods
     raw = np.clip(model.mean_density.values[None, :] + states, 0.0, None)
     masses = raw @ grid.weights
@@ -132,15 +155,21 @@ def residual_bootstrap(
         Model has fewer than 10 residuals.
     TooManyDropped
         More than 5% of replications failed (e.g. rank deficiency).
+    ValueError
+        B < 100, alpha outside (0, 1), a negative seed, or an A_hat that is
+        not the model's rank-K fit (e.g. swapped in with dataclasses.replace).
     """
     if B < 100:
         raise ValueError(f"need B >= 100 replications, got {B}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     if len(model.residuals) < 10:
         raise TooFewResiduals(
             f"bootstrap needs >= 10 residuals, got {len(model.residuals)}"
         )
+    factor = _operator_factor(model)
     pool = np.stack([r.values for r in model.residuals])
     pool = pool - pool.mean(axis=0)
     point = np.atleast_1d(np.asarray(statistic(model), dtype=np.float64))
@@ -148,7 +177,7 @@ def residual_bootstrap(
     def replicate(b: int):
         rng = np.random.default_rng((seed, b))
         try:
-            refit = fit(_regenerate_panel(model, pool, rng), model.K)
+            refit = fit(_regenerate_panel(model, factor, pool, rng), model.K)
             return np.atleast_1d(np.asarray(statistic(refit), dtype=np.float64))
         except DensfarError:
             return None

@@ -137,6 +137,8 @@ class PipelineConfig:
             raise _ValidationFailure("--bootstrap needs >= 100 replications")
         if not 0.0 < self.alpha < 1.0:
             raise _ValidationFailure("--alpha must lie in (0, 1)")
+        if self.seed < 0:
+            raise _ValidationFailure(f"--seed must be >= 0, got {self.seed}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -574,6 +576,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise _ValidationFailure(f"--n must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise _ValidationFailure(f"--seed must be >= 0, got {args.seed}")
     density = _validated(dfio.load_grid_function, args.density)
     draws = acceptance_sample(density, args.n, args.seed)
     dfio.write_csv(args.out, ["value"], [{"value": float(x)} for x in draws])

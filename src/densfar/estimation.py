@@ -16,9 +16,11 @@ The rank-K truncation regularizes the otherwise ill-posed inversion of Q;
 K must stay within the numerically usable rank of the estimated covariance.
 P and Sigma keep the divisor T even though only T-1 terms exist.
 
-:func:`fit` never decomposes or inverts an n-by-n kernel: with the demeaned
-panel stacked as a (T, n) array W, the spectrum of Q comes from the thin SVD
-of W (method of snapshots), and A and the residuals follow from the
+:func:`fit` never decomposes or inverts an n-by-n kernel when T <= n: with
+the demeaned panel stacked as a (T, n) array W, the spectrum of Q comes from
+the T-by-T Gram matrix of X = W diag(sqrt(weights)) (the method of
+snapshots, :func:`~densfar.grid.snapshot_spectrum`; for T > n the smaller
+matrix is the n-by-n X^T X), and A and the residuals follow from the
 (T-1)-by-K scores C_K = W_0 diag(weights) V_K of the lagged periods:
 
     A = (1/T) W_1^T C_K Lambda_K^{-1} V_K^T,   e = W_1 - (1/T) C_K Lambda_K^{-1} C_K^T W_1

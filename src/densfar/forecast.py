@@ -11,10 +11,9 @@ level K is chosen by rolling cross-validation on held-out periods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
+from statistics import NormalDist, median
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DegenerateForecast,
@@ -180,7 +179,7 @@ def feature_interval(
         if qf < -1e-10 * max(scale, 1e-300):
             raise ZeroVariance(f"noise quadratic form is negative: {qf:.3e}")
         qf = 0.0
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * np.sqrt((1.0 + model.K / model.sample_size) * qf)
     return center - half, center + half
 

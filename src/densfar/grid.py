@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     GridMismatch,
@@ -362,16 +361,34 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray) -> EigenSystem:
     """Spectrum of the covariance (1/T) sum_t w_t (x) w_t of a stack of functions.
 
     `stack` holds the values of w_1..w_T as a (T, n) array. The eigenpairs
-    come from the thin SVD of X = stack diag(sqrt(weights)) (the method of
-    snapshots): lambda_k = s_k^2 / T, and the right singular vectors mapped
-    back through W^{-1/2} are the quadrature-orthonormal eigenfunctions,
-    oriented as in :func:`eigh_operator`. The result holds min(T, n) pairs,
-    in descending order; every other eigenvalue of the covariance is zero.
+    come from `eigh` of the smaller Gram matrix of X = stack diag(sqrt(w)).
+    When T <= n that is the T-by-T matrix X X^T (the method of snapshots):
+    its eigenvalues mu_k give lambda_k = mu_k / T, and the normalized columns
+    of X^T U are the eigenvectors of X^T X. When T > n it is X^T X itself.
+    Eigenvectors mapped back through W^{-1/2} are the quadrature-orthonormal
+    eigenfunctions, oriented as in :func:`eigh_operator`. The result holds
+    min(T, n) pairs in descending order; every other eigenvalue of the
+    covariance is zero. Pairs below the rank cutoff are not accurate, only
+    finite and of unit norm.
     """
     sqrt_w = np.sqrt(grid.weights)
-    _, s, vt = np.linalg.svd(stack * sqrt_w, full_matrices=False)
-    functions = tuple(GridFunction._wrap(grid, _fix_sign(v / sqrt_w)) for v in vt)
-    return EigenSystem(grid=grid, eigenvalues=s * s / len(stack), functions=functions)
+    X = stack * sqrt_w
+    T, n = X.shape
+    if T <= n:
+        mu, U = np.linalg.eigh(X @ X.T)
+        vecs = X.T @ U
+        norms = np.linalg.norm(vecs, axis=0)
+        # an exact null direction of X maps to zero; any unit vector will do
+        vecs[:, norms == 0.0] = 1.0
+        vecs /= np.where(norms == 0.0, np.sqrt(n), norms)
+    else:
+        mu, vecs = np.linalg.eigh(X.T @ X)
+    functions = tuple(
+        GridFunction._wrap(grid, _fix_sign(v / sqrt_w)) for v in vecs.T[::-1]
+    )
+    return EigenSystem(
+        grid=grid, eigenvalues=np.clip(mu[::-1], 0.0, None) / T, functions=functions
+    )
 
 
 def svd_operator(K: OperatorRep, m: int) -> SingularSystem:
@@ -421,8 +438,8 @@ def cdf_from_density(f: GridFunction) -> GridFunction:
     clipped before integrating.
     """
     values = _check_density_values(f)
-    cdf = cumulative_trapezoid(values, f.grid.points, initial=0.0)
-    return GridFunction(f.grid, cdf)
+    steps = np.diff(f.grid.points) * (values[1:] + values[:-1]) / 2.0
+    return GridFunction(f.grid, np.concatenate(([0.0], np.cumsum(steps))))
 
 
 def quantile(f: GridFunction, p: float) -> float:

@@ -108,7 +108,7 @@ def read_observations(path) -> RawPanel:
                     value = float(row[1])
                 except ValueError:
                     raise ParseError(f"not a number: {row[1]!r}", line=lineno) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ParseError(f"non-finite value: {row[1]!r}", line=lineno)
                 blocks.setdefault(period, []).append(value)
         except UnicodeDecodeError:

@@ -231,9 +231,13 @@ def acceptance_sample(f: GridFunction, n: int, seed) -> np.ndarray:
     ------
     DegenerateDensity
         If the density has no positive values.
+    ValueError
+        If n < 1 or the seed (or an entry of a seed tuple) is negative.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if np.any(np.asarray(seed) < 0):
+        raise ValueError(f"need a nonnegative seed, got {seed}")
     draws, _, _ = _sample_by_rejection(f, n, np.random.default_rng(seed))
     return draws
 

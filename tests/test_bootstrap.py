@@ -1,16 +1,20 @@
 """Residual bootstrap bands: determinism, nesting, coverage."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from densfar.bootstrap import (
+    _operator_factor,
+    _regenerate_panel,
     irf_statistic,
     r_squared_statistic,
     residual_bootstrap,
 )
 from densfar.errors import TooFewResiduals
 from densfar.estimation import fit
-from densfar.grid import make_grid, quadratic_form
+from densfar.grid import OperatorRep, make_grid, quadratic_form
 from densfar.analysis import moment_functional, project_zero_integral
 from densfar.simulate import make_cosine_generator, simulate_far
 
@@ -74,6 +78,55 @@ def test_band_guards():
     small, _ = _model(T=8, seed=6)
     with pytest.raises(TooFewResiduals):
         residual_bootstrap(small, irf_statistic(v), B=100, alpha=0.05, seed=0)
+
+
+def _dense_regeneration(model, pool, rng):
+    # the n-by-n recursion through A_hat's weighted kernel
+    grid = model.grid
+    a_w = model.A_hat.kernel * grid.weights[None, :]
+    idx = rng.integers(0, len(pool), size=model.sample_size - 1)
+    states = [model.w_initial.values]
+    for t in idx:
+        states.append(a_w @ states[-1] + pool[t])
+    raw = np.clip(model.mean_density.values + np.array(states), 0.0, None)
+    return raw / (raw @ grid.weights)[:, None]
+
+
+@pytest.mark.parametrize("T, n, K", [(60, 48, 2), (40, 64, 3), (150, 32, 3)])
+def test_regeneration_matches_dense_recursion(T, n, K):
+    grid = make_grid(0.0, 1.0, n)
+    gen = make_cosine_generator(
+        grid, strengths=(0.8, 0.6, 0.4), noise_sds=(0.02, 0.015, 0.01)
+    )
+    model = fit(simulate_far(gen, T - 1, seed=T, burn_in=60), K)
+    pool = np.stack([r.values for r in model.residuals])
+    pool = pool - pool.mean(axis=0)
+    ref = _dense_regeneration(model, pool, np.random.default_rng(3))
+    panel = _regenerate_panel(
+        model, _operator_factor(model), pool, np.random.default_rng(3)
+    )
+    got = np.stack([f.values for f in panel.densities])
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_bootstrap_rejects_operator_that_does_not_factor():
+    model, _ = _model(seed=8)
+    rng = np.random.default_rng(8)
+    swapped = dataclasses.replace(
+        model, A_hat=OperatorRep(model.grid, rng.standard_normal((48, 48)))
+    )
+    calls = []
+    with pytest.raises(ValueError, match="factor"):
+        residual_bootstrap(swapped, calls.append, B=100, alpha=0.05, seed=0)
+    assert calls == []
+
+
+def test_negative_seed_rejected_before_any_work():
+    model, _ = _model(seed=9)
+    calls = []
+    with pytest.raises(ValueError, match="seed"):
+        residual_bootstrap(model, calls.append, B=100, alpha=0.05, seed=-1)
+    assert calls == []
 
 
 def test_r_squared_band_covers_population_value():

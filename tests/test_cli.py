@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, output files, determinism basics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densfar
 from densfar.cli import main
 from densfar.grid import make_grid
 from densfar.io import load_model, save_grid_function, save_model
@@ -375,3 +380,35 @@ def test_bad_input_exits_one(tmp_path, json_model, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _negative_seed_sample(tmp_path, obj):
+    argv = _sample(tmp_path, _density(), n=5)
+    argv[argv.index("--seed") + 1] = "-3"
+    return argv
+
+
+def _negative_seed_irf(tmp_path, obj):
+    argv = _analyze_model(tmp_path, obj)
+    argv[1] = "irf"
+    return argv + ["--functional", "moment:1", "--bootstrap", "100", "--seed", "-1"]
+
+
+@pytest.mark.parametrize("make_argv", [_negative_seed_sample, _negative_seed_irf])
+def test_negative_seed_exits_one(tmp_path, json_model, capsys, make_argv):
+    argv = make_argv(tmp_path, json_model)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seed" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "draws.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # the command line needs numpy only; scipy is a test dependency
+    env = {**os.environ, "PYTHONPATH": str(Path(densfar.__file__).resolve().parents[1])}
+    code = "import sys, densfar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

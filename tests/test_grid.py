@@ -25,8 +25,10 @@ from densfar.grid import (
     outer,
     project_zero_integral,
     quantile,
+    snapshot_spectrum,
     svd_operator,
 )
+from densfar.estimation import usable_rank
 
 from conftest import orthonormal_functions, random_psd_operator, triangular_density, uniform_density
 
@@ -298,6 +300,43 @@ def test_svd_best_rank_m(grid48):
     assert np.all(np.diff(sv.values) <= 1e-12)
 
 
+def _decaying_stack(T, n, seed):
+    # rows with a well-separated spectrum: scores of variance 4^-k on an
+    # orthonormal basis, plus a little full-rank noise
+    rng = np.random.default_rng(seed)
+    m = min(T, n)
+    basis = np.linalg.qr(rng.standard_normal((n, m)))[0].T
+    scores = rng.standard_normal((T, m)) * 2.0 ** -np.arange(m)
+    return scores @ basis + 1e-9 * rng.standard_normal((T, n))
+
+
+@pytest.mark.parametrize("T, n", [(40, 64), (150, 32)])
+def test_snapshot_spectrum_matches_svd(T, n):
+    grid = make_grid(0.0, 1.0, n)
+    stack = _decaying_stack(T, n, seed=T)
+    sqrt_w = np.sqrt(grid.weights)
+    _, s, vt = np.linalg.svd(stack * sqrt_w, full_matrices=False)
+    ref_vals = s * s / T
+    got = snapshot_spectrum(grid, stack)
+    assert len(got) == min(T, n)
+    assert usable_rank(got) == int(np.sum(ref_vals > 1e-10 * ref_vals[0]))
+    K = 4
+    assert np.abs(got.eigenvalues[:K] - ref_vals[:K]).max() < 1e-12 * ref_vals[0]
+    for k in range(K):
+        ref = vt[k] / sqrt_w
+        ref = -ref if ref[np.argmax(np.abs(ref))] < 0 else ref
+        assert np.abs(got.functions[k].values - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_snapshot_spectrum_zero_stack_has_unit_functions(grid64):
+    got = snapshot_spectrum(grid64, np.zeros((10, grid64.n)))
+    assert len(got) == 10
+    assert np.all(got.eigenvalues == 0.0)
+    for f in got.functions:
+        assert np.all(np.isfinite(f.values))
+        assert norm(f) == pytest.approx(1.0, rel=1e-12)
+
+
 # -- cdf / quantile ---------------------------------------------------------------------
 
 def test_cdf_uniform():
@@ -306,6 +345,14 @@ def test_cdf_uniform():
     assert np.abs(F.values - g.points).max() < 1e-12
     assert F.values[0] == 0.0
     assert np.all(np.diff(F.values) >= 0)
+
+
+def test_cdf_matches_cumulative_trapezoid(grid64):
+    from scipy.integrate import cumulative_trapezoid
+
+    f = triangular_density(grid64)
+    ref = cumulative_trapezoid(f.values, grid64.points, initial=0.0)
+    assert np.array_equal(cdf_from_density(f).values, ref)
 
 
 def test_cdf_zero_density(grid64):

@@ -69,6 +69,13 @@ def test_acceptance_sample_degenerate():
         acceptance_sample(grid.constant(0.0), 10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-3, (5, -1)])
+def test_acceptance_sample_rejects_negative_seed(seed):
+    grid = make_grid(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match="seed"):
+        acceptance_sample(triangular_density(grid), 10, seed=seed)
+
+
 def test_acceptance_sample_many_targets_ks():
     # several distinct targets, one KS check each at the 1% critical value
     grid = make_grid(0.0, 1.0, 512)
