@@ -21,6 +21,10 @@ class GridTooSmall(DensfarError):
     """Grid size below the minimum of 16 points."""
 
 
+class GridTooLarge(DensfarError):
+    """Grid size above the maximum of 4096 points."""
+
+
 class GridMismatch(DensfarError):
     """Operands do not live on the same grid."""
 

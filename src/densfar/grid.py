@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     GridMismatch,
+    GridTooLarge,
     GridTooSmall,
     InvalidSupport,
     NegativeDensity,
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 MIN_GRID_SIZE = 16
+# 8x the default grid of 512, so an n x n operator stays within 128 MiB.
+MAX_GRID_SIZE = 4096
 
 # Relative window inside which tiny negative eigenvalues of a PSD operator
 # are treated as roundoff and clipped to zero.
@@ -132,6 +135,8 @@ def make_grid(a: float, b: float, n: int) -> GridSpec:
         If a >= b.
     GridTooSmall
         If n < 16.
+    GridTooLarge
+        If n > 4096.
     """
     a = float(a)
     b = float(b)
@@ -140,6 +145,8 @@ def make_grid(a: float, b: float, n: int) -> GridSpec:
         raise InvalidSupport(f"need a < b, got a={a}, b={b}")
     if n < MIN_GRID_SIZE:
         raise GridTooSmall(f"need n >= {MIN_GRID_SIZE}, got n={n}")
+    if n > MAX_GRID_SIZE:
+        raise GridTooLarge(f"need n <= {MAX_GRID_SIZE}, got n={n}")
     points = np.linspace(a, b, n)
     h = (b - a) / (n - 1)
     weights = np.full(n, h)

@@ -356,6 +356,27 @@ def _non_utf8_csv(tmp_path):
             "--out", str(tmp_path / "m.bin")]
 
 
+def _huge_grid_estimate(tmp_path):
+    path = tmp_path / "panel.csv"
+    values = np.random.default_rng(0).normal(size=(3, 60)).tolist()
+    rows = [f"{t + 1},{x!r}" for t, block in enumerate(values) for x in block]
+    path.write_text("\n".join(["period,value", *rows]) + "\n")
+    return ["estimate", "--input", str(path), "--grid-n", "100000000", "--K", "2",
+            "--out", str(tmp_path / "m.bin")]
+
+
+def _huge_grid_study(tmp_path):
+    config = {
+        "seed": 5, "iterations": 1, "T_values": [20], "N_values": [80],
+        "burn_in": 30, "K": 2, "kernel": "normal",
+        "generator": {"synthetic": {"support": [0.0, 1.0], "grid_n": 100000000,
+                                    "strengths": [0.8], "noise_sds": [0.05]}},
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "study.csv")]
+
+
 BAD_INPUTS = {
     "model_v1": _v1_model,
     "model_k99": lambda tmp, obj: _analyze_model(tmp, {**obj, "K": 99}),
@@ -369,6 +390,8 @@ BAD_INPUTS = {
         tmp, _density(values=[1.0] * 5)),
     "csv_not_utf8": lambda tmp, obj: _non_utf8_csv(tmp),
     "sample_n_zero": lambda tmp, obj: _sample(tmp, _density(), n=0),
+    "estimate_grid_n_huge": lambda tmp, obj: _huge_grid_estimate(tmp),
+    "study_grid_n_huge": lambda tmp, obj: _huge_grid_study(tmp),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from densfar.errors import (
     GridMismatch,
+    GridTooLarge,
     GridTooSmall,
     InvalidSupport,
     NegativeDensity,
@@ -62,6 +63,12 @@ def test_make_grid_preconditions():
         make_grid(1.0, 0.0, 64)
     with pytest.raises(InvalidSupport):
         make_grid(1.0, 1.0, 64)
+
+
+def test_make_grid_size_cap():
+    assert make_grid(0.0, 1.0, 4096).n == 4096
+    with pytest.raises(GridTooLarge):
+        make_grid(0.0, 1.0, 4097)
 
 
 # -- inner / projection ----------------------------------------------------------

@@ -1,7 +1,11 @@
 """Density estimation: support selection, bandwidths, KDE, panel assembly."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm as normal_dist
 
 from densfar.errors import (
@@ -19,6 +23,9 @@ from densfar.kde import (
     natural_sort_key,
     select_support,
 )
+
+# the package's `kde` function shadows the module of the same name
+kde_module = sys.modules["densfar.kde"]
 
 
 # -- raw panel -----------------------------------------------------------------
@@ -164,6 +171,107 @@ def test_kde_error_decreases_with_sample_size():
             ises.append(inner(diff, diff))
         med[n_obs] = np.median(ises)
     assert med[250] > med[1000] > med[4000]
+
+
+# -- windowed Epanechnikov sum against the dense oracle ----------------------------------
+
+def _dense_epanechnikov(obs, points, h):
+    # every grid point against every observation, 2^22 terms at a time: the
+    # O(N n) sum the windowed evaluation replaces
+    raw = np.zeros(points.size)
+    step = max(1, (1 << 22) // points.size)
+    for start in range(0, obs.size, step):
+        u = (points[:, None] - obs[None, start : start + step]) / h
+        raw += 0.75 * np.clip(1.0 - u * u, 0.0, None).sum(axis=1)
+    return raw
+
+
+def _dense_kde(obs, grid, h):
+    raw = _dense_epanechnikov(obs, grid.points, h) / (obs.size * h)
+    mass = float(np.dot(grid.weights, raw))
+    if mass <= 1e-12:
+        raise DegenerateSample("no mass inside the support")
+    return raw / mass
+
+
+def _student_t_case(sigma_over_h=None):
+    obs = np.random.default_rng(1800).standard_t(4, size=1800)
+    sigma = float(np.std(obs, ddof=1))
+    if sigma_over_h is None:
+        h = bandwidth(sigma, obs.size, "epanechnikov")
+    else:
+        h = sigma / sigma_over_h
+    return obs, make_grid(-6.0, 6.0, 512), h
+
+
+def _at_window_edges():
+    g = make_grid(0.0, 1.0, 101)
+    h = 0.05
+    centers = g.points[[20, 50, 80]]
+    return np.concatenate([centers - h, centers + h, [0.5]]), g, h
+
+
+def _at_rounded_window_edges():
+    # at |x| >> h the rounded x -+ h leaves u just inside (-1, 1), so these
+    # terms are small but nonzero and an open window would drop them
+    g = make_grid(990.0, 1000.0, 16)
+    h = 1e-4
+    return np.concatenate([g.points - h, g.points + h]), g, h
+
+
+AGREEMENT_CASES = {
+    "ties": lambda: (np.full(50, 0.5), make_grid(0.0, 1.0, 257), 0.1),
+    "two_observations": lambda: (np.array([0.3, 0.65]), make_grid(0.0, 1.0, 64), 0.2),
+    "some_outside": lambda: (
+        np.random.default_rng(6).uniform(-1.0, 2.0, size=300), make_grid(0.0, 1.0, 128), 0.1),
+    "all_outside": lambda: (np.array([-3.0, 2.5, 7.0]), make_grid(0.0, 1.0, 64), 0.2),
+    "at_grid_point_plus_minus_h": _at_window_edges,
+    "at_rounded_grid_point_plus_minus_h": _at_rounded_window_edges,
+    "sigma_over_h_0.01": lambda: _student_t_case(0.01),
+    "sigma_over_h_1": lambda: _student_t_case(1.0),
+    "sigma_over_h_100": lambda: _student_t_case(100.0),
+    "sigma_over_h_1e4": lambda: _student_t_case(1e4),
+    "student_t_n512_N1800": _student_t_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_epanechnikov_kde_matches_dense_oracle(case):
+    obs, grid, h = AGREEMENT_CASES[case]()
+    try:
+        ref = _dense_kde(obs, grid, h)
+    except DegenerateSample:
+        with pytest.raises(DegenerateSample):
+            kde(obs, grid, "epanechnikov", h)
+        return
+    got = kde(obs, grid, "epanechnikov", h).values
+    assert got.min() >= 0.0
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+def test_epanechnikov_kde_independent_of_block_size(monkeypatch, block):
+    obs, grid, h = _student_t_case()
+    default = kde(obs, grid, "epanechnikov", h).values
+    monkeypatch.setattr(kde_module, "_KDE_BLOCK", block)
+    assert np.array_equal(kde(obs, grid, "epanechnikov", h).values, default)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    obs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300),
+    h=st.floats(1e-4, 1e3),
+    ends=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    n=st.integers(16, 300),
+)
+def test_windowed_sum_matches_dense_oracle(obs, h, ends, n):
+    assume(ends[0] != ends[1])
+    obs = np.array(obs)
+    points = make_grid(min(ends), max(ends), n).points
+    ref = _dense_epanechnikov(obs, points, h)
+    got = kde_module._epanechnikov_sums(obs, points, h)
+    assert np.all(got[ref == 0.0] == 0.0)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
 
 # -- estimate_panel ---------------------------------------------------------------------
