@@ -39,7 +39,8 @@ from .forecast import (
     rolling_backtest,
     select_K_cv,
 )
-from .grid import inner, make_grid, project_zero_integral, quantile
+from .grid import (MAX_GRID_SIZE, MIN_GRID_SIZE, inner, make_grid,
+                   project_zero_integral, quantile)
 from .kde import KERNELS, RawPanel, estimate_panel, select_support
 from .simulate import (
     FarGenerator,
@@ -97,8 +98,9 @@ class PipelineConfig:
         for path in (self.input_path, self.model_path):
             if path is not None and not os.path.exists(path):
                 raise _ValidationFailure(f"input path does not exist: {path}")
-        if self.grid_n < 16:
-            raise _ValidationFailure(f"--grid-n must be >= 16, got {self.grid_n}")
+        lo, hi = MIN_GRID_SIZE, MAX_GRID_SIZE
+        if not lo <= self.grid_n <= hi:
+            raise _ValidationFailure(f"--grid-n must be in {lo}..{hi}, got {self.grid_n}")
         if (self.grid_a is None) != (self.grid_b is None):
             raise _ValidationFailure("--grid-a and --grid-b must be given together")
         if self.grid_a is not None and not self.grid_a < self.grid_b:

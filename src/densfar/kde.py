@@ -7,7 +7,8 @@ integrates to one over the support (mass beyond the support is redistributed
 proportionally rather than reflected). The Epanechnikov sum visits only the
 observations within one bandwidth of each grid point, at a cost of
 O(N log N + sum of window sizes) instead of O(N n) for N observations and n
-grid points; the normal kernel has no compact support and is summed densely.
+grid points. The normal kernel has no compact support, so every grid point
+sums over every observation, in one reused buffer of blocked terms.
 """
 
 from __future__ import annotations
@@ -227,6 +228,25 @@ def _epanechnikov_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndar
     return raw
 
 
+def _normal_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """Sum exp(-u^2 / 2) / sqrt(2 pi), u = (x - X_j) / h, at every grid point x,
+    in one (n, block) buffer of at most ``_KDE_BLOCK`` terms filled in place."""
+    step = max(1, _KDE_BLOCK // points.size)
+    buf = np.empty((points.size, min(step, obs.size)))
+    # scale before squaring: 0.5 / h**2 overflows for h below about 1e-154
+    scale = np.sqrt(0.5) / h
+    raw = np.zeros(points.size)
+    for start in range(0, obs.size, step):
+        terms = buf[:, : min(step, obs.size - start)]
+        np.subtract.outer(points, obs[start : start + step], out=terms)
+        terms *= scale
+        np.square(terms, out=terms)
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        raw += terms.sum(axis=1)
+    return raw / np.sqrt(2.0 * np.pi)
+
+
 def kde(
     observations,
     grid: GridSpec,
@@ -239,9 +259,10 @@ def kde(
     kernel 0.75(1-u^2)+ or the standard normal pdf, then divided by its
     quadrature integral so <1, f> = 1 exactly.
 
-    The Epanechnikov sum holds exactly the nonzero terms of the dense sum
-    over all N n pairs, found per grid point by binary search in the sorted
-    sample; the normal kernel is positive everywhere, so it stays dense.
+    The Epanechnikov sum holds exactly the nonzero terms of the sum over all
+    N n pairs, found per grid point by binary search in the sorted sample.
+    The normal kernel is positive everywhere, so its sum takes all N n
+    terms, computed block by block in place in one reused buffer.
 
     Parameters
     ----------
@@ -261,16 +282,8 @@ def kde(
     if h <= 0.0:
         raise BandwidthNonpositive(f"need h > 0, got {h}")
 
-    points = grid.points
-    if kernel == "epanechnikov":
-        raw = _epanechnikov_sums(obs, points, h)
-    else:
-        raw = np.zeros(grid.n)
-        step = max(1, _KDE_BLOCK // grid.n)
-        for start in range(0, obs.size, step):
-            u = (points[:, None] - obs[None, start : start + step]) / h
-            raw += (np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)).sum(axis=1)
-    raw /= obs.size * h
+    sums = _epanechnikov_sums if kernel == "epanechnikov" else _normal_sums
+    raw = sums(obs, grid.points, h) / (obs.size * h)
 
     mass = float(np.dot(grid.weights, raw))
     if mass <= 1e-12:

@@ -365,6 +365,13 @@ def _huge_grid_estimate(tmp_path):
             "--out", str(tmp_path / "m.bin")]
 
 
+def _over_cap_bad_csv(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("period,value\n1,0.5\n1,not-a-number\n")
+    return ["estimate", "--input", str(path), "--grid-n", "5000", "--K", "2",
+            "--out", str(tmp_path / "m.bin")]
+
+
 def _huge_grid_study(tmp_path):
     config = {
         "seed": 5, "iterations": 1, "T_values": [20], "N_values": [80],
@@ -391,6 +398,7 @@ BAD_INPUTS = {
     "csv_not_utf8": lambda tmp, obj: _non_utf8_csv(tmp),
     "sample_n_zero": lambda tmp, obj: _sample(tmp, _density(), n=0),
     "estimate_grid_n_huge": lambda tmp, obj: _huge_grid_estimate(tmp),
+    "estimate_over_cap_bad_csv": lambda tmp, obj: _over_cap_bad_csv(tmp),
     "study_grid_n_huge": lambda tmp, obj: _huge_grid_study(tmp),
 }
 
@@ -403,6 +411,12 @@ def test_bad_input_exits_one(tmp_path, json_model, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_grid_n_checked_before_the_csv_is_read(tmp_path, capsys):
+    # the CSV is malformed, so the error shows which check ran first
+    assert main(_over_cap_bad_csv(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: --grid-n must be in 16..4096, got 5000\n"
 
 
 def _negative_seed_sample(tmp_path, obj):

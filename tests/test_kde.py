@@ -186,8 +186,19 @@ def _dense_epanechnikov(obs, points, h):
     return raw
 
 
-def _dense_kde(obs, grid, h):
-    raw = _dense_epanechnikov(obs, grid.points, h) / (obs.size * h)
+def _dense_normal(obs, points, h):
+    # every grid point against every observation, with fresh temporaries
+    # for each step of each block
+    raw = np.zeros(points.size)
+    step = max(1, (1 << 22) // points.size)
+    for start in range(0, obs.size, step):
+        u = (points[:, None] - obs[None, start : start + step]) / h
+        raw += (np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)).sum(axis=1)
+    return raw
+
+
+def _dense_kde(obs, grid, h, dense_sums=_dense_epanechnikov):
+    raw = dense_sums(obs, grid.points, h) / (obs.size * h)
     mass = float(np.dot(grid.weights, raw))
     if mass <= 1e-12:
         raise DegenerateSample("no mass inside the support")
@@ -257,6 +268,48 @@ def test_epanechnikov_kde_independent_of_block_size(monkeypatch, block):
     assert np.array_equal(kde(obs, grid, "epanechnikov", h).values, default)
 
 
+def _normal_student_t_case(sigma_over_h):
+    obs = np.random.default_rng(500).standard_t(4, size=500)
+    h = float(np.std(obs, ddof=1)) / sigma_over_h
+    return obs, make_grid(-6.0, 6.0, 128), h
+
+
+NORMAL_CASES = {
+    "two_observations": lambda: (np.array([0.3, 0.65]), make_grid(0.0, 1.0, 64), 0.2),
+    "some_outside": lambda: (
+        np.random.default_rng(6).uniform(-1.0, 2.0, size=300), make_grid(0.0, 1.0, 128), 0.1),
+    "all_far_outside": lambda: (np.array([-3.0, 2.5, 7.0]), make_grid(0.0, 1.0, 64), 0.2),
+    "sigma_over_h_0.01": lambda: _normal_student_t_case(0.01),
+    "sigma_over_h_1": lambda: _normal_student_t_case(1.0),
+    "sigma_over_h_100": lambda: _normal_student_t_case(100.0),
+}
+
+
+def _check_normal_kde(obs, grid, h):
+    try:
+        ref = _dense_kde(obs, grid, h, _dense_normal)
+    except DegenerateSample:
+        with pytest.raises(DegenerateSample):
+            kde(obs, grid, "normal", h)
+        return
+    got = kde(obs, grid, "normal", h).values
+    assert got.min() >= 0.0
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("case", sorted(NORMAL_CASES))
+def test_normal_kde_matches_dense_oracle(case):
+    _check_normal_kde(*NORMAL_CASES[case]())
+
+
+@pytest.mark.parametrize("block", [1, 1000])
+def test_normal_kde_over_several_blocks(monkeypatch, block):
+    # 1 and 7 observations per block at n=128, the last block a partial one
+    obs, grid, h = _normal_student_t_case(1.0)
+    monkeypatch.setattr(kde_module, "_KDE_BLOCK", block)
+    _check_normal_kde(obs, grid, h)
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(
     obs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300),
@@ -271,6 +324,10 @@ def test_windowed_sum_matches_dense_oracle(obs, h, ends, n):
     ref = _dense_epanechnikov(obs, points, h)
     got = kde_module._epanechnikov_sums(obs, points, h)
     assert np.all(got[ref == 0.0] == 0.0)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+    # the normal kernel on the same draw
+    ref = _dense_normal(obs, points, h)
+    got = kde_module._normal_sums(obs, points, h)
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import kstest
 
 from densfar.errors import DegenerateDensity, UnstableGenerator
-from densfar.grid import GridFunction, inner, make_grid
+from densfar.estimation import fit
+from densfar.grid import GridFunction, OperatorRep, inner, make_grid, norm
 from densfar.simulate import (
     FarGenerator,
     StudyConfig,
@@ -163,6 +164,88 @@ def test_simulate_far_unstable_generator():
     gen = make_cosine_generator(grid, strengths=(1.5,), noise_sds=(0.05,))
     with pytest.raises(UnstableGenerator):
         simulate_far(gen, 50, seed=7)
+
+
+def _reference_simulate(generator, T, seed, burn_in):
+    # one rng call, one noise mat-vec and one norm per period
+    rng = np.random.default_rng(seed)
+    grid = generator.grid
+    if generator.residual_pool is not None:
+        pool = np.stack([r.values for r in generator.residual_pool])
+        pool = pool - pool.mean(axis=0)
+
+        def draw():
+            return pool[rng.integers(0, len(pool))]
+    else:
+        factor = generator._noise_factor
+
+        def draw():
+            return factor @ rng.standard_normal(factor.shape[1])
+    a_w = generator.transition.kernel * grid.weights[None, :]
+    bound = 1e6 * norm(generator.mean_density)
+    sqrt_w = np.sqrt(grid.weights)
+    w = np.zeros(grid.n)
+    kept = []
+    for t in range(burn_in + T + 1):
+        w = a_w @ w + draw()
+        if float(np.linalg.norm(sqrt_w * w)) > bound:
+            raise UnstableGenerator(f"state norm exceeded 1e+06 x mean norm at period {t + 1}")
+        if t >= burn_in:
+            kept.append(w)
+    raw = np.clip(generator.mean_density.values + np.array(kept), 0.0, None)
+    return raw / (raw @ grid.weights)[:, None]
+
+
+def _fitted_model():
+    grid = make_grid(0.0, 1.0, 64)
+    gen = make_cosine_generator(grid, strengths=(0.8, 0.6), noise_sds=(0.02, 0.01))
+    return fit(simulate_far(gen, 60, seed=8, burn_in=60), 2)
+
+
+def _gaussian_model_generator():
+    # the fitted model with Gaussian noise of its residual covariance
+    model = _fitted_model()
+    resid = np.stack([e.values for e in model.residuals])
+    return FarGenerator(
+        grid=model.grid,
+        transition=model.A_hat,
+        mean_density=model.mean_density,
+        noise_covariance=OperatorRep(model.grid, resid.T @ resid / len(resid)),
+    )
+
+
+GENERATORS = {
+    "cosine": lambda: make_cosine_generator(
+        make_grid(0.0, 1.0, 128), strengths=(0.8, 0.6, 0.45), noise_sds=(0.05, 0.04, 0.03)),
+    "residual_pool": lambda: FarGenerator.from_model(_fitted_model()),
+    "model_gaussian": _gaussian_model_generator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_simulate_far_matches_per_period_reference(name):
+    gen = GENERATORS[name]()
+    for seed, T, burn_in in [((3, 1), 50, None), (4, 20, 0), (5, 1, 7)]:
+        panel = simulate_far(gen, T, seed=seed, burn_in=burn_in)
+        if burn_in is None:
+            burn_in = 1000 - (T + 1)
+        ref = _reference_simulate(gen, T, seed, burn_in)
+        got = np.stack([f.values for f in panel.densities])
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strength", [1.5, 1e200])
+def test_unstable_generator_raises_at_reference_period(strength):
+    # 1e200 takes the state past 1e154 in one step, so its square overflows
+    grid = make_grid(0.0, 1.0, 64)
+    gen = make_cosine_generator(grid, strengths=(strength,), noise_sds=(0.05,))
+    # the reference's norm overflows with a RuntimeWarning
+    with np.errstate(over="ignore"), pytest.raises(UnstableGenerator) as ref:
+        _reference_simulate(gen, 50, seed=7, burn_in=949)
+    with pytest.raises(UnstableGenerator) as got:
+        simulate_far(gen, 50, seed=7)
+    assert str(got.value) == str(ref.value)
 
 
 def test_generator_from_model_roundtrip():
