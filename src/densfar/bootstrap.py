@@ -26,7 +26,7 @@ from .analysis import impulse_response, moment_basis, r_squared, variance_decomp
 from .errors import DegenerateForecast, DensfarError, TooFewResiduals, TooManyDropped
 from .estimation import FarModel, fit
 from .grid import GridFunction
-from .kde import DensityPanel
+from .kde import DensityPanel, period_labels
 
 __all__ = [
     "BandResult",
@@ -94,7 +94,7 @@ def _operator_factor(model: FarModel) -> tuple:
     # taken as A_hat R^T, which assumes V_K orthonormal: eigenfunctions from
     # the Gram matrix are so only to about eps * lambda_1 / lambda_K
     weights = model.grid.weights
-    R = np.array([f.values for f in model.eigen.functions[: model.K]]) * weights
+    R = model.eigen.vectors[: model.K] * weights
     a_w = model.A_hat.kernel * weights
     L = np.linalg.solve(R @ R.T, R @ a_w.T).T
     if np.max(np.abs(L @ R - a_w)) > 1e-12 * np.max(np.abs(a_w)):
@@ -113,7 +113,7 @@ def _regenerate_panel(model: FarModel, factor: tuple, pool: np.ndarray,
     L, R = factor
     idx = rng.integers(0, len(pool), size=T - 1)
     states = np.empty((T, grid.n))
-    states[0] = model.w_initial.values
+    states[0] = model.demeaned[0]
     for t in range(T - 1):
         states[t + 1] = L @ (R @ states[t]) + pool[idx[t]]
     # same clip-and-rescale conversion as to_density, vectorized over periods
@@ -122,10 +122,7 @@ def _regenerate_panel(model: FarModel, factor: tuple, pool: np.ndarray,
     if float(masses.min()) <= 1e-12:
         raise DegenerateForecast("regenerated state lost all density mass")
     raw /= masses[:, None]
-    densities = [GridFunction._wrap(grid, row) for row in raw]
-    width = len(str(T))
-    labels = [str(i + 1).zfill(width) for i in range(T)]
-    return DensityPanel._wrap(grid, densities, labels)
+    return DensityPanel._wrap(grid, raw, period_labels(T))
 
 
 def residual_bootstrap(
@@ -165,13 +162,10 @@ def residual_bootstrap(
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
-    if len(model.residuals) < 10:
-        raise TooFewResiduals(
-            f"bootstrap needs >= 10 residuals, got {len(model.residuals)}"
-        )
+    if len(model.resid) < 10:
+        raise TooFewResiduals(f"bootstrap needs >= 10 residuals, got {len(model.resid)}")
     factor = _operator_factor(model)
-    pool = np.stack([r.values for r in model.residuals])
-    pool = pool - pool.mean(axis=0)
+    pool = model.resid - model.resid.mean(axis=0)
     point = np.atleast_1d(np.asarray(statistic(model), dtype=np.float64))
 
     def replicate(b: int):

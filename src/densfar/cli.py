@@ -39,7 +39,7 @@ from .forecast import (
     rolling_backtest,
     select_K_cv,
 )
-from .grid import (MAX_GRID_SIZE, MIN_GRID_SIZE, inner, make_grid,
+from .grid import (MAX_GRID_SIZE, MIN_GRID_SIZE, GridFunction, inner, make_grid,
                    project_zero_integral, quantile)
 from .kde import KERNELS, RawPanel, estimate_panel, select_support
 from .simulate import (
@@ -255,7 +255,8 @@ def _cmd_forecast(args) -> int:
     # only the last period's density enters the forecast
     last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
     panel = _validated(estimate_panel, last, model.grid, config.kernel)
-    w_T = project_zero_integral(panel.densities[-1] - model.mean_density)
+    w_T = project_zero_integral(
+        GridFunction._wrap(model.grid, panel.values[-1]) - model.mean_density)
     results = make_forecast(model, w_T, config.horizon)
     header = ["x"] + [f"f_step{r.horizon}" for r in results]
     rows = []
@@ -316,26 +317,15 @@ def _parse_functional(spec: str, model):
     )
 
 
-def _curve_csv(path, grid, point, band):
-    names = ["x", "point"] + (["lower", "upper"] if band else [])
+def _band_csv(path, key, keys, point, band):
+    # one row per key (grid point x or moment k): the point value and any band
+    names = [key, "point"] + (["lower", "upper"] if band else [])
     rows = []
-    for i, x in enumerate(grid.points):
-        row = {"x": float(x), "point": float(point[i])}
+    for i, k in enumerate(keys):
+        row = {key: k, "point": float(point[i])}
         if band:
             row["lower"] = float(band.lower[i])
             row["upper"] = float(band.upper[i])
-        rows.append(row)
-    dfio.write_csv(path, names, rows)
-
-
-def _bar_csv(path, values, band):
-    names = ["k", "point"] + (["lower", "upper"] if band else [])
-    rows = []
-    for k, val in enumerate(values, start=1):
-        row = {"k": k, "point": float(val)}
-        if band:
-            row["lower"] = float(band.lower[k - 1])
-            row["upper"] = float(band.upper[k - 1])
         rows.append(row)
     dfio.write_csv(path, names, rows)
 
@@ -399,12 +389,8 @@ def _cmd_analyze(args) -> int:
             meta["functionals"].append(name)
             band = _maybe_band(args, model, irf_statistic(v), f"irf_{name}")
             point = impulse_response(model.A_hat, v)
-            _curve_csv(
-                os.path.join(args.out_dir, f"irf_{name}.csv"),
-                model.grid,
-                point.values,
-                band,
-            )
+            _band_csv(os.path.join(args.out_dir, f"irf_{name}.csv"), "x",
+                      model.grid.points.tolist(), point.values, band)
             if band is not None:
                 meta.setdefault("dropped", {})[name] = band.n_dropped
     elif args.mode == "vardecomp":
@@ -419,9 +405,8 @@ def _cmd_analyze(args) -> int:
             band = _maybe_band(
                 args, model, vardecomp_statistic(v, args.kmax), f"vardecomp_{name}"
             )
-            _bar_csv(
-                os.path.join(args.out_dir, f"vardecomp_{name}.csv"), report.pi, band
-            )
+            _band_csv(os.path.join(args.out_dir, f"vardecomp_{name}.csv"), "k",
+                      range(1, len(report.pi) + 1), report.pi, band)
             meta["r_squared"][name] = {
                 "value": report.r_squared,
                 "unclipped": report.r_squared_unclipped,
@@ -438,23 +423,16 @@ def _cmd_analyze(args) -> int:
         for side, tau in (("left", tau_lo), ("right", tau_hi)):
             v = tail_indicator(model.grid, side, tau)
             band = _maybe_band(args, model, irf_statistic(v), f"tails_{side}_irf")
-            _curve_csv(
-                os.path.join(args.out_dir, f"tails_{side}_irf.csv"),
-                model.grid,
-                impulse_response(model.A_hat, v).values,
-                band,
-            )
+            _band_csv(os.path.join(args.out_dir, f"tails_{side}_irf.csv"), "x",
+                      model.grid.points.tolist(), impulse_response(model.A_hat, v).values, band)
             report = variance_decomposition(
                 v, model.A_hat, model.Q_hat, basis, model.Sigma_hat
             )
             band2 = _maybe_band(
                 args, model, vardecomp_statistic(v, args.kmax), f"tails_{side}_vd"
             )
-            _bar_csv(
-                os.path.join(args.out_dir, f"tails_{side}_vardecomp.csv"),
-                report.pi,
-                band2,
-            )
+            _band_csv(os.path.join(args.out_dir, f"tails_{side}_vardecomp.csv"), "k",
+                      range(1, len(report.pi) + 1), report.pi, band2)
             meta["r_squared"][side] = {
                 "value": report.r_squared,
                 "unclipped": report.r_squared_unclipped,

@@ -27,8 +27,11 @@ matrix is the n-by-n X^T X), and A and the residuals follow from the
 
 where W_0 and W_1 drop the last and the first period. :func:`fit_demeaned`
 does this from (grid, mean density, W, K), the state a model file stores, so
-fitting and loading share one code path. The building blocks above remain
-for callers that hold dense kernels.
+fitting and loading share one code path.
+
+The dense building blocks above are the agreement reference the tests hold
+:func:`fit` to. Three of them stay here because the benchmark's tracer needs
+this module to bind `eigh_operator`, `compose` and `apply_operator`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .grid import (
     apply_operator,
     compose,
     eigh_operator,
-    project_zero_integral,
     snapshot_spectrum,
     _readonly,
     _require_same_grid,
@@ -102,8 +104,10 @@ class FarModel:
         The min(T, n) leading eigenpairs of the covariance operator Q_hat.
     A_hat, Sigma_hat : OperatorRep
         Autoregressive operator and residual noise covariance.
+    resid : ndarray, shape (T-1, n)
+        Fitted residuals e_2..e_T, read-only.
     residuals : tuple of GridFunction
-        T-1 fitted residuals.
+        GridFunction views of the rows of `resid`, built on first access.
     """
 
     grid: GridSpec
@@ -113,12 +117,16 @@ class FarModel:
     eigen: EigenSystem
     A_hat: OperatorRep
     Sigma_hat: OperatorRep
-    residuals: tuple
+    resid: np.ndarray
 
     def __post_init__(self):
-        if self.demeaned.flags.writeable:
-            object.__setattr__(self, "demeaned", _readonly(self.demeaned))
-        object.__setattr__(self, "residuals", tuple(self.residuals))
+        for name in ("demeaned", "resid"):
+            if getattr(self, name).flags.writeable:
+                object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @cached_property
+    def residuals(self) -> tuple:
+        return tuple(GridFunction._wrap(self.grid, row) for row in self.resid)
 
     @cached_property
     def Q_hat(self) -> OperatorRep:
@@ -148,29 +156,24 @@ class FarModel:
         return GridFunction._wrap(self.grid, self.demeaned[-1])
 
 
-def _values_matrix(functions) -> np.ndarray:
-    functions = list(functions)
-    out = np.empty((len(functions), functions[0].grid.n))
-    for i, f in enumerate(functions):
-        out[i] = f.values
-    return out
-
-
 def mean_density(panel: DensityPanel) -> GridFunction:
     """Pointwise average of the panel densities."""
     if len(panel) == 0:
         raise EmptyPanel("cannot average an empty panel")
-    return GridFunction(panel.grid, _values_matrix(panel.densities).mean(axis=0))
+    return GridFunction(panel.grid, panel.values.mean(axis=0))
+
+
+def _deviations(panel: DensityPanel, f_bar: GridFunction) -> np.ndarray:
+    # rows f_t - f_bar, projected onto zero integral to remove quadrature roundoff
+    grid = _require_same_grid(panel, f_bar)
+    dev = panel.values - f_bar.values
+    return dev - (dev @ grid.weights / (grid.b - grid.a))[:, None]
 
 
 def demean(panel: DensityPanel, f_bar: GridFunction) -> list:
-    """Subtract the mean density from every period.
-
-    Each difference is re-projected onto the zero-integral subspace, which
-    is a no-op analytically but removes quadrature roundoff.
-    """
-    _require_same_grid(panel.densities[0], f_bar)
-    return [project_zero_integral(f - f_bar) for f in panel.densities]
+    """Subtract the mean density from every period, projected onto the
+    zero-integral subspace; the rows :func:`fit` works from."""
+    return [GridFunction._wrap(panel.grid, w) for w in _deviations(panel, f_bar)]
 
 
 def covariance_operator(w, divisor: int | None = None) -> OperatorRep:
@@ -185,7 +188,7 @@ def covariance_operator(w, divisor: int | None = None) -> OperatorRep:
     if len(w) < 2:
         raise TooFewPeriods(f"covariance needs >= 2 periods, got {len(w)}")
     grid = _require_same_grid(*w)
-    mat = _values_matrix(w)
+    mat = np.stack([f.values for f in w])
     d = len(w) if divisor is None else int(divisor)
     return OperatorRep(grid, mat.T @ mat / d)
 
@@ -199,7 +202,7 @@ def lag1_cross_covariance(w) -> OperatorRep:
     if len(w) < 2:
         raise TooFewPeriods(f"cross-covariance needs >= 2 periods, got {len(w)}")
     grid = _require_same_grid(*w)
-    mat = _values_matrix(w)
+    mat = np.stack([f.values for f in w])
     return OperatorRep(grid, mat[1:].T @ mat[:-1] / len(w))
 
 
@@ -238,7 +241,7 @@ def regularized_inverse(eigen: EigenSystem, K: int) -> OperatorRep:
     grid = eigen.grid
     kernel = np.zeros((grid.n, grid.n))
     for k in range(K):
-        v = eigen.functions[k].values
+        v = eigen.vectors[k]
         kernel += np.outer(v, v) / eigen.eigenvalues[k]
     return OperatorRep(grid, kernel)
 
@@ -267,23 +270,15 @@ def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:
         raise EmptyResiduals("noise covariance needs at least one residual")
     grid = _require_same_grid(*resid)
     d = len(resid) + 1 if divisor is None else int(divisor)
-    mat = _values_matrix(resid)
+    mat = np.stack([r.values for r in resid])
     return OperatorRep(grid, mat.T @ mat / d)
 
 
 def _snapshots(panel: DensityPanel) -> tuple:
-    """Mean density and the demeaned (T, n) panel, read-only.
-
-    The panel matches :func:`mean_density` followed by :func:`demean` bit
-    for bit, so kernels built from it equal the dense building blocks'.
-    """
-    grid = panel.grid
-    dens = _values_matrix(panel.densities)
-    f_bar = GridFunction(grid, dens.mean(axis=0))
-    dev = dens - f_bar.values
-    # project_zero_integral row by row, with the same dot product
-    levels = np.array([np.dot(grid.weights, row) for row in dev]) / (grid.b - grid.a)
-    W = dev - levels[:, None]
+    """Mean density and the demeaned (T, n) panel, read-only: the rows of
+    :func:`mean_density` followed by :func:`demean`, bit for bit."""
+    f_bar = mean_density(panel)
+    W = _deviations(panel, f_bar)
     W.setflags(write=False)
     return f_bar, W
 
@@ -291,9 +286,8 @@ def _snapshots(panel: DensityPanel) -> tuple:
 def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int) -> tuple:
     """Leading K eigenfunctions as a (K, n) array, and the (T-1, K) scores
     <v_k, w_t> of the lagged periods w_1..w_{T-1}."""
-    grid = eigen.grid
-    V = np.array([f.values for f in eigen.functions[:K]]).reshape(K, grid.n)
-    return V, (W[:-1] * grid.weights) @ V.T
+    V = eigen.vectors[:K]
+    return V, (W[:-1] * eigen.grid.weights) @ V.T
 
 
 def fit(panel: DensityPanel, K: int) -> FarModel:
@@ -343,5 +337,5 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
         eigen=eigen,
         A_hat=OperatorRep(grid, B @ V / T),
         Sigma_hat=OperatorRep(grid, resid.T @ resid / T),
-        residuals=tuple(GridFunction._wrap(grid, row) for row in resid),
+        resid=resid,
     )

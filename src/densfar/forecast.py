@@ -195,7 +195,7 @@ def predictor_last(panel: DensityPanel) -> GridFunction:
     """Benchmark predictor: the density of the last period."""
     if len(panel) == 0:
         raise EmptyPanel("LAST predictor needs a nonempty panel")
-    return panel.densities[-1]
+    return GridFunction._wrap(panel.grid, panel.values[-1])
 
 
 def error_metrics(f_hat: GridFunction, f_true: GridFunction) -> ErrorReport:
@@ -278,6 +278,7 @@ def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
         if not scores:
             break
         f_bar, steps = _truncated_forecasts(panel.head(s), max(scores))
+        truth = GridFunction._wrap(panel.grid, panel.values[s])
         for K in [K for K in scores if K > len(steps)]:
             del scores[K]  # beyond the usable rank of this prefix
         for K in list(scores):
@@ -286,7 +287,7 @@ def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
             except DegenerateForecast:
                 del scores[K]
                 continue
-            scores[K].append(error_metrics(f_fc, panel.densities[s]).d2)
+            scores[K].append(error_metrics(f_fc, truth).d2)
     if not scores:
         raise NoFeasibleK(
             f"all candidates {candidates} were rank deficient or degenerate"
@@ -351,7 +352,7 @@ def rolling_backtest(
     labels = panel.labels[T - n_test :]
     for s in range(T - n_test, T):
         train = panel.head(s)
-        truth = panel.densities[s]
+        truth = GridFunction._wrap(panel.grid, panel.values[s])
         label = panel.labels[s]
         K = select_K_cv(train, K_candidates, n_validation)
         selected.append(K)

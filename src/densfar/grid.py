@@ -15,6 +15,7 @@ orthonormal in L2, not in the Euclidean sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -132,7 +133,7 @@ def make_grid(a: float, b: float, n: int) -> GridSpec:
     Raises
     ------
     InvalidSupport
-        If a >= b.
+        If a >= b, or a, b or b - a is not finite.
     GridTooSmall
         If n < 16.
     GridTooLarge
@@ -143,6 +144,8 @@ def make_grid(a: float, b: float, n: int) -> GridSpec:
     n = int(n)
     if not (a < b):
         raise InvalidSupport(f"need a < b, got a={a}, b={b}")
+    if not np.isfinite(b - a):
+        raise InvalidSupport(f"need finite a, b and b - a, got a={a}, b={b}")
     if n < MIN_GRID_SIZE:
         raise GridTooSmall(f"need n >= {MIN_GRID_SIZE}, got n={n}")
     if n > MAX_GRID_SIZE:
@@ -235,18 +238,25 @@ class OperatorRep:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues (descending) and quadrature-orthonormal eigenfunctions."""
+    """Eigenvalues (descending) and quadrature-orthonormal eigenfunctions, stored
+    once as the read-only (m, n) array `vectors` (row k pairs with eigenvalues[k]);
+    `functions` is a tuple of GridFunction views of its rows, built on first access."""
 
     grid: GridSpec
     eigenvalues: np.ndarray
-    functions: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "functions", tuple(self.functions))
+        if self.vectors.flags.writeable:
+            object.__setattr__(self, "vectors", _readonly(self.vectors))
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def functions(self) -> tuple:
+        return tuple(GridFunction._wrap(self.grid, row) for row in self.vectors)
 
 
 class SingularSystem(NamedTuple):
@@ -316,10 +326,19 @@ def quadratic_form(K: OperatorRep, v: GridFunction) -> float:
     return float(wv @ K.kernel @ wv)
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    # Deterministic orientation: largest-magnitude entry is positive.
-    i = int(np.argmax(np.abs(vec)))
-    return -vec if vec[i] < 0 else vec
+def _orientation(vectors: np.ndarray) -> np.ndarray:
+    # deterministic orientation: signs (a column) that make each row's peak positive
+    peak = np.argmax(np.abs(vectors), axis=1)
+    return np.where(vectors[np.arange(len(vectors)), peak] < 0, -1.0, 1.0)[:, None]
+
+
+def _eigenfunctions(vecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
+    # rows of vecs (symmetrized eigenvectors) mapped back through W^{-1/2} into
+    # one oriented, read-only C-ordered array that EigenSystem need not copy
+    out = np.divide(vecs, sqrt_w, order="C")
+    out *= _orientation(out)
+    out.setflags(write=False)
+    return out
 
 
 def eigh_operator(K: OperatorRep) -> EigenSystem:
@@ -356,12 +375,8 @@ def eigh_operator(K: OperatorRep) -> EigenSystem:
         raise NonPSD(
             f"eigenvalue {vals.min():.3e} below the PSD window of {-tol:.3e}"
         )
-    vals = np.clip(vals, 0.0, None)
-    functions = tuple(
-        GridFunction._wrap(grid, _fix_sign(vecs[:, k] / sqrt_w))
-        for k in range(len(vals))
-    )
-    return EigenSystem(grid=grid, eigenvalues=vals, functions=functions)
+    return EigenSystem(grid=grid, eigenvalues=np.clip(vals, 0.0, None),
+                       vectors=_eigenfunctions(vecs.T, sqrt_w))
 
 
 def snapshot_spectrum(grid: GridSpec, stack: np.ndarray) -> EigenSystem:
@@ -390,12 +405,8 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray) -> EigenSystem:
         vecs /= np.where(norms == 0.0, np.sqrt(n), norms)
     else:
         mu, vecs = np.linalg.eigh(X.T @ X)
-    functions = tuple(
-        GridFunction._wrap(grid, _fix_sign(v / sqrt_w)) for v in vecs.T[::-1]
-    )
-    return EigenSystem(
-        grid=grid, eigenvalues=np.clip(mu[::-1], 0.0, None) / T, functions=functions
-    )
+    return EigenSystem(grid=grid, eigenvalues=np.clip(mu[::-1], 0.0, None) / T,
+                       vectors=_eigenfunctions(vecs.T[::-1], sqrt_w))
 
 
 def svd_operator(K: OperatorRep, m: int) -> SingularSystem:
@@ -413,18 +424,12 @@ def svd_operator(K: OperatorRep, m: int) -> SingularSystem:
     sqrt_w = np.sqrt(grid.weights)
     sym = sqrt_w[:, None] * K.kernel * sqrt_w[None, :]
     u_mat, s, vt = np.linalg.svd(sym)
-    left = []
-    right = []
-    for k in range(m):
-        uv = u_mat[:, k] / sqrt_w
-        vv = vt[k, :] / sqrt_w
-        i = int(np.argmax(np.abs(vv)))
-        if vv[i] < 0:
-            vv = -vv
-            uv = -uv
-        left.append(GridFunction._wrap(grid, uv))
-        right.append(GridFunction._wrap(grid, vv))
-    return SingularSystem(values=_readonly(s[:m]), left=tuple(left), right=tuple(right))
+    right = vt[:m] / sqrt_w
+    sign = _orientation(right)
+    left, right = (u_mat[:, :m].T / sqrt_w) * sign, right * sign
+    return SingularSystem(values=_readonly(s[:m]),
+                          left=tuple(GridFunction._wrap(grid, row) for row in left),
+                          right=tuple(GridFunction._wrap(grid, row) for row in right))
 
 
 def _check_density_values(f: GridFunction) -> np.ndarray:

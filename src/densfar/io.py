@@ -77,7 +77,8 @@ def read_observations(path) -> RawPanel:
     Raises
     ------
     ParseError
-        Malformed header or row, with the 1-based line number.
+        Malformed header or row, with the 1-based line number, or two
+        labels that sort as one period, such as "1" and "01".
     EmptyFile
         No data rows.
     """
@@ -116,6 +117,9 @@ def read_observations(path) -> RawPanel:
     if not blocks:
         raise EmptyFile(f"{path} has a header but no data rows")
     labels = sorted(blocks, key=natural_sort_key)
+    for first, second in zip(labels, labels[1:]):
+        if natural_sort_key(first) == natural_sort_key(second):
+            raise ParseError(f"period labels {first!r} and {second!r} name the same period")
     return RawPanel(
         labels=tuple(labels),
         blocks=tuple(np.array(blocks[lab]) for lab in labels),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +48,11 @@ _NUM_RE = re.compile(r"(\d+)")
 def natural_sort_key(label: str):
     """Sort key ordering strings lexicographically with numeric awareness.
 
-    Digit runs compare as integers, so "2" sorts before "10".
+    Digit runs (the odd pieces of the split) compare as integers, so "2"
+    sorts before "10".
     """
     parts = _NUM_RE.split(str(label))
-    return tuple(int(p) if p.isdigit() else p for p in parts)
+    return tuple(int(p) if i % 2 else p for i, p in enumerate(parts))
 
 
 def _check_kernel(kernel: str) -> str:
@@ -99,53 +101,68 @@ class RawPanel:
         return np.concatenate(self.blocks)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityPanel:
-    """Time series of estimated densities on a shared grid."""
+    """Time series of densities on a shared grid, stored once as the read-only
+    (T, n) array `values` (row t is period labels[t]); `densities` is a tuple
+    of GridFunction views of its rows, built on first access."""
 
     grid: GridSpec
-    densities: tuple
+    values: np.ndarray
     labels: tuple
 
-    def __post_init__(self):
-        densities = tuple(self.densities)
-        labels = tuple(str(x) for x in self.labels)
+    def __init__(self, grid: GridSpec, densities, labels):
+        densities = tuple(densities)
+        labels = tuple(str(x) for x in labels)
         if len(densities) != len(labels):
             raise ValueError("densities and labels must have equal length")
         if not densities:
             raise ValueError("panel must contain at least one period")
         for lab, f in zip(labels, densities):
-            if f.grid != self.grid:
+            if f.grid != grid:
                 raise ValueError(f"period {lab!r}: density is on a different grid")
             floor = -1e-12 * max(1.0, float(np.max(np.abs(f.values))))
             if float(f.values.min()) < floor:
                 raise ValueError(f"period {lab!r}: density has negative values")
-            mass = float(np.dot(self.grid.weights, f.values))
+            mass = float(np.dot(grid.weights, f.values))
             if abs(mass - 1.0) > 1e-8:
                 raise ValueError(
                     f"period {lab!r}: density integrates to {mass!r}, not 1"
                 )
-        object.__setattr__(self, "densities", densities)
-        object.__setattr__(self, "labels", labels)
+        self._set(grid, np.stack([f.values for f in densities]), labels)
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, densities, labels) -> "DensityPanel":
-        # fast path for construction-by-design-valid densities (clipped and
-        # renormalized on the grid); skips the per-period validation
+    def _wrap(cls, grid: GridSpec, values: np.ndarray, labels) -> "DensityPanel":
+        # fast path for a (T, n) array of densities valid by construction
+        # (clipped and renormalized on the grid); skips the per-period checks
         obj = object.__new__(cls)
-        object.__setattr__(obj, "grid", grid)
-        object.__setattr__(obj, "densities", tuple(densities))
-        object.__setattr__(obj, "labels", tuple(labels))
+        obj._set(grid, values, tuple(labels))
         return obj
 
+    def _set(self, grid: GridSpec, values: np.ndarray, labels: tuple) -> None:
+        values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def densities(self) -> tuple:
+        return tuple(GridFunction._wrap(self.grid, row) for row in self.values)
+
     def __len__(self) -> int:
-        return len(self.densities)
+        return len(self.values)
 
     def head(self, t: int) -> "DensityPanel":
-        """Sub-panel of the first t periods."""
+        """Sub-panel of the first t periods, sharing this panel's array."""
         if not 1 <= t <= len(self):
             raise ValueError(f"need 1 <= t <= {len(self)}, got {t}")
-        return DensityPanel._wrap(self.grid, self.densities[:t], self.labels[:t])
+        return DensityPanel._wrap(self.grid, self.values[:t], self.labels[:t])
+
+
+def period_labels(m: int) -> list:
+    """Labels "1".."m", zero-padded to a common width so they sort as text."""
+    width = len(str(m))
+    return [str(i + 1).zfill(width) for i in range(m)]
 
 
 def select_support(panel: RawPanel, coverage: float = 0.999) -> tuple:
@@ -304,12 +321,12 @@ def estimate_panel(
     with the period label attached.
     """
     _check_kernel(kernel)
-    densities = []
-    for label, block in zip(panel.labels, panel.blocks):
+    values = np.empty((len(panel), grid.n))
+    for t, (label, block) in enumerate(zip(panel.labels, panel.blocks)):
         try:
             sigma = float(np.std(block, ddof=1)) if block.size > 1 else 0.0
             h = bandwidth(sigma, block.size, kernel)
-            densities.append(kde(block, grid, kernel, h))
+            values[t] = kde(block, grid, kernel, h).values
         except (TooFewObservations, DegenerateSample, BandwidthNonpositive) as exc:
             raise type(exc)(f"period {label!r}: {exc}") from exc
-    return DensityPanel(grid=grid, densities=tuple(densities), labels=panel.labels)
+    return DensityPanel._wrap(grid, values, panel.labels)

@@ -44,7 +44,7 @@ from .grid import (
     _check_density_values,
     _require_same_grid,
 )
-from .kde import DensityPanel, RawPanel, estimate_panel
+from .kde import DensityPanel, RawPanel, _check_kernel, estimate_panel, period_labels
 
 __all__ = [
     "FarGenerator",
@@ -129,8 +129,7 @@ class FarGenerator:
         eigen = eigh_operator(self.noise_covariance)
         lam = eigen.eigenvalues
         keep = lam > 1e-14 * (lam[0] if len(lam) else 0.0)
-        vecs = np.array([f.values for f, k in zip(eigen.functions, keep) if k])
-        return vecs.reshape(-1, self.grid.n).T * np.sqrt(lam[keep])
+        return eigen.vectors[keep].T * np.sqrt(lam[keep])
 
 
 def default_mean_density(grid: GridSpec) -> GridFunction:
@@ -293,10 +292,13 @@ def simulate_far(
     if float(masses.min()) <= 1e-12:
         raise UnstableGenerator("simulated state wiped out all density mass")
     raw /= masses[:, None]
-    densities = [GridFunction._wrap(grid, row) for row in raw]
-    width = len(str(T + 1))
-    labels = [str(i + 1).zfill(width) for i in range(T + 1)]
-    return DensityPanel._wrap(grid, densities, labels)
+    return DensityPanel._wrap(grid, raw, period_labels(T + 1))
+
+
+def _integer(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +321,13 @@ class StudyConfig:
     kernel: str = "normal"
 
     def __post_init__(self):
-        object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
-        object.__setattr__(self, "N_values", tuple(int(n) for n in self.N_values))
+        object.__setattr__(self, "T_values", tuple(_integer("T", t) for t in self.T_values))
+        object.__setattr__(self, "N_values", tuple(_integer("N", n) for n in self.N_values))
+        for name in ("iterations", "seed", "K"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.burn_in is not None:
+            object.__setattr__(self, "burn_in", _integer("burn_in", self.burn_in))
+        _check_kernel(self.kernel)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if any(t < 10 for t in self.T_values) or not self.T_values:
@@ -331,7 +338,7 @@ class StudyConfig:
             raise ValueError("burn_in must be >= 0")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 

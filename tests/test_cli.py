@@ -372,6 +372,33 @@ def _over_cap_bad_csv(tmp_path):
             "--out", str(tmp_path / "m.bin")]
 
 
+def _labelled_estimate(tmp_path, labels):
+    # too few observations to estimate: a label that parses ends in that error
+    path = tmp_path / "panel.csv"
+    rows = [f"{label},{x!r}" for label in labels for x in (0.1, 0.5, 0.9)]
+    path.write_text("\n".join(["period,value", *rows]) + "\n")
+    return ["estimate", "--input", str(path), "--K", "1", "--out", str(tmp_path / "m.bin")]
+
+
+def _estimate_on_support(tmp_path, a, b):
+    argv = _huge_grid_estimate(tmp_path)
+    argv[argv.index("--grid-n") + 1] = "32"
+    return argv + [f"--grid-a={a}", f"--grid-b={b}"]
+
+
+def _study(tmp_path, **edits):
+    config = {
+        "seed": 5, "iterations": 1, "T_values": [20], "N_values": [80],
+        "burn_in": 30, "K": 2, "kernel": "normal",
+        "generator": {"synthetic": {"support": [0.0, 1.0], "grid_n": 32,
+                                    "strengths": [0.8], "noise_sds": [0.05]}},
+        **edits,
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "study.csv")]
+
+
 def _huge_grid_study(tmp_path):
     config = {
         "seed": 5, "iterations": 1, "T_values": [20], "N_values": [80],
@@ -400,6 +427,16 @@ BAD_INPUTS = {
     "estimate_grid_n_huge": lambda tmp, obj: _huge_grid_estimate(tmp),
     "estimate_over_cap_bad_csv": lambda tmp, obj: _over_cap_bad_csv(tmp),
     "study_grid_n_huge": lambda tmp, obj: _huge_grid_study(tmp),
+    "csv_labels_collide": lambda tmp, obj: _labelled_estimate(tmp, ["1", "01"]),
+    "csv_label_superscript": lambda tmp, obj: _labelled_estimate(tmp, ["1", "²"]),
+    "study_iterations_float": lambda tmp, obj: _study(tmp, iterations=2.5),
+    "study_seed_float": lambda tmp, obj: _study(tmp, seed=1.5),
+    "study_K_float": lambda tmp, obj: _study(tmp, K=2.5),
+    "study_burn_in_float": lambda tmp, obj: _study(tmp, burn_in=10.5),
+    "study_kernel_number": lambda tmp, obj: _study(tmp, kernel=5),
+    "study_T_float": lambda tmp, obj: _study(tmp, T_values=[20.7]),
+    "estimate_support_overflows": lambda tmp, obj: _estimate_on_support(tmp, "-1e308", "1e308"),
+    "estimate_support_infinite": lambda tmp, obj: _estimate_on_support(tmp, "-inf", "inf"),
 }
 
 

@@ -341,6 +341,19 @@ def test_fit_simulated_panel():
         assert abs(inner(one, r)) < 1e-8
 
 
+def test_fit_residuals_are_one_readonly_array():
+    panel, _ = _simulated_panel(T=40, seed=23)
+    model = fit(panel, 3)
+    assert model.resid.shape == (39, panel.grid.n)
+    assert not model.resid.flags.writeable
+    for row, r in zip(model.resid, model.residuals):
+        assert np.array_equal(row, r.values)
+    # e_t = w_t - A w_{t-1}, with A applied through quadrature
+    W = model.demeaned
+    expected = W[1:] - (W[:-1] * panel.grid.weights) @ model.A_hat.kernel.T
+    assert np.abs(model.resid - expected).max() < 1e-10 * np.abs(W).max()
+
+
 def test_fit_eigenvalue_concentration():
     grid = make_grid(0.0, 1.0, 64)
     gen = make_cosine_generator(

@@ -217,7 +217,7 @@ def test_select_k_skips_degenerate_candidate():
         GridFunction(grid, 2e-13 * (1.0 + a[t] * phi.values + c[t] * chi.values))
         for t in range(30)
     ]
-    panel = DensityPanel._wrap(grid, densities, [str(t) for t in range(30)])
+    panel = DensityPanel._wrap(grid, np.stack([f.values for f in densities]), [str(t) for t in range(30)])
     model = fit(panel.head(25), 1)
     with pytest.raises(DegenerateForecast):
         to_density(forecast_one_step(model, model.w_last), model.mean_density)

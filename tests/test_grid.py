@@ -65,6 +65,14 @@ def test_make_grid_preconditions():
         make_grid(1.0, 1.0, 64)
 
 
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-np.inf, np.inf), (0.0, np.inf),
+                                  (-np.inf, 0.0)])
+def test_make_grid_rejects_nonfinite_support(a, b):
+    # a < b holds, but b - a (and with it every weight) is not finite
+    with pytest.raises(InvalidSupport, match="finite"):
+        make_grid(a, b, 64)
+
+
 def test_make_grid_size_cap():
     assert make_grid(0.0, 1.0, 4096).n == 4096
     with pytest.raises(GridTooLarge):
@@ -262,6 +270,24 @@ def test_eigh_sign_deterministic(grid64):
         assert np.array_equal(f1.values, f2.values)
     for f in e1.functions[:5]:
         assert f.values[np.argmax(np.abs(f.values))] > 0
+
+
+@pytest.mark.parametrize("spectrum", ["eigh", "snapshot"])
+def test_eigenvectors_are_one_readonly_array(grid64, spectrum):
+    rng = np.random.default_rng(54)
+    if spectrum == "eigh":
+        eig = eigh_operator(random_psd_operator(grid64, rng, rank=5))
+    else:
+        eig = snapshot_spectrum(grid64, rng.standard_normal((20, grid64.n)))
+    assert eig.vectors.shape == (len(eig), grid64.n)
+    assert not eig.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        eig.vectors[0, 0] = 1.0
+    assert len(eig.functions) == len(eig)
+    for row, f in zip(eig.vectors, eig.functions):
+        assert np.array_equal(row, f.values)
+    peaks = eig.vectors[np.arange(len(eig)), np.argmax(np.abs(eig.vectors), axis=1)]
+    assert np.all(peaks > 0)
 
 
 # -- singular value decomposition ----------------------------------------------------

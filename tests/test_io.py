@@ -65,6 +65,13 @@ def test_read_observations_bad_row_line_number(tmp_path):
     assert err.value.line == 3
 
 
+def test_read_observations_colliding_labels(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("period,value\n7,1.0\n1,0.5\n01,0.25\n")
+    with pytest.raises(ParseError, match="'1' and '01'"):
+        read_observations(path)
+
+
 def test_read_observations_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -170,6 +177,17 @@ def test_model_truncated_file(tmp_path):
     with pytest.raises(FormatError) as err:
         load_model(broken, "binary")
     assert err.value.offset is not None
+
+
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, float("inf"))])
+def test_model_nonfinite_support(tmp_path, a, b):
+    path = tmp_path / "model.json"
+    save_model(_model(seed=4), path)
+    obj = json.loads(path.read_text())
+    obj["grid"].update(a=a, b=b)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="bad grid header"):
+        load_model(path)
 
 
 def test_model_bad_magic(tmp_path):

@@ -47,6 +47,13 @@ def test_natural_label_order():
     assert panel.labels == ("2", "10")
 
 
+def test_natural_sort_key_converts_only_decimal_runs():
+    # "²" is a digit to str.isdigit but not a decimal digit run
+    assert natural_sort_key("²") == ("²",)
+    assert natural_sort_key("m2") < natural_sort_key("m²")
+    assert natural_sort_key("1") == natural_sort_key("01")
+
+
 # -- select_support -------------------------------------------------------------
 
 def test_select_support_contains_discrete_sample():
@@ -374,6 +381,23 @@ def test_estimate_panel_large_panel_shape():
     for f in est.densities:
         assert inner(one, f) == pytest.approx(1.0, abs=1e-10)
         assert f.values.min() >= 0.0
+
+
+def test_density_panel_is_one_readonly_array():
+    g = make_grid(0.0, 1.0, 64)
+    raw = RawPanel(labels=tuple(str(t) for t in range(6)),
+                   blocks=tuple(np.random.default_rng(t).beta(2, 5, 300) for t in range(6)))
+    panel = estimate_panel(raw, g, "epanechnikov")
+    assert panel.values.shape == (6, g.n)
+    assert not panel.values.flags.writeable
+    with pytest.raises(ValueError):
+        panel.values[0, 0] = 1.0
+    for row, f in zip(panel.values, panel.densities):
+        assert np.array_equal(row, f.values)
+    head = panel.head(4)
+    assert np.shares_memory(head.values, panel.values)
+    assert np.array_equal(head.values, panel.values[:4])
+    assert head.labels == panel.labels[:4]
 
 
 def test_density_panel_rejects_bad_mass():
