@@ -28,6 +28,7 @@ from .grid import (
     quadratic_form,
     svd_operator,
     _require_same_grid,
+    _weighted_trace,
 )
 
 __all__ = [
@@ -233,7 +234,7 @@ def moment_basis(Q: OperatorRep, grid: GridSpec, kmax: int = DEFAULT_KMAX) -> Mo
 
 def _guarded_q_form(Q: OperatorRep, v: GridFunction) -> float:
     qv = quadratic_form(Q, v)
-    trace = float(np.dot(Q.grid.weights, np.diag(Q.kernel)))
+    trace = _weighted_trace(Q)
     floor = 1e-14 * max(inner(v, v) * max(trace, 0.0), 0.0)
     if qv <= floor:
         raise ZeroVariance(

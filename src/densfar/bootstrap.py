@@ -7,11 +7,10 @@ re-evaluated. Pointwise percentile bands across replications form the
 confidence band. Every replication draws from its own (seed, index) random
 stream, so parallel and serial runs agree bit for bit.
 
-Regeneration steps the state through the fitted operator's rank-K factor
-A_hat diag(weights) = L R, with R = V_K diag(weights) (K x n) and L (n x K),
-at O(nK) per period instead of an n-by-n product. The factor is built once
-per call and must reproduce the kernel to 1e-12 (relative); an A_hat that
-does not factor, e.g. one swapped in with `dataclasses.replace`, raises
+Regeneration steps the state through the factors the fit keeps for A_hat,
+A_hat diag(weights) = L R with L = B / T (n x K) and R = V_K diag(weights)
+(K x n), at O(nK) per period instead of an n-by-n product. An A_hat held
+only as a kernel, e.g. one swapped in with `dataclasses.replace`, raises
 ValueError.
 """
 
@@ -25,7 +24,8 @@ from ._threads import parallel_map
 from .analysis import impulse_response, moment_basis, r_squared, variance_decomposition
 from .errors import DegenerateForecast, DensfarError, TooFewResiduals, TooManyDropped
 from .estimation import FarModel, fit
-from .grid import GridFunction
+from .forecast import _to_densities
+from .grid import GridFunction, _weighted_factors
 from .kde import DensityPanel, period_labels
 
 __all__ = [
@@ -90,17 +90,8 @@ def vardecomp_statistic(v: GridFunction, kmax: int):
 
 
 def _operator_factor(model: FarModel) -> tuple:
-    # a_w = A_hat diag(w) = (B / T) V_K diag(w) = L R. L is solved for, not
-    # taken as A_hat R^T, which assumes V_K orthonormal: eigenfunctions from
-    # the Gram matrix are so only to about eps * lambda_1 / lambda_K
-    weights = model.grid.weights
-    R = model.eigen.vectors[: model.K] * weights
-    a_w = model.A_hat.kernel * weights
-    L = np.linalg.solve(R @ R.T, R @ a_w.T).T
-    if np.max(np.abs(L @ R - a_w)) > 1e-12 * np.max(np.abs(a_w)):
-        raise ValueError(f"A_hat does not factor through the {model.K} leading "
-                         "eigenfunctions")
-    return L, R
+    # (L, R) with A_hat diag(weights) = L R, as the fit computed them
+    return _weighted_factors(model.A_hat)
 
 
 def _regenerate_panel(model: FarModel, factor: tuple, pool: np.ndarray,
@@ -116,12 +107,7 @@ def _regenerate_panel(model: FarModel, factor: tuple, pool: np.ndarray,
     states[0] = model.demeaned[0]
     for t in range(T - 1):
         states[t + 1] = L @ (R @ states[t]) + pool[idx[t]]
-    # same clip-and-rescale conversion as to_density, vectorized over periods
-    raw = np.clip(model.mean_density.values[None, :] + states, 0.0, None)
-    masses = raw @ grid.weights
-    if float(masses.min()) <= 1e-12:
-        raise DegenerateForecast("regenerated state lost all density mass")
-    raw /= masses[:, None]
+    raw = _to_densities(states, model.mean_density, DegenerateForecast)
     return DensityPanel._wrap(grid, raw, period_labels(T))
 
 
@@ -153,8 +139,8 @@ def residual_bootstrap(
     TooManyDropped
         More than 5% of replications failed (e.g. rank deficiency).
     ValueError
-        B < 100, alpha outside (0, 1), a negative seed, or an A_hat that is
-        not the model's rank-K fit (e.g. swapped in with dataclasses.replace).
+        B < 100, alpha outside (0, 1), a negative seed, or an A_hat held
+        only as a kernel (e.g. swapped in with dataclasses.replace).
     """
     if B < 100:
         raise ValueError(f"need B >= 100 replications, got {B}")

@@ -210,6 +210,13 @@ def _add_panel_options(p):
     p.add_argument("--kernel", choices=KERNELS, default="epanechnikov")
 
 
+def _table_csv(path, key, keys, columns):
+    # one row per key (grid point x or moment k), one float column per named array
+    rows = [{key: k, **{name: float(col[i]) for name, col in columns.items()}}
+            for i, k in enumerate(keys)]
+    dfio.write_csv(path, [key, *columns], rows)
+
+
 # -- estimate -------------------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
@@ -258,15 +265,9 @@ def _cmd_forecast(args) -> int:
     w_T = project_zero_integral(
         GridFunction._wrap(model.grid, panel.values[-1]) - model.mean_density)
     results = make_forecast(model, w_T, config.horizon)
-    header = ["x"] + [f"f_step{r.horizon}" for r in results]
-    rows = []
-    for i, x in enumerate(model.grid.points):
-        row = {"x": float(x)}
-        for r in results:
-            row[f"f_step{r.horizon}"] = float(r.f_forecast.values[i])
-        rows.append(row)
     os.makedirs(args.out_dir, exist_ok=True)
-    dfio.write_csv(os.path.join(args.out_dir, "forecast.csv"), header, rows)
+    _table_csv(os.path.join(args.out_dir, "forecast.csv"), "x", model.grid.points.tolist(),
+               {f"f_step{r.horizon}": r.f_forecast.values for r in results})
     int_rows = []
     for p in (1, 2):
         v = moment_functional(p, model.grid)
@@ -317,25 +318,32 @@ def _parse_functional(spec: str, model):
     )
 
 
-def _band_csv(path, key, keys, point, band):
-    # one row per key (grid point x or moment k): the point value and any band
-    names = [key, "point"] + (["lower", "upper"] if band else [])
-    rows = []
-    for i, k in enumerate(keys):
-        row = {key: k, "point": float(point[i])}
-        if band:
-            row["lower"] = float(band.lower[i])
-            row["upper"] = float(band.upper[i])
-        rows.append(row)
-    dfio.write_csv(path, names, rows)
+def _band_table(args, model, meta, stem, drop_key, statistic, key, keys, point):
+    # <stem>.csv: the point value per key and, under --bootstrap, its band; the
+    # count of dropped replications goes to meta under drop_key
+    columns = {"point": point}
+    if args.bootstrap:
+        band = residual_bootstrap(model, statistic, args.bootstrap, args.alpha,
+                                  args.seed, statistic_name=stem)
+        columns.update(lower=band.lower, upper=band.upper)
+        meta.setdefault("dropped", {})[drop_key] = band.n_dropped
+    _table_csv(os.path.join(args.out_dir, f"{stem}.csv"), key, keys, columns)
 
 
-def _maybe_band(args, model, statistic, name):
-    if not args.bootstrap:
-        return None
-    return residual_bootstrap(
-        model, statistic, args.bootstrap, args.alpha, args.seed, statistic_name=name
-    )
+def _irf_table(args, model, meta, stem, drop_key, v):
+    _band_table(args, model, meta, stem, drop_key, irf_statistic(v), "x",
+                model.grid.points.tolist(), impulse_response(model.A_hat, v).values)
+
+
+def _vardecomp_table(args, model, basis, meta, stem, name, drop_key, v):
+    # also records the R^2 of v in meta under name
+    report = variance_decomposition(v, model.A_hat, model.Q_hat, basis, model.Sigma_hat)
+    meta.setdefault("r_squared", {})[name] = {
+        "value": report.r_squared,
+        "unclipped": report.r_squared_unclipped,
+    }
+    _band_table(args, model, meta, stem, drop_key, vardecomp_statistic(v, args.kmax),
+                "k", range(1, len(report.pi) + 1), report.pi)
 
 
 def _cmd_analyze(args) -> int:
@@ -369,74 +377,34 @@ def _cmd_analyze(args) -> int:
     if args.bootstrap:
         meta["bootstrap"] = {"B": args.bootstrap, "alpha": args.alpha, "seed": args.seed}
 
+    if functionals:
+        meta["functionals"] = [name for name, _ in functionals]
+
     if args.mode == "features":
         feats = leading_features(model.A_hat, args.m)
-        names = ["x"]
-        names += [f"progressive_{k + 1}" for k in range(args.m)]
-        names += [f"regressive_{k + 1}" for k in range(args.m)]
-        rows = []
-        for i, x in enumerate(model.grid.points):
-            row = {"x": float(x)}
-            for k in range(args.m):
-                row[f"progressive_{k + 1}"] = float(feats.progressive[k].values[i])
-                row[f"regressive_{k + 1}"] = float(feats.regressive[k].values[i])
-            rows.append(row)
-        dfio.write_csv(os.path.join(args.out_dir, "features.csv"), names, rows)
+        columns = {f"progressive_{k + 1}": f.values for k, f in enumerate(feats.progressive)}
+        columns.update((f"regressive_{k + 1}", f.values) for k, f in enumerate(feats.regressive))
+        _table_csv(os.path.join(args.out_dir, "features.csv"), "x",
+                   model.grid.points.tolist(), columns)
         meta["strengths"] = [float(s) for s in feats.strengths]
     elif args.mode == "irf":
-        meta["functionals"] = []
         for name, v in functionals:
-            meta["functionals"].append(name)
-            band = _maybe_band(args, model, irf_statistic(v), f"irf_{name}")
-            point = impulse_response(model.A_hat, v)
-            _band_csv(os.path.join(args.out_dir, f"irf_{name}.csv"), "x",
-                      model.grid.points.tolist(), point.values, band)
-            if band is not None:
-                meta.setdefault("dropped", {})[name] = band.n_dropped
+            _irf_table(args, model, meta, f"irf_{name}", name, v)
     elif args.mode == "vardecomp":
         basis = moment_basis(model.Q_hat, model.grid, args.kmax)
-        meta["r_squared"] = {}
-        meta["functionals"] = []
         for name, v in functionals:
-            meta["functionals"].append(name)
-            report = variance_decomposition(
-                v, model.A_hat, model.Q_hat, basis, model.Sigma_hat
-            )
-            band = _maybe_band(
-                args, model, vardecomp_statistic(v, args.kmax), f"vardecomp_{name}"
-            )
-            _band_csv(os.path.join(args.out_dir, f"vardecomp_{name}.csv"), "k",
-                      range(1, len(report.pi) + 1), report.pi, band)
-            meta["r_squared"][name] = {
-                "value": report.r_squared,
-                "unclipped": report.r_squared_unclipped,
-            }
-            if band is not None:
-                meta.setdefault("dropped", {})[name] = band.n_dropped
+            _vardecomp_table(args, model, basis, meta, f"vardecomp_{name}", name, name, v)
     else:  # tails
         level = args.tail_quantile
         tau_lo = quantile(model.mean_density, level)
         tau_hi = quantile(model.mean_density, 1.0 - level)
         meta["thresholds"] = {"left": tau_lo, "right": tau_hi}
         basis = moment_basis(model.Q_hat, model.grid, args.kmax)
-        meta["r_squared"] = {}
         for side, tau in (("left", tau_lo), ("right", tau_hi)):
             v = tail_indicator(model.grid, side, tau)
-            band = _maybe_band(args, model, irf_statistic(v), f"tails_{side}_irf")
-            _band_csv(os.path.join(args.out_dir, f"tails_{side}_irf.csv"), "x",
-                      model.grid.points.tolist(), impulse_response(model.A_hat, v).values, band)
-            report = variance_decomposition(
-                v, model.A_hat, model.Q_hat, basis, model.Sigma_hat
-            )
-            band2 = _maybe_band(
-                args, model, vardecomp_statistic(v, args.kmax), f"tails_{side}_vd"
-            )
-            _band_csv(os.path.join(args.out_dir, f"tails_{side}_vardecomp.csv"), "k",
-                      range(1, len(report.pi) + 1), report.pi, band2)
-            meta["r_squared"][side] = {
-                "value": report.r_squared,
-                "unclipped": report.r_squared_unclipped,
-            }
+            _irf_table(args, model, meta, f"tails_{side}_irf", f"{side}_irf", v)
+            _vardecomp_table(args, model, basis, meta, f"tails_{side}_vardecomp", side,
+                             f"{side}_vardecomp", v)
     dfio.write_json(os.path.join(args.out_dir, "analyze_meta.json"), meta)
     print(f"wrote {args.mode} analysis -> {args.out_dir}")
     return 0

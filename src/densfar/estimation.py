@@ -27,7 +27,10 @@ matrix is the n-by-n X^T X), and A and the residuals follow from the
 
 where W_0 and W_1 drop the last and the first period. :func:`fit_demeaned`
 does this from (grid, mean density, W, K), the state a model file stores, so
-fitting and loading share one code path.
+fitting and loading share one code path. The fitted operators keep these
+factors, all views of arrays the model holds: A = (B, V_K^T, T) with
+B = W_1^T C_K Lambda_K^{-1}, Sigma = (e^T, e, T), Q = (W^T, W, T) and
+P = (W_1^T, W_0, T); no n-by-n kernel exists until a caller reads one.
 
 The dense building blocks above are the agreement reference the tests hold
 :func:`fit` to. Three of them stay here because the benchmark's tracer needs
@@ -132,13 +135,13 @@ class FarModel:
     def Q_hat(self) -> OperatorRep:
         """Covariance operator (1/T) sum_t w_t (x) w_t."""
         W = self.demeaned
-        return OperatorRep(self.grid, W.T @ W / len(W))
+        return OperatorRep._factored(self.grid, W.T, W, len(W))
 
     @cached_property
     def P_hat(self) -> OperatorRep:
         """Lag-1 cross-covariance (1/T) sum_t w_t (x) w_{t-1}."""
         W = self.demeaned
-        return OperatorRep(self.grid, W[1:].T @ W[:-1] / len(W))
+        return OperatorRep._factored(self.grid, W[1:].T, W[:-1], len(W))
 
     @property
     def sample_size(self) -> int:
@@ -328,6 +331,7 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
     V, C = _lagged_scores(W, eigen, K)
     B = W[1:].T @ (C / eigen.eigenvalues[:K])
     resid = W[1:] - C @ B.T / T
+    B.setflags(write=False)
     resid.setflags(write=False)
     return FarModel(
         grid=grid,
@@ -335,7 +339,7 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
         demeaned=W,
         K=int(K),
         eigen=eigen,
-        A_hat=OperatorRep(grid, B @ V / T),
-        Sigma_hat=OperatorRep(grid, resid.T @ resid / T),
+        A_hat=OperatorRep._factored(grid, B, V, T),
+        Sigma_hat=OperatorRep._factored(grid, resid.T, resid, T),
         resid=resid,
     )

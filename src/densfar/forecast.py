@@ -97,7 +97,6 @@ class ErrorReport:
 
 def forecast_one_step(model: FarModel, w_T: GridFunction) -> GridFunction:
     """One-step forecast of the demeaned density: A applied to w_T."""
-    _require_same_grid(model.A_hat, w_T)
     return project_zero_integral(apply_operator(model.A_hat, w_T))
 
 
@@ -147,13 +146,19 @@ def to_density(w_forecast: GridFunction, f_bar: GridFunction) -> GridFunction:
         If the clipped function carries (almost) no mass.
     """
     grid = _require_same_grid(w_forecast, f_bar)
-    raw = np.clip(f_bar.values + w_forecast.values, 0.0, None)
-    mass = float(np.dot(grid.weights, raw))
-    if mass <= 1e-12:
-        raise DegenerateForecast(
-            f"clipped forecast integrates to {mass:.3e}; model output is pathological"
-        )
-    return GridFunction._wrap(grid, raw / mass)
+    return GridFunction._wrap(grid, _to_densities(w_forecast.values, f_bar,
+                                                  DegenerateForecast))
+
+
+def _to_densities(states: np.ndarray, f_bar: GridFunction, error) -> np.ndarray:
+    """The rows of f_bar + states with negatives set to zero, each rescaled to
+    unit mass; raises `error` when a clipped row carries (almost) no mass."""
+    raw = np.clip(f_bar.values + states, 0.0, None)
+    masses = raw @ f_bar.grid.weights
+    if float(masses.min()) <= 1e-12:
+        raise error(f"clipped state integrates to {masses.min():.3e}, not a positive mass")
+    raw /= masses[..., None]
+    return raw
 
 
 def feature_interval(

@@ -2,14 +2,17 @@
 
 Every function in the pipeline (densities, demeaned densities, features,
 eigenfunctions) is a vector of values on one :class:`GridSpec`; every
-integral operator is an n-by-n kernel matrix acting through trapezoid
+integral operator has an n-by-n kernel matrix acting through trapezoid
 quadrature:
 
     (K g)(x_i) = sum_j weights[j] * kernel[i, j] * g(x_j)
 
-Inner products, adjoints, eigen- and singular decompositions are all taken
-with respect to the quadrature geometry, so eigenfunctions come out
-orthonormal in L2, not in the Euclidean sense.
+A fitted operator keeps its factors, kernel = left @ right / d with left
+(n, r) and right (r, n), acts through them at O(n r) and multiplies the
+kernel out only when it is read. Inner products, adjoints, eigen- and
+singular decompositions are all taken with respect to the quadrature
+geometry, so eigenfunctions come out orthonormal in L2, not in the
+Euclidean sense.
 """
 
 from __future__ import annotations
@@ -213,27 +216,38 @@ class GridFunction:
         return GridFunction._wrap(self.grid, -self.values)
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorRep:
-    """Integral operator on the grid, stored as its kernel matrix.
+    """Integral operator on the grid, with its kernel matrix.
 
     kernel[i, j] = k(points[i], points[j]); the action on g is the weighted
     matrix-vector product (K g)(x_i) = sum_j weights[j] kernel[i, j] g(x_j).
+    `OperatorRep(grid, kernel)` validates and copies the kernel. An operator
+    built by the library from factors acts through them, and its read-only
+    `kernel` = left @ right / d is computed on first access.
     """
 
-    grid: GridSpec
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=np.float64)
-        if kernel.shape != (self.grid.n, self.grid.n):
-            raise ValueError(
-                f"expected {self.grid.n}x{self.grid.n} kernel, "
-                f"got shape {kernel.shape}"
-            )
+    def __init__(self, grid: GridSpec, kernel):
+        kernel = np.asarray(kernel, dtype=np.float64)
+        if kernel.shape != (grid.n, grid.n):
+            raise ValueError(f"expected {grid.n}x{grid.n} kernel, got shape {kernel.shape}")
         if not np.all(np.isfinite(kernel)):
             raise ValueError("operator kernel must be finite")
-        object.__setattr__(self, "kernel", _readonly(kernel))
+        # an instance attribute, found before the cached property below
+        self.grid, self._factors, self.kernel = grid, None, _readonly(kernel)
+
+    @classmethod
+    def _factored(cls, grid: GridSpec, left, right, d: int) -> "OperatorRep":
+        # library-only: finite (n, r) and (r, n) arrays the caller keeps unchanged
+        op = object.__new__(cls)
+        op.grid, op._factors = grid, (left, right, d)
+        return op
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        left, right, d = self._factors
+        out = left @ right / d
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,12 +315,19 @@ def outer(u: GridFunction, v: GridFunction) -> OperatorRep:
 def apply_operator(K: OperatorRep, g: GridFunction) -> GridFunction:
     """Apply the integral operator to g via trapezoid quadrature."""
     grid = _require_same_grid(K, g)
-    return GridFunction._wrap(grid, K.kernel @ (grid.weights * g.values))
+    wg = grid.weights * g.values
+    if K._factors is None:
+        return GridFunction._wrap(grid, K.kernel @ wg)
+    left, right, d = K._factors
+    return GridFunction._wrap(grid, left @ (right @ wg) / d)
 
 
 def adjoint(K: OperatorRep) -> OperatorRep:
     """Adjoint under the quadrature inner product: the transposed kernel."""
-    return OperatorRep(K.grid, K.kernel.T)
+    if K._factors is None:
+        return OperatorRep(K.grid, K.kernel.T)
+    left, right, d = K._factors
+    return OperatorRep._factored(K.grid, right.T, left.T, d)
 
 
 def compose(K1: OperatorRep, K2: OperatorRep) -> OperatorRep:
@@ -323,7 +344,26 @@ def quadratic_form(K: OperatorRep, v: GridFunction) -> float:
     """<v, K v> under the quadrature inner product."""
     grid = _require_same_grid(K, v)
     wv = grid.weights * v.values
-    return float(wv @ K.kernel @ wv)
+    if K._factors is None:
+        return float(wv @ K.kernel @ wv)
+    left, right, d = K._factors
+    return float((wv @ left) @ (right @ wv) / d)
+
+
+def _weighted_trace(K: OperatorRep) -> float:
+    """Trace sum_i weights[i] kernel[i, i] of the operator."""
+    if K._factors is None:
+        return float(np.dot(K.grid.weights, np.diag(K.kernel)))
+    left, right, d = K._factors
+    return float(np.sum(K.grid.weights[:, None] * left * right.T) / d)
+
+
+def _weighted_factors(K: OperatorRep) -> tuple:
+    """(L, R) with kernel diag(weights) = L R, from the operator's factors."""
+    if K._factors is None:
+        raise ValueError("operator is held only as a kernel, not as factors")
+    left, right, d = K._factors
+    return left / d, right * K.grid.weights
 
 
 def _orientation(vectors: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .forecast import (
     predictor_ave,
     predictor_last,
     to_density,
+    _to_densities,
 )
 from .grid import (
     GridFunction,
@@ -286,12 +287,7 @@ def simulate_far(
                 f"state norm exceeded {_STABILITY_FACTOR:g} x mean norm at period {t + 1}"
             )
         w = state
-    # clip-and-rescale conversion of the kept states, vectorized over periods
-    raw = np.clip(generator.mean_density.values[None, :] + states[burn_in:], 0.0, None)
-    masses = raw @ grid.weights
-    if float(masses.min()) <= 1e-12:
-        raise UnstableGenerator("simulated state wiped out all density mass")
-    raw /= masses[:, None]
+    raw = _to_densities(states[burn_in:], generator.mean_density, UnstableGenerator)
     return DensityPanel._wrap(grid, raw, period_labels(T + 1))
 
 

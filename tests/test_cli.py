@@ -198,6 +198,29 @@ def test_analyze_with_bootstrap_band(tmp_path, panel_csv):
     assert header == "x,point,lower,upper"
 
 
+def test_tails_bootstrap_records_every_drop_count(tmp_path, panel_csv):
+    # tails runs four bootstraps, one per side and statistic, and records the
+    # dropped replications of each, as irf and vardecomp do
+    model_path = tmp_path / "model.bin"
+    assert main(
+        ["estimate", "--input", str(panel_csv), "--grid-n", "48",
+         "--K", "2", "--out", str(model_path)]
+    ) == 0
+    out_dir = tmp_path / "tails_band"
+    assert main(
+        ["analyze", "tails", "--model", str(model_path), "--out-dir", str(out_dir),
+         "--kmax", "2", "--bootstrap", "100", "--seed", "3"]
+    ) == 0
+    meta = json.loads((out_dir / "analyze_meta.json").read_text())
+    assert sorted(meta["dropped"]) == [
+        "left_irf", "left_vardecomp", "right_irf", "right_vardecomp"
+    ]
+    assert all(isinstance(n, int) and 0 <= n <= 5 for n in meta["dropped"].values())
+    for name in ("tails_left_irf.csv", "tails_right_vardecomp.csv"):
+        header = (out_dir / name).read_text().splitlines()[0]
+        assert header.endswith(",point,lower,upper")
+
+
 def test_backtest_report(tmp_path, panel_csv):
     report = tmp_path / "report.csv"
     code = main(

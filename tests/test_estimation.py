@@ -1,7 +1,11 @@
 """Autoregression estimation: moments, operators, residuals, full fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densfar.errors import EmptyPanel, RankDeficient, TooFewPeriods
 from densfar.estimation import (
@@ -26,11 +30,16 @@ from densfar.forecast import (
 from densfar.grid import (
     GridFunction,
     OperatorRep,
+    adjoint,
     apply_operator,
+    eigh_operator,
     inner,
     make_grid,
     norm,
     outer,
+    quadratic_form,
+    _weighted_factors,
+    _weighted_trace,
 )
 from densfar.kde import DensityPanel
 from densfar.simulate import cosine_modes, make_cosine_generator, simulate_far
@@ -486,3 +495,65 @@ def test_operator_scale_invariance(grid48):
     A1 = a_hat_from(w)
     A2 = a_hat_from([c * wi for wi in w])
     assert np.abs(A1.kernel - A2.kernel).max() < 1e-10 * (1 + np.abs(A1.kernel).max())
+
+
+# -- factored operators --------------------------------------------------------------
+
+def test_fit_allocates_no_n_by_n_array():
+    n = 1024
+    panel, _ = _simulated_panel(T=40, seed=32, n=n)
+    tracemalloc.start()
+    try:
+        model = fit(panel, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    # the kernels are still there on request, read-only
+    assert model.A_hat.kernel.shape == (n, n)
+    assert not model.A_hat.kernel.flags.writeable
+
+
+def _random_panel(seed, T, n):
+    # T positive densities: the exponential of a few random cosine terms plus
+    # pointwise noise (full rank after demeaning), normalized on the grid
+    rng = np.random.default_rng(seed)
+    grid = make_grid(0.0, 1.0, n)
+    modes = np.cos(np.pi * np.arange(1, 5)[:, None] * grid.points)
+    f = np.exp(rng.normal(scale=0.8, size=(T, 4)) @ modes
+               + rng.normal(scale=0.05, size=(T, n)))
+    f /= (f @ grid.weights)[:, None]
+    return DensityPanel(grid, [GridFunction(grid, row) for row in f], range(T))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(6, 40),
+    n=st.integers(16, 96),
+    K=st.integers(1, 3),
+)
+def test_fitted_operators_act_like_their_dense_kernels(seed, T, n, K):
+    panel = _random_panel(seed, T, n)
+    grid = panel.grid
+    model = fit(panel, K)
+    v = GridFunction(grid, np.random.default_rng(seed).standard_normal(n))
+    wv = float(np.abs(grid.weights * v.values).sum())
+    for op in (model.A_hat, model.Sigma_hat, model.Q_hat, model.P_hat):
+        dense = OperatorRep(grid, op.kernel)
+        # errors relative to max|kernel| * sum|w v|, a bound on every entry of K v
+        scale = float(np.abs(dense.kernel).max()) * wv
+        for got, ref in ((op, dense), (adjoint(op), adjoint(dense))):
+            diff = apply_operator(got, v).values - apply_operator(ref, v).values
+            assert np.abs(diff).max() <= 1e-12 * scale
+        assert abs(quadratic_form(op, v) - quadratic_form(dense, v)) <= 1e-12 * scale * wv
+        trace_scale = float(np.abs(dense.kernel).max()) * (grid.b - grid.a)
+        assert abs(_weighted_trace(op) - _weighted_trace(dense)) <= 1e-12 * trace_scale
+    L, R = _weighted_factors(model.A_hat)
+    a_w = model.A_hat.kernel * grid.weights
+    assert np.abs(L @ R - a_w).max() <= 1e-12 * np.abs(a_w).max()
+    eigh_operator(OperatorRep(grid, model.Q_hat.kernel))  # raises NonPSD otherwise
+    assert quadratic_form(model.Q_hat, v) >= 0.0
+    assert np.abs(model.resid @ grid.weights).max() <= 1e-12 * np.abs(model.resid).max()
+    f = to_density(forecast_one_step(model, model.w_last), model.mean_density)
+    assert float(np.dot(grid.weights, f.values)) == pytest.approx(1.0, abs=1e-12)
