@@ -31,7 +31,7 @@ from .bootstrap import (
     residual_bootstrap,
     vardecomp_statistic,
 )
-from .errors import DensfarError, EmptyFile, FormatError, ParseError
+from .errors import DensfarError, EmptyFile, FormatError, ParseError, TooFewPeriods
 from .estimation import fit
 from .forecast import (
     feature_interval,
@@ -615,7 +615,8 @@ def cli_dispatch(argv=None) -> int:
     except _ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, EmptyFile, FormatError) as exc:
+    except (ParseError, EmptyFile, FormatError, TooFewPeriods) as exc:
+        # too few periods is a property of the input file, not of the run
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DensfarError as exc:

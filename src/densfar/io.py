@@ -1,6 +1,13 @@
 """File formats: raw observation CSV, model/function/operator persistence,
 and plot-ready CSV tables with JSON sidecars.
 
+An observation CSV has two readers that return the same panel. A file in
+the plain layout (one comma per line, no quotes, LF or CRLF line ends) is
+parsed by numpy's C tokenizer, with no Python object per row. Every other
+file, and every plain file that the tokenizer may read differently from
+Python, goes through the csv-module loop, which is the only source of
+error messages and line numbers.
+
 Binary files are little-endian IEEE-754 doubles behind a magic tag and a
 grid header (a, b, n); binary round-trips are bit-exact. JSON files carry
 the same payload as nested arrays; Python serializes floats by shortest
@@ -24,6 +31,7 @@ import json
 import math
 import os
 import struct
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -70,9 +78,12 @@ def _atomic_write(path, data: bytes) -> None:
 def read_observations(path) -> RawPanel:
     """Read a `period,value` CSV into a raw panel.
 
-    The header row is required. Periods may be grouped or interleaved;
-    blocks are assembled stably in file order and periods sorted with
-    numeric-aware label comparison.
+    The header row is required; a leading UTF-8 byte-order mark is ignored.
+    Periods may be grouped or interleaved; blocks are assembled stably in
+    file order and periods sorted with numeric-aware label comparison.
+
+    Plain files are parsed in C (:func:`_read_plain`), all others by the
+    csv loop (:func:`_read_rows`); both return the same panel.
 
     Raises
     ------
@@ -82,15 +93,23 @@ def read_observations(path) -> RawPanel:
     EmptyFile
         No data rows.
     """
+    panel = _read_plain(path)
+    return panel if panel is not None else _read_rows(path)
+
+
+def _read_rows(path) -> RawPanel:
+    """Read any CSV through the csv module, one row at a time."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     blocks: dict = {}
+    lineno = 0
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
+            lineno = 1
             if header is None:
                 raise EmptyFile(f"{path} is empty")
             if [c.strip().lower() for c in header] != ["period", "value"]:
@@ -114,16 +133,115 @@ def read_observations(path) -> RawPanel:
                 blocks.setdefault(period, []).append(value)
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            # raised while reading the record after the last one numbered
+            raise ParseError(str(exc), line=lineno + 1) from None
+    return _assemble(path, blocks)
+
+
+def _assemble(path, blocks: dict) -> RawPanel:
+    # blocks maps each period, in order of first appearance, to its values
     if not blocks:
         raise EmptyFile(f"{path} has a header but no data rows")
     labels = sorted(blocks, key=natural_sort_key)
     for first, second in zip(labels, labels[1:]):
         if natural_sort_key(first) == natural_sort_key(second):
             raise ParseError(f"period labels {first!r} and {second!r} name the same period")
-    return RawPanel(
-        labels=tuple(labels),
-        blocks=tuple(np.array(blocks[lab]) for lab in labels),
-    )
+    return RawPanel(labels=tuple(labels), blocks=tuple(blocks[lab] for lab in labels))
+
+
+_SCAN_BYTES = 1 << 20
+_BOM = b"\xef\xbb\xbf"
+_NL, _CR, _COMMA, _QUOTE = 10, 13, 44, 34
+
+
+def _read_plain(path) -> RawPanel | None:
+    """Parse a plain-layout file in C, or return None to leave it to the loop.
+
+    Plain means: every line, the `period,value` header included, has
+    exactly one comma, no quote, no control byte other than a CRLF or LF
+    line end, and is shorter than the csv module's field limit. Labels are
+    read at the widest label's width found by the scan, so none is
+    truncated. The file is declined if the tokenizer rejects or warns about
+    it, if a value is not finite or if a label is empty, since those end in
+    the loop's errors; a panel returned here is the one the loop would
+    return.
+    """
+    scan = _scan_plain(path)
+    if scan is None:
+        return None
+    lines, width, ascii_only = scan
+    dtype = [("label", f"{'S' if ascii_only else 'U'}{width}"), ("value", "f8")]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                              comments=None, encoding="utf-8", ndmin=1)
+    except (OSError, ValueError, UnicodeError, Warning):
+        return None
+    labels, values = rows["label"], rows["value"]
+    if len(rows) != lines or not np.isfinite(values).all():
+        return None
+    # one label per run of equal labels, so a grouped file sorts few strings
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    raw, first, run_label = np.unique(labels[starts], return_index=True, return_inverse=True)
+    ids: dict = {}
+    label_id = np.empty(len(raw), dtype=np.intp)
+    for i in np.argsort(first):  # in order of first appearance, as the loop sees them
+        period = (raw[i].decode("ascii") if ascii_only else str(raw[i])).strip()
+        if not period:
+            return None
+        label_id[i] = ids.setdefault(period, len(ids))
+    if len(ids) < len(starts):  # a period in several runs: gather its rows in file order
+        row_id = np.repeat(label_id[run_label], np.diff(np.r_[starts, len(rows)]))
+        values = values[np.argsort(row_id, kind="stable")]
+        starts = np.r_[0, np.cumsum(np.bincount(row_id))[:-1]]
+    return _assemble(path, dict(zip(ids, np.split(values, starts[1:]))))
+
+
+def _scan_plain(path):
+    """(data lines, widest label in bytes, whether all bytes are ASCII) of a
+    plain-layout file, or None; reads the file in blocks of _SCAN_BYTES."""
+    limit = csv.field_size_limit()
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    header, lines, width, ascii_only = None, 0, 0, True
+    with fh:
+        carry = fh.read(len(_BOM)).removeprefix(_BOM)
+        while True:
+            block = fh.read(_SCAN_BYTES)
+            data = carry + block
+            if block:
+                end = data.rfind(b"\n") + 1
+                data, carry = data[:end], data[end:]
+            elif data:
+                data += b"\n"  # the last line has no line end
+            if data:
+                buf = np.frombuffer(data, dtype=np.uint8)
+                nl = np.flatnonzero(buf == _NL)
+                cr = np.flatnonzero(buf == _CR)
+                comma = np.flatnonzero(buf == _COMMA)
+                starts = np.concatenate(([0], nl[:-1] + 1))
+                if (len(comma) != len(nl) or np.any(comma > nl) or np.any(comma < starts)
+                        or np.any(buf[cr + 1] != _NL)
+                        or np.count_nonzero(buf < 32) != len(nl) + len(cr)
+                        or np.any(buf == _QUOTE) or np.any(nl - starts >= limit)):
+                    return None
+                if header is None:
+                    header = data[: nl[0]].removesuffix(b"\r")
+                lines += len(nl)
+                width = max(width, int((comma - starts).max()))
+                ascii_only = ascii_only and bool(buf.max() < 128)
+            if not block:
+                break
+    if lines < 2:
+        return None
+    cells = header.decode("utf-8", errors="replace").split(",")
+    if [c.strip().lower() for c in cells] != ["period", "value"]:
+        return None
+    return lines - 1, width, ascii_only
 
 
 # -- persistence ----------------------------------------------------------------

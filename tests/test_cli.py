@@ -379,6 +379,20 @@ def _non_utf8_csv(tmp_path):
             "--out", str(tmp_path / "m.bin")]
 
 
+def _csv_estimate(tmp_path, data: bytes):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    return ["estimate", "--input", str(path), "--K", "1", "--out", str(tmp_path / "m.bin")]
+
+
+def _too_few_periods_estimate(tmp_path):
+    # enough observations for the KDE, too few periods for K selection
+    values = np.random.default_rng(1).normal(size=(4, 40)).tolist()
+    rows = [f"{t + 1},{x!r}" for t, block in enumerate(values) for x in block]
+    argv = _csv_estimate(tmp_path, ("\n".join(["period,value", *rows]) + "\n").encode())
+    return argv[:argv.index("--K")] + ["--grid-n", "32", "--out", argv[-1]]
+
+
 def _huge_grid_estimate(tmp_path):
     path = tmp_path / "panel.csv"
     values = np.random.default_rng(0).normal(size=(3, 60)).tolist()
@@ -446,6 +460,10 @@ BAD_INPUTS = {
     "density_short_values": lambda tmp, obj: _sample(
         tmp, _density(values=[1.0] * 5)),
     "csv_not_utf8": lambda tmp, obj: _non_utf8_csv(tmp),
+    "csv_field_over_limit": lambda tmp, obj: _csv_estimate(
+        tmp, b"period,value\n1,0.5\n1," + b"9" * 200_000 + b"\n"),
+    "csv_nul_byte": lambda tmp, obj: _csv_estimate(tmp, b"period,value\n1,0.5\x00\n"),
+    "csv_too_few_periods": lambda tmp, obj: _too_few_periods_estimate(tmp),
     "sample_n_zero": lambda tmp, obj: _sample(tmp, _density(), n=0),
     "estimate_grid_n_huge": lambda tmp, obj: _huge_grid_estimate(tmp),
     "estimate_over_cap_bad_csv": lambda tmp, obj: _over_cap_bad_csv(tmp),
@@ -509,3 +527,32 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def _corrupted_csvs(data: bytes, count: int):
+    # derandomized: truncations, then runs of bytes overwritten with CSV hazards
+    rng = np.random.default_rng(11)
+    hazards = np.frombuffer(b'",\r\n\x00\xff .e-+x9', dtype=np.uint8)
+    for i in range(count):
+        if i % 3 == 0:
+            yield data[: rng.integers(0, len(data))]
+            continue
+        buf = np.frombuffer(data, dtype=np.uint8).copy()
+        spots = rng.integers(0, len(buf), size=rng.integers(1, 6))
+        buf[spots] = rng.choice(hazards, size=len(spots))
+        yield buf.tobytes()
+
+
+def test_corrupted_csv_ends_in_one_error_line(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    rows = [f"{t},{x!r}" for t in range(1, 9) for x in rng.normal(size=40).tolist()]
+    valid = ("\n".join(["period,value", *rows]) + "\n").encode()
+    codes = []
+    for data in _corrupted_csvs(valid, 60):
+        capsys.readouterr()
+        codes.append(main(_csv_estimate(tmp_path, data) + ["--grid-n", "32"]))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (codes[-1], err) == (0, "") or (
+            codes[-1] == 1 and err.startswith("error: ") and err.count("\n") == 1)
+    assert 0 in codes and 1 in codes

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from densfar.errors import EmptyFile, FormatError, IoError, ParseError
+from densfar import io as dfio
+from densfar.errors import DensfarError, EmptyFile, FormatError, IoError, ParseError
 from densfar.estimation import fit
 from densfar.grid import make_grid
 from densfar.io import (
@@ -102,6 +105,92 @@ def test_read_observations_monthly_scale_shape(tmp_path):
     assert len(panel) == 212
     assert panel.labels[0] == "001" and panel.labels[-1] == "212"
     assert np.array_equal(panel.counts, counts)
+
+
+def test_read_observations_skips_utf8_bom(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfperiod,value\n1,0.5\n2,0.25\n")
+    panel = read_observations(path)
+    assert panel.labels == ("1", "2")
+    assert dfio._read_rows(path).labels == ("1", "2")
+
+
+def test_read_observations_csv_error_has_line_number(tmp_path):
+    path = tmp_path / "wide.csv"
+    # a padded label that strips to "1" is still one field over the limit
+    path.write_text("period,value\n1,0.5\n1" + " " * 200_000 + ",0.25\n")
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        read_observations(path)
+    assert err.value.line == 3
+
+
+def test_plain_layout_takes_the_c_path(tmp_path, monkeypatch):
+    # a fallback to the csv loop would hide a slowdown, so make the loop fail
+    def no_loop(path):
+        raise AssertionError("plain file read by the csv loop")
+
+    monkeypatch.setattr(dfio, "_read_rows", no_loop)
+    path = tmp_path / "plain.csv"
+    path.write_bytes(b"Period, Value\r\n 2 ,0.5\r\n10,-1e-3\r\n2, 7\r\n\xc3\xa9t\xc3\xa9,3\r\n")
+    panel = read_observations(path)
+    assert panel.labels == ("2", "10", "été")
+    assert [b.tolist() for b in panel.blocks] == [[0.5, 7.0], [-1e-3], [3.0]]
+
+
+def test_c_path_keeps_file_order_of_shuffled_periods(tmp_path):
+    # labels that strip to one period merge in file order, as in the loop
+    rng = np.random.default_rng(4)
+    labels = rng.choice(["1", " 1", "2", "10 ", "10", "é"], size=3000)
+    rows = [f"{label},{x!r}" for label, x in zip(labels, rng.normal(size=3000).tolist())]
+    path = tmp_path / "shuffled.csv"
+    path.write_text("\n".join(["period,value", *rows]) + "\n", encoding="utf-8")
+    panel = dfio._read_plain(path)
+    assert panel is not None and panel.labels == ("1", "2", "10", "é")
+    assert _outcome(lambda _: panel, path) == _outcome(dfio._read_rows, path)
+
+
+def _outcome(read, path):
+    try:
+        panel = read(path)
+    except DensfarError as exc:
+        return type(exc), str(exc)
+    return panel.labels, [block.tobytes() for block in panel.blocks]
+
+
+_LABELS = ["1", "2", "10", "01", " 3 ", "a b", "é", "x" * 40]
+_VALUES = ["0.5", "-1e-3", " 2 ", "3.", "1e300"]
+_HAZARD_LABELS = ["", "  ", '"4"', "5\x00", "\t6", "7\x1c", "\ufeff1", "8\u2028", "x" * 200]
+_HAZARD_VALUES = ["1_000", "nan", "inf", "-Infinity", "1e999", "", "abc", "٣", "1\x1c",
+                  "0.5\xa0", '"0.25"', "1\x0b", "1\x00", "2e", "0x1p3"]
+_PLAIN_ROW = st.tuples(st.sampled_from(_LABELS), st.sampled_from(_VALUES)).map(",".join)
+_HAZARD_ROW = st.one_of(
+    st.tuples(st.sampled_from(_HAZARD_LABELS), st.sampled_from(_VALUES)).map(",".join),
+    st.tuples(st.sampled_from(_LABELS), st.sampled_from(_HAZARD_VALUES)).map(",".join),
+    st.sampled_from(["", "  ", "1", "1,0.5,2", ",", "1,2\r3,4", '"1,2",3', "1\r,0.5"]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # the plain header and line ends are listed twice, so most files are plain
+    header=st.sampled_from(["period,value", "\ufeffperiod,value", " Period , VALUE ",
+                            "period,value", "\ufeffperiod,value", "time,value",
+                            "period;value", ""]),
+    rows=st.lists(_PLAIN_ROW, max_size=12),
+    hazard=st.one_of(st.none(), st.tuples(st.integers(0, 12), _HAZARD_ROW)),
+    end=st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]),
+    final=st.booleans(),
+)
+def test_c_path_agrees_with_csv_loop(tmp_path, header, rows, hazard, end, final):
+    # plain files with at most one hazard: a quote, a control byte, a blank
+    # line, a lone CR, a value float() and the tokenizer may read differently
+    if hazard is not None:
+        rows.insert(*hazard)
+    path = tmp_path / "hazard.csv"
+    path.write_bytes((end.join([header, *rows]) + (end if final else "")).encode())
+    assert _outcome(read_observations, path) == _outcome(dfio._read_rows, path)
 
 
 # -- grid function / operator files ------------------------------------------------
