@@ -2,11 +2,12 @@
 and plot-ready CSV tables with JSON sidecars.
 
 An observation CSV has two readers that return the same panel. A file in
-the plain layout (one comma per line, no quotes, LF or CRLF line ends) is
-parsed by numpy's C tokenizer, with no Python object per row. Every other
-file, and every plain file that the tokenizer may read differently from
-Python, goes through the csv-module loop, which is the only source of
-error messages and line numbers.
+the plain layout (ASCII, one comma per line, no quotes, LF or CRLF line
+ends) is parsed by numpy's C tokenizer, with no Python object per row, into
+a label and value array of at most twice the file's size. Every other file,
+and every plain file that the tokenizer may read differently from Python,
+goes through the csv-module loop, which is the only source of error
+messages and line numbers.
 
 Binary files are little-endian IEEE-754 doubles behind a magic tag and a
 grid header (a, b, n); binary round-trips are bit-exact. JSON files carry
@@ -158,20 +159,21 @@ _NL, _CR, _COMMA, _QUOTE = 10, 13, 44, 34
 def _read_plain(path) -> RawPanel | None:
     """Parse a plain-layout file in C, or return None to leave it to the loop.
 
-    Plain means: every line, the `period,value` header included, has
-    exactly one comma, no quote, no control byte other than a CRLF or LF
-    line end, and is shorter than the csv module's field limit. Labels are
-    read at the widest label's width found by the scan, so none is
-    truncated. The file is declined if the tokenizer rejects or warns about
-    it, if a value is not finite or if a label is empty, since those end in
-    the loop's errors; a panel returned here is the one the loop would
-    return.
+    Plain means: every line, the `period,value` header included, is ASCII
+    with exactly one comma, no quote, no control byte other than a CRLF or
+    LF line end, and is shorter than both the csv module's field limit and
+    one scan block. Labels are read at the widest label's width found by
+    the scan, so none is truncated, and a file whose label array would
+    exceed twice its own size is declined. The file is also declined if the
+    tokenizer rejects or warns about it, if a value is not finite or if a
+    label is empty, since those end in the loop's errors; a panel returned
+    here is the one the loop would return.
     """
     scan = _scan_plain(path)
     if scan is None:
         return None
-    lines, width, ascii_only = scan
-    dtype = [("label", f"{'S' if ascii_only else 'U'}{width}"), ("value", "f8")]
+    lines, width = scan
+    dtype = [("label", f"S{width}"), ("value", "f8")]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -188,7 +190,7 @@ def _read_plain(path) -> RawPanel | None:
     ids: dict = {}
     label_id = np.empty(len(raw), dtype=np.intp)
     for i in np.argsort(first):  # in order of first appearance, as the loop sees them
-        period = (raw[i].decode("ascii") if ascii_only else str(raw[i])).strip()
+        period = raw[i].decode("ascii").strip()
         if not period:
             return None
         label_id[i] = ids.setdefault(period, len(ids))
@@ -200,14 +202,14 @@ def _read_plain(path) -> RawPanel | None:
 
 
 def _scan_plain(path):
-    """(data lines, widest label in bytes, whether all bytes are ASCII) of a
-    plain-layout file, or None; reads the file in blocks of _SCAN_BYTES."""
-    limit = csv.field_size_limit()
+    """(data lines, widest label in bytes) of a plain-layout file, or None;
+    reads the file in blocks of _SCAN_BYTES."""
+    max_line = min(csv.field_size_limit(), _SCAN_BYTES)
     try:
         fh = open(path, "rb")
     except OSError:
         return None
-    header, lines, width, ascii_only = None, 0, 0, True
+    header, lines, width, size = None, 0, 0, 0
     with fh:
         carry = fh.read(len(_BOM)).removeprefix(_BOM)
         while True:
@@ -216,6 +218,8 @@ def _scan_plain(path):
             if block:
                 end = data.rfind(b"\n") + 1
                 data, carry = data[:end], data[end:]
+                if len(carry) >= max_line:  # an over-long line, or no LF at all
+                    return None
             elif data:
                 data += b"\n"  # the last line has no line end
             if data:
@@ -225,23 +229,24 @@ def _scan_plain(path):
                 comma = np.flatnonzero(buf == _COMMA)
                 starts = np.concatenate(([0], nl[:-1] + 1))
                 if (len(comma) != len(nl) or np.any(comma > nl) or np.any(comma < starts)
-                        or np.any(buf[cr + 1] != _NL)
+                        or np.any(buf[cr + 1] != _NL) or buf.max() >= 128
                         or np.count_nonzero(buf < 32) != len(nl) + len(cr)
-                        or np.any(buf == _QUOTE) or np.any(nl - starts >= limit)):
+                        or np.any(buf == _QUOTE) or np.any(nl - starts >= max_line)):
                     return None
                 if header is None:
                     header = data[: nl[0]].removesuffix(b"\r")
                 lines += len(nl)
+                size += len(data)
                 width = max(width, int((comma - starts).max()))
-                ascii_only = ascii_only and bool(buf.max() < 128)
             if not block:
                 break
-    if lines < 2:
+    # the label array costs lines * width bytes, so one long label in a long
+    # file would cost far more than the file; such a file goes to the loop
+    if lines < 2 or (lines - 1) * (width + 8) > 2 * size:
         return None
-    cells = header.decode("utf-8", errors="replace").split(",")
-    if [c.strip().lower() for c in cells] != ["period", "value"]:
+    if [c.strip().lower() for c in header.decode("ascii").split(",")] != ["period", "value"]:
         return None
-    return lines - 1, width, ascii_only
+    return lines - 1, width
 
 
 # -- persistence ----------------------------------------------------------------

@@ -90,8 +90,10 @@ def test_read_observations_missing_file(tmp_path):
         read_observations(tmp_path / "nope.csv")
 
 
-def test_read_observations_monthly_scale_shape(tmp_path):
-    # shape contract: 212 periods of ~1880 rows parse into a 212-period panel
+def test_read_observations_monthly_scale_shape(tmp_path, monkeypatch):
+    # shape contract: 212 periods of ~1880 rows parse into a 212-period panel,
+    # on the C path, so its allocation bound does not decline a panel this size
+    monkeypatch.setattr(dfio, "_read_rows", _no_loop)
     rng = np.random.default_rng(0)
     counts = rng.integers(1550, 1905, size=212)
     lines = ["period,value"]
@@ -125,29 +127,74 @@ def test_read_observations_csv_error_has_line_number(tmp_path):
     assert err.value.line == 3
 
 
-def test_plain_layout_takes_the_c_path(tmp_path, monkeypatch):
+def _no_loop(path):
     # a fallback to the csv loop would hide a slowdown, so make the loop fail
-    def no_loop(path):
-        raise AssertionError("plain file read by the csv loop")
+    raise AssertionError("plain file read by the csv loop")
 
-    monkeypatch.setattr(dfio, "_read_rows", no_loop)
+
+def test_plain_layout_takes_the_c_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(dfio, "_read_rows", _no_loop)
     path = tmp_path / "plain.csv"
-    path.write_bytes(b"Period, Value\r\n 2 ,0.5\r\n10,-1e-3\r\n2, 7\r\n\xc3\xa9t\xc3\xa9,3\r\n")
+    path.write_bytes(b"Period, Value\r\n 2 ,0.5\r\n10,-1e-3\r\n2, 7\r\nb,3\r\n")
     panel = read_observations(path)
-    assert panel.labels == ("2", "10", "été")
+    assert panel.labels == ("2", "10", "b")
     assert [b.tolist() for b in panel.blocks] == [[0.5, 7.0], [-1e-3], [3.0]]
 
 
 def test_c_path_keeps_file_order_of_shuffled_periods(tmp_path):
     # labels that strip to one period merge in file order, as in the loop
     rng = np.random.default_rng(4)
-    labels = rng.choice(["1", " 1", "2", "10 ", "10", "é"], size=3000)
+    labels = rng.choice(["1", " 1", "2", "10 ", "10", "b"], size=3000)
     rows = [f"{label},{x!r}" for label, x in zip(labels, rng.normal(size=3000).tolist())]
     path = tmp_path / "shuffled.csv"
-    path.write_text("\n".join(["period,value", *rows]) + "\n", encoding="utf-8")
+    path.write_text("\n".join(["period,value", *rows]) + "\n")
     panel = dfio._read_plain(path)
-    assert panel is not None and panel.labels == ("1", "2", "10", "é")
+    assert panel is not None and panel.labels == ("1", "2", "10", "b")
     assert _outcome(lambda _: panel, path) == _outcome(dfio._read_rows, path)
+
+
+def test_one_long_label_in_a_long_file_goes_to_the_loop(tmp_path, monkeypatch):
+    # its label array would cost rows x label width, far more than the file
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("loadtxt called")
+
+    path = tmp_path / "long-label.csv"
+    path.write_text("period,value\n" + "1,0.5\n" * 20_000 + "x" * 5000 + ",0.25\n")
+    expected = _outcome(dfio._read_rows, path)
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    assert _outcome(read_observations, path) == expected
+
+
+def test_cr_only_file_is_declined_within_one_block(tmp_path, monkeypatch):
+    # a file without LF must not be carried, and copied, block after block
+    sizes = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size):
+            data = self.fh.read(size)
+            sizes.append(len(data))
+            return data
+
+    real_open = open
+    monkeypatch.setattr(dfio, "_SCAN_BYTES", 1 << 14)
+    monkeypatch.setattr(dfio, "open", lambda p, mode: Counting(real_open(p, mode)),
+                        raising=False)
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"period,value\r" + b"12,0.125\r" * 8000)
+    assert path.stat().st_size > 4 * dfio._SCAN_BYTES
+    assert dfio._scan_plain(path) is None
+    assert sum(sizes) <= len(dfio._BOM) + dfio._SCAN_BYTES
+    monkeypatch.undo()
+    assert _outcome(read_observations, path) == _outcome(dfio._read_rows, path)
 
 
 def _outcome(read, path):
