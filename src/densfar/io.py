@@ -105,21 +105,22 @@ def _read_rows(path) -> RawPanel:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     blocks: dict = {}
-    lineno = 0
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            lineno = 1
             if header is None:
                 raise EmptyFile(f"{path} is empty")
             if [c.strip().lower() for c in header] != ["period", "value"]:
                 raise ParseError(
                     f"expected header 'period,value', got {','.join(header)!r}", line=1
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
+                # the physical line, which a quoted field with a line break
+                # puts past the record count
+                lineno = reader.line_num
                 if len(row) != 2:
                     raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
                 period = row[0].strip()
@@ -135,8 +136,7 @@ def _read_rows(path) -> RawPanel:
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not UTF-8 text") from None
         except csv.Error as exc:
-            # raised while reading the record after the last one numbered
-            raise ParseError(str(exc), line=lineno + 1) from None
+            raise ParseError(str(exc), line=reader.line_num) from None
     return _assemble(path, blocks)
 
 

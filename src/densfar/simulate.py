@@ -44,6 +44,7 @@ from .grid import (
     norm,
     _check_density_values,
     _require_same_grid,
+    _weighted_factors,
 )
 from .kde import DensityPanel, RawPanel, _check_kernel, estimate_panel, period_labels
 
@@ -62,6 +63,10 @@ __all__ = [
 DEFAULT_TOTAL_PERIODS = 1000
 
 _STABILITY_FACTOR = 1e6
+
+# Rows per block when simulate_far turns scores into states, so that the build
+# needs 64 KB at n = 128 and not a second (m, n) array
+_STATE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +122,8 @@ class FarGenerator:
         factor = self._noise_factor
 
         def draw(rng, m):
-            # one mat-vec per row: a single z @ factor.T rounds differently
+            # one mat-vec per row: a single z @ factor.T rounds differently,
+            # and it measured about 0.3 MB more peak RSS on the perfbench study
             z = rng.standard_normal((m, factor.shape[1]))
             return np.matmul(factor, z[:, :, None])[:, :, 0]
 
@@ -181,45 +187,105 @@ def make_cosine_generator(
     noise_sds = np.asarray(noise_sds, dtype=np.float64)
     if strengths.shape != noise_sds.shape:
         raise ValueError("strengths and noise_sds must have equal length")
-    modes = cosine_modes(grid, len(strengths))
-    a_kernel = np.zeros((grid.n, grid.n))
+    if not np.all(np.isfinite(strengths)):
+        raise ValueError("strengths must be finite")
+    modes = np.reshape([phi.values for phi in cosine_modes(grid, len(strengths))],
+                       (len(strengths), grid.n))
     s_kernel = np.zeros((grid.n, grid.n))
-    for kappa, sd, phi in zip(strengths, noise_sds, modes):
-        block = np.outer(phi.values, phi.values)
-        a_kernel += kappa * block
-        s_kernel += sd * sd * block
+    for sd, phi in zip(noise_sds, modes):
+        s_kernel += sd * sd * np.outer(phi, phi)
     return FarGenerator(
         grid=grid,
-        transition=OperatorRep(grid, a_kernel),
+        transition=OperatorRep._factored(grid, modes.T * strengths, modes, 1),
         mean_density=mean if mean is not None else default_mean_density(grid),
         noise_covariance=OperatorRep(grid, s_kernel),
     )
 
 
-def _sample_by_rejection(f: GridFunction, n: int, rng) -> tuple:
-    grid = f.grid
-    values = _check_density_values(f)
-    f_max = float(values.max())
-    if f_max <= 0.0:
+# Proposals tested in one vectorized pass: about 4k, so that its work arrays,
+# about 0.3 MB, stay well below the 1 MB noise array of a 1000-period path
+_SAMPLE_BLOCK = 1 << 12
+
+
+def _grid_interpolator(grid: GridSpec, values: np.ndarray):
+    """Return interp(x, row), equal bit for bit to
+    np.interp(x, grid.points, values[row]) for all x at once; each row of
+    `values` is a finite function on the grid, and `row` picks one per x."""
+    points, n = grid.points, grid.n
+    # numpy's slopes, (y[j+1] - y[j]) / (x[j+1] - x[j]), and 0 past the end
+    slopes = np.zeros(values.shape)
+    np.divide(np.diff(values, axis=1), np.diff(points), out=slopes[:, :-1])
+    flat_values, flat_slopes = values.reshape(-1), slopes.reshape(-1)
+
+    def interp(x, row):
+        x = np.clip(x, points[0], points[-1])
+        # the index a binary search finds: arithmetic on the uniform grid,
+        # then one step up or down where rounding put x in the next cell
+        j = ((x - points[0]) / grid.h).astype(np.intp)
+        np.minimum(j, n - 2, out=j)
+        j += points[j + 1] <= x
+        j -= points[j] > x
+        at = j + np.asarray(row) * n
+        out = x - points[j]
+        exact = np.flatnonzero(out == 0.0)
+        out *= flat_slopes[at]
+        out += flat_values[at]
+        # at a grid point numpy returns the value itself
+        out[exact] = flat_values[at[exact]]
+        return out
+
+    return interp
+
+
+def _sample_rows(grid: GridSpec, values: np.ndarray, n: int, seeds) -> tuple:
+    """Draw n points from each row of `values`, nonnegative densities on the
+    grid, by rejection; row i draws from its own `default_rng(seeds[i])`.
+
+    Each round, every row short of n draws a chunk of x, then of u, sized
+    from its peak and its shortfall, and a proposal x survives when
+    u <= f(x)/f_max. A round tests the chunks of a group of rows in one
+    vectorized pass. Returns the (rows, n) draws and each row's proposal
+    and acceptance counts.
+    """
+    f_max = values.max(axis=1)
+    if not np.all(f_max > 0.0):
         raise DegenerateDensity("target density has no positive mass")
-    draws = np.empty(n)
-    filled = 0
-    proposed = 0
-    accepted = 0
-    width = grid.b - grid.a
     # mass/(width*f_max) proposals are accepted on average
-    rate_guess = max(1.0 / (width * f_max), 1e-3)
-    while filled < n:
-        chunk = int(np.ceil((n - filled) / rate_guess * 1.2)) + 16
-        x = rng.uniform(grid.a, grid.b, size=chunk)
-        u = rng.uniform(0.0, 1.0, size=chunk)
-        accept = u <= np.interp(x, grid.points, values) / f_max
-        proposed += chunk
-        kept = x[accept]
-        accepted += len(kept)
-        take = min(len(kept), n - filled)
-        draws[filled : filled + take] = kept[:take]
-        filled += take
+    rate = np.maximum(1.0 / ((grid.b - grid.a) * f_max), 1e-3)
+    interp = _grid_interpolator(grid, values)
+    draws = np.empty((len(values), n))
+    filled = np.zeros(len(values), dtype=np.intp)
+    proposed = np.zeros(len(values), dtype=np.intp)
+    accepted = np.zeros(len(values), dtype=np.intp)
+
+    def chunk_sizes(rows):
+        return (np.ceil((n - filled[rows]) / rate[rows] * 1.2) + 16).astype(np.intp)
+
+    # rows per group: as many as keep a first round within _SAMPLE_BLOCK
+    per_group = max(1, _SAMPLE_BLOCK // int(chunk_sizes(slice(None)).max()))
+    for start in range(0, len(values), per_group):
+        members = range(start, min(start + per_group, len(values)))
+        rngs = {i: np.random.default_rng(seeds[i]) for i in members}
+        while rngs:
+            rows = np.fromiter(rngs, dtype=np.intp, count=len(rngs))
+            chunk = chunk_sizes(rows)
+            ends = np.cumsum(chunk).tolist()
+            spans = list(zip(rows.tolist(), [0] + ends[:-1], ends))
+            x, u = np.empty(ends[-1]), np.empty(ends[-1])
+            for i, lo, hi in spans:
+                x[lo:hi] = rngs[i].uniform(grid.a, grid.b, size=hi - lo)
+                u[lo:hi] = rngs[i].uniform(0.0, 1.0, size=hi - lo)
+            row = np.repeat(rows, chunk)
+            keep = u <= interp(x, row) / f_max[row]
+            for i, lo, hi in spans:
+                kept = x[lo:hi][keep[lo:hi]]
+                take = min(len(kept), n - filled[i])
+                draws[i, filled[i] : filled[i] + take] = kept[:take]
+                filled[i] += take
+                proposed[i] += hi - lo
+                accepted[i] += len(kept)
+                if filled[i] == n:
+                    del rngs[i]
     return draws, proposed, accepted
 
 
@@ -241,8 +307,8 @@ def acceptance_sample(f: GridFunction, n: int, seed) -> np.ndarray:
         raise ValueError(f"need n >= 1, got {n}")
     if np.any(np.asarray(seed) < 0):
         raise ValueError(f"need a nonnegative seed, got {seed}")
-    draws, _, _ = _sample_by_rejection(f, n, np.random.default_rng(seed))
-    return draws
+    draws, _, _ = _sample_rows(f.grid, _check_density_values(f)[None], n, [seed])
+    return draws[0]
 
 
 # an exploding state overflows to inf or NaN quietly and fails the norm check
@@ -258,7 +324,9 @@ def simulate_far(
     The state starts at zero, runs through `burn_in` discarded periods
     (default: a total simulated length of 1000), and each kept state is
     converted to a density by adding the mean, clipping, and rescaling.
-    Period labels are zero-padded integers starting at 1.
+    Period labels are zero-padded integers starting at 1. The recursion
+    runs on the r-dim scores R x_t of the transition's weighted factors,
+    A diag(w) = L R, and x_t = L R x_{t-1} + e_t is built from them.
 
     Raises
     ------
@@ -273,22 +341,45 @@ def simulate_far(
     if burn_in < 0:
         raise ValueError(f"need burn_in >= 0, got {burn_in}")
     grid = generator.grid
+    m = burn_in + T + 1
     # row t holds the noise of period t + 1 and becomes its state in place
-    states = generator.noise_sampler()(np.random.default_rng(seed), burn_in + T + 1)
-    a_w = generator.transition.kernel * grid.weights[None, :]
-    bound_sq = (_STABILITY_FACTOR * norm(generator.mean_density)) ** 2
+    states = generator.noise_sampler()(np.random.default_rng(seed), m)
+    left, right = _transition_factors(generator.transition)
+    # scores[t] = right @ (state of period t), from the zero state at t = 0:
+    # s_t = (right left) s_{t-1} + right e_t
+    scores = np.zeros((m, len(right)))
+    np.matmul(states[:-1], right.T, out=scores[1:])
+    step, buf = right @ left, np.empty(len(right))
+    rows = list(scores)
+    for prev, row in zip(rows, rows[1:]):
+        np.dot(step, prev, out=buf)
+        row += buf
+    # state of period t + 1 = left @ s_t + e_{t+1}, one mat-vec per row in
+    # blocks of rows, with the squared weighted norm of each
     sqrt_w = np.sqrt(grid.weights)
-    w = np.zeros(grid.n)
-    for t, state in enumerate(states):
-        state += a_w @ w
-        scaled = sqrt_w * state
-        if not float(scaled.dot(scaled)) <= bound_sq:
-            raise UnstableGenerator(
-                f"state norm exceeded {_STABILITY_FACTOR:g} x mean norm at period {t + 1}"
-            )
-        w = state
+    bound_sq = (_STABILITY_FACTOR * norm(generator.mean_density)) ** 2
+    norm_sq = np.empty(m)
+    for lo in range(0, m, _STATE_BLOCK):
+        block = states[lo : lo + _STATE_BLOCK]
+        lift = np.matmul(left, scores[lo : lo + len(block), :, None])[:, :, 0]
+        block += lift
+        np.multiply(block, sqrt_w, out=lift)
+        norm_sq[lo : lo + len(block)] = np.einsum("ij,ij->i", lift, lift)
+    bad = np.flatnonzero(~(norm_sq <= bound_sq))
+    if bad.size:
+        raise UnstableGenerator(
+            f"state norm exceeded {_STABILITY_FACTOR:g} x mean norm at period {bad[0] + 1}"
+        )
     raw = _to_densities(states[burn_in:], generator.mean_density, UnstableGenerator)
     return DensityPanel._wrap(grid, raw, period_labels(T + 1))
+
+
+def _transition_factors(op: OperatorRep) -> tuple:
+    # (L, R) with kernel diag(weights) = L R; a kernel-only operator has
+    # L = kernel diag(weights) and R = I, which makes the scores the states
+    if op._factors is None:
+        return op.kernel * op.grid.weights[None, :], np.eye(op.grid.n)
+    return _weighted_factors(op)
 
 
 def _integer(name: str, value) -> int:
@@ -381,11 +472,12 @@ def _study_iteration(config: StudyConfig, T: int, N: int, it: int):
         seed=(config.seed, T, N, it, 0),
         burn_in=config.burn_in,
     )
-    blocks = [
-        acceptance_sample(f, N, seed=(config.seed, T, N, it, 1, t))
-        for t, f in enumerate(panel_true.densities)
-    ]
-    raw = RawPanel(labels=panel_true.labels, blocks=tuple(blocks))
+    # simulate_far's rows are nonnegative with unit mass: no validation here
+    draws, _, _ = _sample_rows(
+        config.generator.grid, panel_true.values, N,
+        [(config.seed, T, N, it, 1, t) for t in range(len(panel_true))],
+    )
+    raw = RawPanel(labels=panel_true.labels, blocks=tuple(draws))
     estimated = estimate_panel(raw, config.generator.grid, config.kernel)
     train = estimated.head(T)
     truth = panel_true.densities[T]

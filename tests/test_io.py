@@ -118,6 +118,15 @@ def test_read_observations_skips_utf8_bom(tmp_path):
     assert dfio._read_rows(path).labels == ("1", "2")
 
 
+def test_quoted_line_break_reports_the_physical_line(tmp_path):
+    # the bad value is the third record but sits on the fourth line
+    path = tmp_path / "quoted.csv"
+    path.write_text('period,value\n"a\nb",1\nx,bad\n')
+    with pytest.raises(ParseError, match="not a number: 'bad'") as err:
+        read_observations(path)
+    assert err.value.line == 4
+
+
 def test_read_observations_csv_error_has_line_number(tmp_path):
     path = tmp_path / "wide.csv"
     # a padded label that strips to "1" is still one field over the limit

@@ -1,5 +1,7 @@
 """Simulation machinery: rejection sampling, panel generation, study harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -7,10 +9,13 @@ from scipy.stats import kstest
 from densfar.errors import DegenerateDensity, UnstableGenerator
 from densfar.estimation import fit
 from densfar.grid import GridFunction, OperatorRep, inner, make_grid, norm
+import densfar.simulate as simulate_module
 from densfar.simulate import (
     FarGenerator,
     StudyConfig,
-    _sample_by_rejection,
+    _grid_interpolator,
+    _sample_rows,
+    _study_iteration,
     acceptance_sample,
     cosine_modes,
     make_cosine_generator,
@@ -26,9 +31,7 @@ from conftest import triangular_density, uniform_density
 def test_acceptance_sample_uniform_never_rejects():
     grid = make_grid(0.0, 1.0, 128)
     f = uniform_density(grid)
-    draws, proposed, accepted = _sample_by_rejection(
-        f, 5000, np.random.default_rng(0)
-    )
+    (draws,), (proposed,), (accepted,) = _sample_rows(grid, f.values[None], 5000, [0])
     assert proposed == accepted
     assert kstest(draws, "uniform").statistic < 0.02
 
@@ -49,7 +52,7 @@ def test_acceptance_sample_triangular_ks():
 def test_acceptance_rate_matches_envelope():
     grid = make_grid(0.0, 1.0, 512)
     f = triangular_density(grid)
-    _, proposed, accepted = _sample_by_rejection(f, 50_000, np.random.default_rng(2))
+    _, (proposed,), (accepted,) = _sample_rows(grid, f.values[None], 50_000, [2])
     rate = accepted / proposed
     expect = 1.0 / ((grid.b - grid.a) * f.values.max())
     se = np.sqrt(expect * (1.0 - expect) / proposed)
@@ -100,6 +103,91 @@ def test_acceptance_sample_many_targets_ks():
         draws = acceptance_sample(f, n, seed=(70, i))
         stat = kstest(draws, lambda q: np.interp(q, x, cdf_grid)).statistic
         assert stat < crit
+
+
+def _reference_rejection(f, n, seed):
+    # the per-density loop the rows sampler replaced: np.interp and one
+    # default_rng(seed) per density
+    grid = f.grid
+    values = np.clip(f.values, 0.0, None)
+    f_max = float(values.max())
+    rng = np.random.default_rng(seed)
+    draws = np.empty(n)
+    filled = proposed = accepted = 0
+    rate_guess = max(1.0 / ((grid.b - grid.a) * f_max), 1e-3)
+    while filled < n:
+        chunk = int(np.ceil((n - filled) / rate_guess * 1.2)) + 16
+        x = rng.uniform(grid.a, grid.b, size=chunk)
+        u = rng.uniform(0.0, 1.0, size=chunk)
+        accept = u <= np.interp(x, grid.points, values) / f_max
+        proposed += chunk
+        kept = x[accept]
+        accepted += len(kept)
+        take = min(len(kept), n - filled)
+        draws[filled : filled + take] = kept[:take]
+        filled += take
+    return draws, proposed, accepted
+
+
+def test_acceptance_sample_matches_per_density_reference():
+    grid_u = make_grid(0.0, 1.0, 512)
+    grid_s = make_grid(-2.0, 3.0, 128)
+    x = grid_s.points
+    bump = np.exp(-0.5 * ((x - 0.3) / 0.4) ** 2)
+    targets = [
+        (uniform_density(grid_u), 5000, 0),
+        (triangular_density(grid_u), 10_000, 1),
+        (triangular_density(grid_s), 500, 42),
+        (GridFunction(grid_s, bump / float(np.dot(grid_s.weights, bump))), 777, (70, 3)),
+    ]
+    for f, n, seed in targets:
+        ref_draws, ref_proposed, ref_accepted = _reference_rejection(f, n, seed)
+        assert acceptance_sample(f, n, seed).tobytes() == ref_draws.tobytes()
+        _, (proposed,), (accepted,) = _sample_rows(f.grid, f.values[None], n, [seed])
+        assert (proposed, accepted) == (ref_proposed, ref_accepted)
+
+
+@pytest.mark.parametrize("block", [1, 3000, 4300, 1 << 14])
+def test_sample_rows_match_per_density_reference(block, monkeypatch):
+    # a simulated 101-row panel plus one row of mass 0.3, which the first
+    # chunk (sized for unit mass) cannot fill; the blocks put 1, 2, 3 and
+    # 11 rows in a vectorized pass
+    monkeypatch.setattr(simulate_module, "_SAMPLE_BLOCK", block)
+    panel = simulate_far(GENERATORS["cosine"](), 100, seed=(9, 1))
+    grid = panel.grid
+    values = np.vstack([panel.values, 0.3 * panel.values[0]])
+    seeds = [(5, 100, 500, 2, 1, t) for t in range(len(values))]
+    draws, proposed, accepted = _sample_rows(grid, values, 500, seeds)
+    for t, seed in enumerate(seeds):
+        ref_draws, ref_proposed, ref_accepted = _reference_rejection(
+            GridFunction(grid, values[t]), 500, seed)
+        assert draws[t].tobytes() == ref_draws.tobytes()
+        assert (proposed[t], accepted[t]) == (ref_proposed, ref_accepted)
+    first_chunk = int(np.ceil(500 * (grid.b - grid.a) * values[-1].max() * 1.2)) + 16
+    assert proposed[-1] > first_chunk
+
+
+@pytest.mark.parametrize("n", [16, 128, 513])
+def test_grid_interpolator_is_np_interp_bit_for_bit(n):
+    grid = make_grid(-1.7, 2.4, n)
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-1.0, 3.0, size=(2, n))
+    values[:, ::7] = 0.0
+    values[:, 3::11] = -0.0  # at a grid point the value itself, sign and all
+    interp = _grid_interpolator(grid, values)
+    points = grid.points
+    probes = [
+        points,
+        np.nextafter(points, -np.inf),
+        np.nextafter(points, np.inf),
+        *(rng.uniform(grid.a, grid.b, size=250_000) for _ in range(4)),
+    ]
+    for x in probes:
+        row = rng.integers(0, 2, size=len(x))
+        got = interp(x, row)
+        for r in (0, 1):
+            ref = np.interp(x[row == r], points, values[r])
+            assert got[row == r].tobytes() == ref.tobytes()
 
 
 # -- panel simulation ---------------------------------------------------------------
@@ -214,16 +302,31 @@ def _gaussian_model_generator():
     )
 
 
+def _kernel_only_generator():
+    # the fitted model's transition held only as its dense kernel
+    model = _fitted_model()
+    return FarGenerator(
+        grid=model.grid,
+        transition=OperatorRep(model.grid, model.A_hat.kernel),
+        mean_density=model.mean_density,
+        residual_pool=model.residuals,
+    )
+
+
 GENERATORS = {
     "cosine": lambda: make_cosine_generator(
         make_grid(0.0, 1.0, 128), strengths=(0.8, 0.6, 0.45), noise_sds=(0.05, 0.04, 0.03)),
     "residual_pool": lambda: FarGenerator.from_model(_fitted_model()),
     "model_gaussian": _gaussian_model_generator,
+    "kernel_only": _kernel_only_generator,
 }
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_simulate_far_matches_per_period_reference(name):
+    # a kernel-only transition steps the states themselves (R = I) with the
+    # reference's mat-vecs, so its panels are byte-identical; a factored one
+    # steps rank-r scores and rounds differently
     gen = GENERATORS[name]()
     for seed, T, burn_in in [((3, 1), 50, None), (4, 20, 0), (5, 1, 7)]:
         panel = simulate_far(gen, T, seed=seed, burn_in=burn_in)
@@ -231,7 +334,10 @@ def test_simulate_far_matches_per_period_reference(name):
             burn_in = 1000 - (T + 1)
         ref = _reference_simulate(gen, T, seed, burn_in)
         got = np.stack([f.values for f in panel.densities])
-        assert got.tobytes() == ref.tobytes()
+        if gen.transition._factors is None:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -328,8 +434,28 @@ def test_run_study_noiseless_limit_tracks_kde_error():
     assert abs(far - ave) <= 0.10 * ave
 
 
+def test_study_iteration_allocation_peak():
+    # T=100, N=500 on the benchmark's grid-128 cosine generator: 1.78 MB; the
+    # design with one sampler call per period peaked at 1.72 MB, and building
+    # the states in one product, with an (m, n) temporary, at 2.42 MB
+    gen = GENERATORS["cosine"]()
+    config = StudyConfig(generator=gen, T_values=(100,), N_values=(500,),
+                         iterations=2, seed=3, K=4)
+    _study_iteration(config, 100, 500, 0)  # caches the noise factor
+    tracemalloc.start()
+    try:
+        _study_iteration(config, 100, 500, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0e6
+
+
 def test_study_config_validation():
     grid = make_grid(0.0, 1.0, 64)
+    # the factored transition is not checked as a dense kernel would be
+    with pytest.raises(ValueError, match="strengths must be finite"):
+        make_cosine_generator(grid, strengths=(0.5, np.nan), noise_sds=(0.05, 0.05))
     gen = make_cosine_generator(grid, strengths=(0.5,), noise_sds=(0.05,))
     with pytest.raises(ValueError):
         StudyConfig(generator=gen, T_values=(5,), N_values=(100,), iterations=1, seed=0)
