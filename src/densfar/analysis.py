@@ -23,8 +23,6 @@ from .grid import (
     adjoint,
     apply_operator,
     inner,
-    norm,
-    project_zero_integral,
     quadratic_form,
     svd_operator,
     _require_same_grid,
@@ -191,45 +189,52 @@ def tail_indicator(
 
 
 def moment_basis(Q: OperatorRep, grid: GridSpec, kmax: int = DEFAULT_KMAX) -> MomentBasis:
-    """Build the moment basis by Gram-Schmidt under the bilinear form <., Q.>.
+    """Build the moment basis by Householder QR under the bilinear form <., Q.>.
 
-    For k = 1..kmax the raw monomial x^k is centered to zero integral,
-    scaled to unit L2 norm for conditioning, Q-orthogonalized against the
-    previous basis functions (modified Gram-Schmidt plus one
-    reorthogonalization pass), and normalized so <u_k, Q u_k> = 1. By
-    construction u_1 is proportional to x - (a+b)/2 and u_k has exact
-    degree k.
+    The columns of M are x^1..x^kmax, centered to zero integral and scaled to
+    unit L2 norm. With kernel = F^T F / d and W = diag(weights), the QR
+    factorization F W M / sqrt(d) = Z R with diag(R) > 0 gives U = M R^{-1}:
+    <u_p, Q u_q> = delta_pq, u_1 is a positive multiple of x - (a+b)/2, and
+    u_k has exact degree k. R_kk^2 is the Q-form of x^k less its Q-projection
+    onto the lower degrees. As the reorthogonalization pass of Gram-Schmidt
+    does, a Cholesky factor of U's Q-Gram then removes the roundoff that the
+    conditioning of M leaves in U.
 
     Raises
     ------
     DegenerateMetric
-        When a candidate's Q-form drops below 1e-10 of the first one,
-        signalling that Q is too low-rank to support kmax moments.
+        When some R_kk^2 drops below 1e-10 of R_11^2, signalling that Q is
+        too low-rank to support kmax moments.
     """
     if not 1 <= kmax <= DEFAULT_KMAX:
         raise ValueError(f"need 1 <= kmax <= {DEFAULT_KMAX}, got {kmax}")
     _require_same_grid(Q, grid.constant(0.0))
-    basis: list[GridFunction] = []
-    q_images: list[GridFunction] = []
-    scale = None
-    for k in range(1, kmax + 1):
-        cand = project_zero_integral(moment_functional(k, grid))
-        cand = cand * (1.0 / norm(cand))
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for u, qu in zip(basis, q_images):
-                cand = cand - inner(qu, cand) * u
-        q_val = quadratic_form(Q, cand)
-        if scale is None:
-            scale = q_val
-        if q_val <= _DEGENERATE_REL * scale or q_val <= 0.0:
-            raise DegenerateMetric(
-                f"covariance carries no variance in the degree-{k} direction "
-                f"(Q-form {q_val:.3e}); reduce kmax"
-            )
-        u_k = cand * (1.0 / np.sqrt(q_val))
-        basis.append(u_k)
-        q_images.append(apply_operator(Q, u_k))
-    return MomentBasis(grid=grid, functions=tuple(basis), kmax=kmax, gram_operator=Q)
+    powers = np.vander(grid.points, kmax + 1, increasing=True)[:, 1:]
+    M = powers - grid.weights @ powers / (grid.b - grid.a)
+    M /= np.sqrt(grid.weights @ M**2)
+    if Q._factors is not None:  # a covariance the library builds as (X^T, X, d)
+        _, F, d = Q._factors
+    else:  # factored once through the eigenpairs of W^{1/2} kernel W^{1/2}
+        sqrt_w = np.sqrt(grid.weights)
+        vals, vecs = np.linalg.eigh(sqrt_w[:, None] * Q.kernel * sqrt_w)
+        F, d = np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T / sqrt_w, 1
+    scale = grid.weights[:, None] / np.sqrt(d)
+    R = np.linalg.qr(F @ (scale * M), mode="r")
+    R *= np.where(np.diagonal(R) < 0.0, -1.0, 1.0)[:, None]
+    # a factor of rank r < kmax leaves no variance past degree r
+    q_form = np.zeros(kmax)
+    q_form[: len(R)] = np.diagonal(R) ** 2
+    bad = np.flatnonzero((q_form <= _DEGENERATE_REL * q_form[0]) | (q_form <= 0.0))
+    if bad.size:
+        raise DegenerateMetric(
+            f"covariance carries no variance in the degree-{bad[0] + 1} direction "
+            f"(Q-form {q_form[bad[0]]:.3e}); reduce kmax"
+        )
+    U = M @ np.linalg.inv(R)
+    G = F @ (scale * U)
+    U = (U @ np.linalg.inv(np.linalg.cholesky(G.T @ G).T)).T.copy()
+    return MomentBasis(grid=grid, functions=tuple(GridFunction._wrap(grid, u) for u in U),
+                       kmax=kmax, gram_operator=Q)
 
 
 def _guarded_q_form(Q: OperatorRep, v: GridFunction) -> float:
@@ -268,14 +273,15 @@ def variance_decomposition(
 ) -> DecompositionReport:
     """Split the variance of <v, w_t> over the moments of the lagged state.
 
-    The share attributed to the k-th moment is <v, A Q u_k>^2 / <v, Q v>.
-    When a noise covariance is supplied the report also carries R^2 and the
-    unexplained share 1 - R^2.
+    The share attributed to the k-th moment is <v, A Q u_k>^2 / <v, Q v>,
+    computed for every k at once as <Q A* v, u_k>^2 / <v, Q v>. When a noise
+    covariance is supplied the report also carries R^2 and the unexplained
+    share 1 - R^2.
     """
     qv = _guarded_q_form(Q, v)
-    pi = np.empty(basis.kmax)
-    for k, u_k in enumerate(basis.functions):
-        pi[k] = inner(v, apply_operator(A, apply_operator(Q, u_k))) ** 2 / qv
+    loading = apply_operator(Q, apply_operator(adjoint(A), v))
+    U = np.stack([u.values for u in basis.functions])
+    pi = (U @ (v.grid.weights * loading.values)) ** 2 / qv
     r2 = raw = share = None
     if Sigma is not None:
         r2, raw = r_squared(v, Q, Sigma)

@@ -7,11 +7,12 @@ re-evaluated. Pointwise percentile bands across replications form the
 confidence band. Every replication draws from its own (seed, index) random
 stream, so parallel and serial runs agree bit for bit.
 
-Regeneration steps the state through the factors the fit keeps for A_hat,
-A_hat diag(weights) = L R with L = B / T (n x K) and R = V_K diag(weights)
-(K x n), at O(nK) per period instead of an n-by-n product. An A_hat held
-only as a kernel, e.g. one swapped in with `dataclasses.replace`, raises
-ValueError.
+Regeneration runs on the factors the fit keeps for A_hat, A_hat diag(weights)
+= L R with L = B / T (n x K) and R = V_K diag(weights) (K x n): the K-dim
+scores s_t = R w*_{t+1} of a block of replications step together, and each
+replication's states w*_{t+1} = L s_t + e*_t take one product before its
+refit. An A_hat held only as a kernel (e.g. one swapped in with
+`dataclasses.replace`) raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ __all__ = [
 
 # Fraction of failed replications tolerated before the bootstrap aborts.
 _DROP_CEILING = 0.05
+
+# Replications whose score paths are stepped together; at T = 212 and K = 8 a
+# block holds 1.7 MB of scores, where all of B = 2,000 would hold 27 MB.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,26 +94,16 @@ def vardecomp_statistic(v: GridFunction, kmax: int):
     return stat
 
 
-def _operator_factor(model: FarModel) -> tuple:
-    # (L, R) with A_hat diag(weights) = L R, as the fit computed them
-    return _weighted_factors(model.A_hat)
-
-
-def _regenerate_panel(model: FarModel, factor: tuple, pool: np.ndarray,
-                      rng) -> DensityPanel:
-    # w*_1 is the observed first demeaned period; later periods follow the
-    # fitted recursion w*_{t+1} = L (R w*_t) + e*_t, with residuals resampled
-    # from the centered pool
-    grid = model.grid
-    T = model.sample_size
-    L, R = factor
-    idx = rng.integers(0, len(pool), size=T - 1)
-    states = np.empty((T, grid.n))
-    states[0] = model.demeaned[0]
-    for t in range(T - 1):
-        states[t + 1] = L @ (R @ states[t]) + pool[idx[t]]
-    raw = _to_densities(states, model.mean_density, DegenerateForecast)
-    return DensityPanel._wrap(grid, raw, period_labels(T))
+def _score_paths(step, s_first, noise, idx: np.ndarray) -> np.ndarray:
+    # (b, T-1, K) scores s_0..s_{T-2} of b replications in lockstep:
+    # s_0 = R w_1 and s_{t+1} = (R L) s_t + R e*_t, with step = (R L)^T and
+    # noise = the pool's scores R e
+    scores = np.empty(idx.shape + s_first.shape)
+    scores[:, 0] = s_first
+    for t in range(idx.shape[1] - 1):
+        np.matmul(scores[:, t], step, out=scores[:, t + 1])
+        scores[:, t + 1] += noise[idx[:, t]]
+    return scores
 
 
 def residual_bootstrap(
@@ -150,19 +145,32 @@ def residual_bootstrap(
         raise ValueError(f"need seed >= 0, got {seed}")
     if len(model.resid) < 10:
         raise TooFewResiduals(f"bootstrap needs >= 10 residuals, got {len(model.resid)}")
-    factor = _operator_factor(model)
+    L, R = _weighted_factors(model.A_hat)
     pool = model.resid - model.resid.mean(axis=0)
     point = np.atleast_1d(np.asarray(statistic(model), dtype=np.float64))
+    grid, T, w_first = model.grid, model.sample_size, model.demeaned[0]
+    step, s_first, noise = (R @ L).T, R @ w_first, pool @ R.T
+    labels = period_labels(T)
+    outcomes = []
+    for lo in range(0, B, _BLOCK):
+        idx = np.stack([np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
+                        for b in range(lo, min(lo + _BLOCK, B))])
+        scores = _score_paths(step, s_first, noise, idx)
 
-    def replicate(b: int):
-        rng = np.random.default_rng((seed, b))
-        try:
-            refit = fit(_regenerate_panel(model, factor, pool, rng), model.K)
-            return np.atleast_1d(np.asarray(statistic(refit), dtype=np.float64))
-        except DensfarError:
-            return None
+        def replicate(j: int):
+            # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t
+            states = np.empty((T, grid.n))
+            states[0] = w_first
+            np.matmul(scores[j], L.T, out=states[1:])
+            states[1:] += pool[idx[j]]
+            try:
+                raw = _to_densities(states, model.mean_density, DegenerateForecast)
+                refit = fit(DensityPanel._wrap(grid, raw, labels), model.K)
+                return np.atleast_1d(np.asarray(statistic(refit), dtype=np.float64))
+            except DensfarError:
+                return None
 
-    outcomes = parallel_map(replicate, range(B))
+        outcomes += parallel_map(replicate, range(len(idx)))
     kept = [o for o in outcomes if o is not None]
     n_dropped = B - len(kept)
     if n_dropped > _DROP_CEILING * B:

@@ -104,7 +104,8 @@ class FarModel:
     K : int
         Truncation level of the regularized inverse.
     eigen : EigenSystem
-        The min(T, n) leading eigenpairs of the covariance operator Q_hat.
+        The min(T, n) leading eigenvalues of the covariance operator Q_hat,
+        and the eigenfunctions of the leading K of them.
     A_hat, Sigma_hat : OperatorRep
         Autoregressive operator and residual noise covariance.
     resid : ndarray, shape (T-1, n)
@@ -326,7 +327,7 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
         raise TooFewPeriods(f"fit needs >= 5 periods, got {T}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    eigen = snapshot_spectrum(grid, W)
+    eigen = snapshot_spectrum(grid, W, K)
     _check_rank(eigen, K)
     V, C = _lagged_scores(W, eigen, K)
     B = W[1:].T @ (C / eigen.eigenvalues[:K])

@@ -241,7 +241,7 @@ def _truncated_forecasts(train: DensityPanel, kmax: int) -> tuple:
     grid = train.grid
     T = len(train)
     f_bar, W = _snapshots(train)
-    eigen = snapshot_spectrum(grid, W)
+    eigen = snapshot_spectrum(grid, W, kmax)
     kmax = min(kmax, usable_rank(eigen))
     V, C = _lagged_scores(W, eigen, kmax)
     z = V @ (grid.weights * W[-1])

@@ -254,7 +254,8 @@ class OperatorRep:
 class EigenSystem:
     """Eigenvalues (descending) and quadrature-orthonormal eigenfunctions, stored
     once as the read-only (m, n) array `vectors` (row k pairs with eigenvalues[k]);
-    `functions` is a tuple of GridFunction views of its rows, built on first access."""
+    `functions` is a tuple of GridFunction views of its rows, built on first access.
+    `vectors` may hold only the leading eigenfunctions: m <= len(eigenvalues)."""
 
     grid: GridSpec
     eigenvalues: np.ndarray
@@ -355,7 +356,7 @@ def _weighted_trace(K: OperatorRep) -> float:
     if K._factors is None:
         return float(np.dot(K.grid.weights, np.diag(K.kernel)))
     left, right, d = K._factors
-    return float(np.sum(K.grid.weights[:, None] * left * right.T) / d)
+    return float(np.einsum("ij,ji->i", left, right) @ K.grid.weights / d)
 
 
 def _weighted_factors(K: OperatorRep) -> tuple:
@@ -419,7 +420,7 @@ def eigh_operator(K: OperatorRep) -> EigenSystem:
                        vectors=_eigenfunctions(vecs.T, sqrt_w))
 
 
-def snapshot_spectrum(grid: GridSpec, stack: np.ndarray) -> EigenSystem:
+def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None) -> EigenSystem:
     """Spectrum of the covariance (1/T) sum_t w_t (x) w_t of a stack of functions.
 
     `stack` holds the values of w_1..w_T as a (T, n) array. The eigenpairs
@@ -429,24 +430,26 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray) -> EigenSystem:
     of X^T U are the eigenvectors of X^T X. When T > n it is X^T X itself.
     Eigenvectors mapped back through W^{-1/2} are the quadrature-orthonormal
     eigenfunctions, oriented as in :func:`eigh_operator`. The result holds
-    min(T, n) pairs in descending order; every other eigenvalue of the
-    covariance is zero. Pairs below the rank cutoff are not accurate, only
-    finite and of unit norm.
+    all min(T, n) eigenvalues in descending order (every other eigenvalue of
+    the covariance is zero) and the eigenfunctions of the leading m of them,
+    or of all when m is None. Pairs below the rank cutoff are not accurate,
+    only finite and of unit norm.
     """
     sqrt_w = np.sqrt(grid.weights)
     X = stack * sqrt_w
     T, n = X.shape
     if T <= n:
         mu, U = np.linalg.eigh(X @ X.T)
-        vecs = X.T @ U
+        vecs = X.T @ U[:, ::-1][:, :m]
         norms = np.linalg.norm(vecs, axis=0)
         # an exact null direction of X maps to zero; any unit vector will do
         vecs[:, norms == 0.0] = 1.0
         vecs /= np.where(norms == 0.0, np.sqrt(n), norms)
     else:
         mu, vecs = np.linalg.eigh(X.T @ X)
+        vecs = vecs[:, ::-1][:, :m]
     return EigenSystem(grid=grid, eigenvalues=np.clip(mu[::-1], 0.0, None) / T,
-                       vectors=_eigenfunctions(vecs.T[::-1], sqrt_w))
+                       vectors=_eigenfunctions(vecs.T, sqrt_w))
 
 
 def svd_operator(K: OperatorRep, m: int) -> SingularSystem:

@@ -1,6 +1,8 @@
 """Dynamics interpretation: features, impulse responses, moment bases,
 variance decompositions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from densfar.analysis import (
     variance_decomposition,
 )
 from densfar.errors import DegenerateMetric, ThresholdOutOfSupport, ZeroVariance
+from densfar.estimation import fit
 from densfar.grid import (
     GridFunction,
     OperatorRep,
@@ -24,6 +27,7 @@ from densfar.grid import (
     project_zero_integral,
     quadratic_form,
 )
+from densfar.kde import DensityPanel, period_labels
 from densfar.simulate import cosine_modes
 
 from conftest import (
@@ -258,6 +262,92 @@ def test_moment_basis_exact_degree():
         assert np.abs(dk).max() > 1e-6
         dk1 = np.diff(u.values, n=k + 1) / h ** (k + 1)
         assert np.abs(dk1).max() < 1e-3 * np.abs(dk).max()
+
+
+def _mgs_moment_basis(Q, grid, kmax):
+    # reference: modified Gram-Schmidt under <., Q.>, one candidate at a time,
+    # with one reorthogonalization pass; rows are u_1..u_kmax
+    basis, q_images, scale = [], [], None
+    for k in range(1, kmax + 1):
+        cand = project_zero_integral(moment_functional(k, grid))
+        cand = cand * (1.0 / norm(cand))
+        for _ in range(2):
+            for u, qu in zip(basis, q_images):
+                cand = cand - inner(qu, cand) * u
+        q_val = quadratic_form(Q, cand)
+        if scale is None:
+            scale = q_val
+        if q_val <= 1e-10 * scale or q_val <= 0.0:
+            raise DegenerateMetric(
+                f"covariance carries no variance in the degree-{k} direction "
+                f"(Q-form {q_val:.3e}); reduce kmax"
+            )
+        u_k = cand * (1.0 / np.sqrt(q_val))
+        basis.append(u_k)
+        q_images.append(apply_operator(Q, u_k))
+    return np.stack([u.values for u in basis])
+
+
+def _fitted_covariance(grid, T=80, seed=0):
+    # Q_hat of a fit on a panel of two-component normal mixtures with random
+    # locations, scales and weights: a factored covariance of rank T - 1
+    rng = np.random.default_rng(seed)
+    x = grid.points[None, :, None]
+    loc = rng.uniform(-0.6, 0.6, size=(T, 1, 2))
+    sd = rng.uniform(0.15, 0.4, size=(T, 1, 2))
+    mix = rng.dirichlet((2.0, 2.0), size=T)[:, None, :]
+    raw = (mix * np.exp(-0.5 * ((x - loc) / sd) ** 2) / sd).sum(axis=2)
+    raw /= (raw @ grid.weights)[:, None]
+    panel = DensityPanel(grid, [GridFunction(grid, r) for r in raw], period_labels(T))
+    return fit(panel, 3).Q_hat
+
+
+def test_moment_basis_qr_matches_its_q_gram_and_the_gram_schmidt_oracle():
+    grid = make_grid(-1.0, 1.0, 128)
+    Q = _fitted_covariance(grid)
+    assert Q._factors is not None
+    for kmax in range(1, 11):
+        U = np.stack([u.values for u in moment_basis(Q, grid, kmax).functions])
+        QU = np.stack([apply_operator(Q, GridFunction(grid, u)).values for u in U])
+        gram = (U * grid.weights) @ QU.T
+        assert np.abs(gram - np.eye(kmax)).max() < 1e-12
+        ref = _mgs_moment_basis(Q, grid, kmax)
+        assert np.abs(U - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def _masked(message):
+    # the Q-form of a degenerate candidate is roundoff, different in each method
+    return re.sub(r"Q-form [^)]*", "Q-form ...", message)
+
+
+@pytest.mark.parametrize(
+    "variances, degenerate_at",
+    [((0.8, 0.5), 3), ((0.8, 0.5, 0.3), 4), ((0.8, 0.5, 1e-10), 3), ((0.8, 0.5, 1e-9), 4)],
+    ids=["rank2", "rank3", "rank3-below-1e-10", "rank3-above-1e-10"],
+)
+@pytest.mark.parametrize("held", ["kernel", "factors"])
+def test_moment_basis_degenerates_where_gram_schmidt_does(variances, degenerate_at, held):
+    # rank-2 and rank-3 kernels on the centered polynomials, and rank-3 ones
+    # whose third Q-form is 2e-11 and 2e-10 of the first: either side of the
+    # 1e-10 relative cutoff
+    grid = make_grid(-1.0, 1.0, 128)
+    span = centered_poly_basis(grid, len(variances))
+    X = np.stack([np.sqrt(s) * q.values for s, q in zip(variances, span)])
+    if held == "kernel":
+        Q = OperatorRep(grid, X.T @ X)
+    else:
+        Q = OperatorRep._factored(grid, X.T, X, 1)
+    for kmax in range(1, 11):
+        if kmax < degenerate_at:
+            moment_basis(Q, grid, kmax)
+            _mgs_moment_basis(Q, grid, kmax)
+            continue
+        with pytest.raises(DegenerateMetric) as got:
+            moment_basis(Q, grid, kmax)
+        with pytest.raises(DegenerateMetric) as ref:
+            _mgs_moment_basis(Q, grid, kmax)
+        assert _masked(str(got.value)) == _masked(str(ref.value))
+        assert f"degree-{degenerate_at} direction" in str(got.value)
 
 
 # -- r_squared ---------------------------------------------------------------------------

@@ -5,17 +5,24 @@ import dataclasses
 import numpy as np
 import pytest
 
+import densfar.bootstrap as bootstrap
 from densfar.bootstrap import (
-    _operator_factor,
-    _regenerate_panel,
     irf_statistic,
     r_squared_statistic,
     residual_bootstrap,
+    vardecomp_statistic,
 )
-from densfar.errors import TooFewResiduals
+from densfar.errors import DegenerateForecast, TooFewResiduals
 from densfar.estimation import fit
-from densfar.grid import OperatorRep, make_grid, quadratic_form
-from densfar.analysis import moment_functional, project_zero_integral
+from densfar.forecast import _to_densities
+from densfar.grid import (
+    OperatorRep,
+    _weighted_factors,
+    make_grid,
+    project_zero_integral,
+    quadratic_form,
+)
+from densfar.analysis import moment_functional
 from densfar.simulate import make_cosine_generator, simulate_far
 
 
@@ -58,14 +65,20 @@ def test_band_monotone_in_alpha():
     assert np.all(wide.lower <= wide.upper)
 
 
-def test_band_identical_under_thread_pool(monkeypatch):
+@pytest.mark.parametrize(
+    "factory", [irf_statistic, r_squared_statistic, vardecomp_statistic]
+)
+def test_band_identical_under_thread_pool(monkeypatch, factory):
     # replication streams derive from (seed, index), so a pool of any size
-    # reproduces the serial result bit for bit
+    # reproduces the serial result bit for bit; the pooled items of a block
+    # share one precomputed array of score paths
     model, _ = _model(seed=7)
     v = moment_functional(2, model.grid)
-    serial = residual_bootstrap(model, irf_statistic(v), B=100, alpha=0.05, seed=1)
+    stat = factory(v, 2) if factory is vardecomp_statistic else factory(v)
+    monkeypatch.delenv("FAR_THREADS", raising=False)
+    serial = residual_bootstrap(model, stat, B=100, alpha=0.05, seed=1)
     monkeypatch.setenv("FAR_THREADS", "3")
-    pooled = residual_bootstrap(model, irf_statistic(v), B=100, alpha=0.05, seed=1)
+    pooled = residual_bootstrap(model, stat, B=100, alpha=0.05, seed=1)
     assert np.array_equal(serial.lower, pooled.lower)
     assert np.array_equal(serial.upper, pooled.upper)
 
@@ -92,8 +105,47 @@ def _dense_regeneration(model, pool, rng):
     return raw / (raw @ grid.weights)[:, None]
 
 
+def _per_period_regeneration(model, pool, rng):
+    # reference: one replication's panel stepped one period at a time through
+    # A_hat diag(weights) = L R, w*_{t+1} = L (R w*_t) + e*_t from w*_1 = w_1;
+    # returns the index draws and the densities, or None when a clipped state
+    # carries no mass
+    L, R = _weighted_factors(model.A_hat)
+    T = model.sample_size
+    idx = rng.integers(0, len(pool), size=T - 1)
+    states = np.empty((T, model.grid.n))
+    states[0] = model.demeaned[0]
+    for t in range(T - 1):
+        states[t + 1] = L @ (R @ states[t]) + pool[idx[t]]
+    try:
+        return idx, _to_densities(states, model.mean_density, DegenerateForecast)
+    except DegenerateForecast:
+        return idx, None
+
+
+def _regenerated(monkeypatch, model, B, seed):
+    # serial bootstrap run that records every block's index draws and every
+    # regenerated panel handed to the refit, in replication order
+    draws, panels = [], []
+    score_paths, refit = bootstrap._score_paths, bootstrap.fit
+
+    def recording_paths(step, s_first, noise, idx):
+        draws.append(idx.copy())
+        return score_paths(step, s_first, noise, idx)
+
+    def recording_fit(panel, K):
+        panels.append(panel.values)
+        return refit(panel, K)
+
+    monkeypatch.delenv("FAR_THREADS", raising=False)
+    monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)
+    monkeypatch.setattr(bootstrap, "fit", recording_fit)
+    band = residual_bootstrap(model, lambda m: 0.0, B=B, alpha=0.05, seed=seed)
+    return band, np.concatenate(draws), panels
+
+
 @pytest.mark.parametrize("T, n, K", [(60, 48, 2), (40, 64, 3), (150, 32, 3)])
-def test_regeneration_matches_dense_recursion(T, n, K):
+def test_regeneration_matches_dense_recursion(monkeypatch, T, n, K):
     grid = make_grid(0.0, 1.0, n)
     gen = make_cosine_generator(
         grid, strengths=(0.8, 0.6, 0.4), noise_sds=(0.02, 0.015, 0.01)
@@ -101,12 +153,54 @@ def test_regeneration_matches_dense_recursion(T, n, K):
     model = fit(simulate_far(gen, T - 1, seed=T, burn_in=60), K)
     pool = np.stack([r.values for r in model.residuals])
     pool = pool - pool.mean(axis=0)
-    ref = _dense_regeneration(model, pool, np.random.default_rng(3))
-    panel = _regenerate_panel(
-        model, _operator_factor(model), pool, np.random.default_rng(3)
+    _, _, panels = _regenerated(monkeypatch, model, 100, 3)
+    for b in (0, 1, 99):
+        ref = _dense_regeneration(model, pool, np.random.default_rng((3, b)))
+        assert np.abs(panels[b] - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block, B", [(7, 100), (128, 130)])
+def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, block, B):
+    # blocks of 7 leave a last block of 2 replications; the default block of
+    # 128 puts replications 127 and 128 on either side of a boundary
+    T, n = 60, 48
+    grid = make_grid(0.0, 1.0, n)
+    gen = make_cosine_generator(
+        grid, strengths=(0.8, 0.6, 0.4), noise_sds=(0.02, 0.015, 0.01)
     )
-    got = np.stack([f.values for f in panel.densities])
-    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+    model = fit(simulate_far(gen, T - 1, seed=11, burn_in=60), 3)
+    pool = model.resid - model.resid.mean(axis=0)
+    monkeypatch.setattr(bootstrap, "_BLOCK", block)
+    band, draws, panels = _regenerated(monkeypatch, model, B, 5)
+    assert band.n_dropped == 0 and len(panels) == B
+    for b in range(B):
+        idx, ref = _per_period_regeneration(model, pool, np.random.default_rng((5, b)))
+        assert np.array_equal(draws[b], idx)
+        assert np.abs(panels[b] - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_replication_without_mass_is_dropped_as_before(monkeypatch):
+    # one pooled residual that wipes out the density: every replication that
+    # draws it has a clipped state with no mass and is dropped, and only those
+    model, _ = _model(seed=12)
+    resid = np.array(model.resid)
+    resid[4] = -5.0 * model.mean_density.values
+    model = dataclasses.replace(model, resid=resid)
+    pool = model.resid - model.resid.mean(axis=0)
+    expected = [
+        _per_period_regeneration(model, pool, np.random.default_rng((2, b)))[1]
+        for b in range(150)
+    ]
+    n_bad = sum(ref is None for ref in expected)
+    assert 0 < n_bad < 150
+    monkeypatch.setattr(bootstrap, "_DROP_CEILING", 1.0)
+    monkeypatch.setattr(bootstrap, "_BLOCK", 16)
+    band, _, panels = _regenerated(monkeypatch, model, 150, 2)
+    assert band.n_dropped == n_bad
+    kept = [ref for ref in expected if ref is not None]
+    assert len(panels) == len(kept)
+    for got, ref in zip(panels, kept):
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_bootstrap_rejects_operator_that_does_not_factor():

@@ -361,6 +361,21 @@ def test_snapshot_spectrum_matches_svd(T, n):
         assert np.abs(got.functions[k].values - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("T, n, m", [(40, 64, 4), (150, 32, 4), (40, 64, 40), (150, 32, 32)])
+def test_snapshot_spectrum_maps_only_the_leading_m_vectors(T, n, m):
+    # every eigenvalue stays, bit for bit; the m leading eigenfunctions are
+    # those of the full call, up to the roundoff of a narrower product
+    grid = make_grid(0.0, 1.0, n)
+    stack = _decaying_stack(T, n, seed=T + m)
+    full = snapshot_spectrum(grid, stack)
+    got = snapshot_spectrum(grid, stack, m)
+    assert np.array_equal(got.eigenvalues, full.eigenvalues)
+    assert len(got) == min(T, n)
+    assert got.vectors.shape == (m, n)
+    assert not got.vectors.flags.writeable
+    assert np.abs(got.vectors - full.vectors[:m]).max() < 1e-14 * np.abs(full.vectors[:m]).max()
+
+
 def test_snapshot_spectrum_zero_stack_has_unit_functions(grid64):
     got = snapshot_spectrum(grid64, np.zeros((10, grid64.n)))
     assert len(got) == 10
