@@ -2,10 +2,14 @@
 
 Fitted residuals are centered and resampled with replacement; a synthetic
 panel is regenerated through the fitted operator from the observed first
-period, the model refitted at the same truncation level, and the statistic
-re-evaluated. Pointwise percentile bands across replications form the
-confidence band. Every replication draws from its own (seed, index) random
-stream, so parallel and serial runs agree bit for bit.
+period and the model refitted at the same truncation level. Every named
+statistic is re-evaluated on that one refit, and pointwise percentiles across
+replications form its band. A replication whose panel has no mass or whose
+refit fails is dropped for every statistic; a statistic that raises a
+DensfarError (ZeroVariance, DegenerateMetric) drops it for itself only, so
+each band equals that of a call naming that statistic alone. Every
+replication draws from its own (seed, index) random stream, so parallel and
+serial runs agree bit for bit.
 
 Regeneration runs on the factors the fit keeps for A_hat, A_hat diag(weights)
 = L R with L = B / T (n x K) and R = V_K diag(weights) (K x n): the K-dim
@@ -69,7 +73,6 @@ def irf_statistic(v: GridFunction):
     def stat(model: FarModel) -> np.ndarray:
         return impulse_response(model.A_hat, v).values
 
-    stat.__name__ = "impulse_response"
     return stat
 
 
@@ -79,7 +82,6 @@ def r_squared_statistic(v: GridFunction):
     def stat(model: FarModel) -> float:
         return r_squared(v, model.Q_hat, model.Sigma_hat).value
 
-    stat.__name__ = "r_squared"
     return stat
 
 
@@ -90,7 +92,6 @@ def vardecomp_statistic(v: GridFunction, kmax: int):
         basis = moment_basis(model.Q_hat, model.grid, kmax)
         return variance_decomposition(v, model.A_hat, model.Q_hat, basis).pi
 
-    stat.__name__ = "variance_decomposition"
     return stat
 
 
@@ -106,22 +107,16 @@ def _score_paths(step, s_first, noise, idx: np.ndarray) -> np.ndarray:
     return scores
 
 
-def residual_bootstrap(
-    model: FarModel,
-    statistic,
-    B: int,
-    alpha: float,
-    seed: int,
-    statistic_name: str | None = None,
-) -> BandResult:
-    """Percentile bootstrap band for `statistic(model)`.
+def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
+                       seed: int) -> dict:
+    """Percentile bootstrap bands, a dict name -> BandResult in mapping order.
 
     Parameters
     ----------
-    statistic : callable
-        Maps a fitted model to a float or a 1-d array (a curve or a bar
-        vector); evaluated once on `model` for the point estimate and once
-        per replication on the refitted model (same K).
+    statistics : dict
+        Maps a name to a callable from a fitted model to a float or a 1-d
+        array (a curve or a bar vector); each is evaluated once on `model`
+        for the point estimate and once on each replication's refit (same K).
     B : int
         Number of replications, >= 100.
     alpha : float
@@ -132,11 +127,14 @@ def residual_bootstrap(
     TooFewResiduals
         Model has fewer than 10 residuals.
     TooManyDropped
-        More than 5% of replications failed (e.g. rank deficiency).
+        More than 5% of replications failed for a statistic (e.g. rank
+        deficiency); statistics are checked in order.
     ValueError
-        B < 100, alpha outside (0, 1), a negative seed, or an A_hat held
-        only as a kernel (e.g. swapped in with dataclasses.replace).
+        No statistic, B < 100, alpha outside (0, 1), a negative seed, or an
+        A_hat held only as a kernel (e.g. swapped in with dataclasses.replace).
     """
+    if not statistics:
+        raise ValueError("need at least one statistic")
     if B < 100:
         raise ValueError(f"need B >= 100 replications, got {B}")
     if not 0.0 < alpha < 1.0:
@@ -147,7 +145,7 @@ def residual_bootstrap(
         raise TooFewResiduals(f"bootstrap needs >= 10 residuals, got {len(model.resid)}")
     L, R = _weighted_factors(model.A_hat)
     pool = model.resid - model.resid.mean(axis=0)
-    point = np.atleast_1d(np.asarray(statistic(model), dtype=np.float64))
+    points = {k: np.array(f(model), dtype=np.float64, ndmin=1) for k, f in statistics.items()}
     grid, T, w_first = model.grid, model.sample_size, model.demeaned[0]
     step, s_first, noise = (R @ L).T, R @ w_first, pool @ R.T
     labels = period_labels(T)
@@ -158,7 +156,8 @@ def residual_bootstrap(
         scores = _score_paths(step, s_first, noise, idx)
 
         def replicate(j: int):
-            # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t
+            # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t;
+            # None when no statistic keeps the replication
             states = np.empty((T, grid.n))
             states[0] = w_first
             np.matmul(scores[j], L.T, out=states[1:])
@@ -166,25 +165,26 @@ def residual_bootstrap(
             try:
                 raw = _to_densities(states, model.mean_density, DegenerateForecast)
                 refit = fit(DensityPanel._wrap(grid, raw, labels), model.K)
-                return np.atleast_1d(np.asarray(statistic(refit), dtype=np.float64))
             except DensfarError:
                 return None
+            values = {}
+            for name, stat in statistics.items():
+                try:
+                    values[name] = np.array(stat(refit), dtype=np.float64, ndmin=1)
+                except DensfarError:
+                    pass
+            return values or None
 
         outcomes += parallel_map(replicate, range(len(idx)))
-    kept = [o for o in outcomes if o is not None]
-    n_dropped = B - len(kept)
-    if n_dropped > _DROP_CEILING * B:
-        raise TooManyDropped(f"{n_dropped}/{B} bootstrap replications failed")
-    stack = np.stack(kept)
-    lower = np.percentile(stack, 100.0 * alpha / 2.0, axis=0)
-    upper = np.percentile(stack, 100.0 * (1.0 - alpha / 2.0), axis=0)
-    return BandResult(
-        statistic=statistic_name or getattr(statistic, "__name__", "statistic"),
-        point=point,
-        lower=lower,
-        upper=upper,
-        alpha=float(alpha),
-        B=int(B),
-        n_dropped=n_dropped,
-        seed=int(seed),
-    )
+    bands = {}
+    for name, point in points.items():
+        kept = [o[name] for o in outcomes if o is not None and name in o]
+        n_dropped = B - len(kept)
+        if n_dropped > _DROP_CEILING * B:
+            raise TooManyDropped(f"{n_dropped}/{B} bootstrap replications failed")
+        stack = np.stack(kept)
+        lower = np.percentile(stack, 100.0 * alpha / 2.0, axis=0)
+        upper = np.percentile(stack, 100.0 * (1.0 - alpha / 2.0), axis=0)
+        bands[name] = BandResult(name, point, lower, upper, float(alpha), int(B), n_dropped,
+                                 int(seed))
+    return bands

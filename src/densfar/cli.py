@@ -318,21 +318,9 @@ def _parse_functional(spec: str, model):
     )
 
 
-def _band_table(args, model, meta, stem, drop_key, statistic, key, keys, point):
-    # <stem>.csv: the point value per key and, under --bootstrap, its band; the
-    # count of dropped replications goes to meta under drop_key
-    columns = {"point": point}
-    if args.bootstrap:
-        band = residual_bootstrap(model, statistic, args.bootstrap, args.alpha,
-                                  args.seed, statistic_name=stem)
-        columns.update(lower=band.lower, upper=band.upper)
-        meta.setdefault("dropped", {})[drop_key] = band.n_dropped
-    _table_csv(os.path.join(args.out_dir, f"{stem}.csv"), key, keys, columns)
-
-
-def _irf_table(args, model, meta, stem, drop_key, v):
-    _band_table(args, model, meta, stem, drop_key, irf_statistic(v), "x",
-                model.grid.points.tolist(), impulse_response(model.A_hat, v).values)
+def _irf_table(model, stem, drop_key, v):
+    return (stem, drop_key, irf_statistic(v), "x", model.grid.points.tolist(),
+            impulse_response(model.A_hat, v).values)
 
 
 def _vardecomp_table(args, model, basis, meta, stem, name, drop_key, v):
@@ -342,8 +330,8 @@ def _vardecomp_table(args, model, basis, meta, stem, name, drop_key, v):
         "value": report.r_squared,
         "unclipped": report.r_squared_unclipped,
     }
-    _band_table(args, model, meta, stem, drop_key, vardecomp_statistic(v, args.kmax),
-                "k", range(1, len(report.pi) + 1), report.pi)
+    return (stem, drop_key, vardecomp_statistic(v, args.kmax), "k",
+            range(1, len(report.pi) + 1), report.pi)
 
 
 def _cmd_analyze(args) -> int:
@@ -380,6 +368,7 @@ def _cmd_analyze(args) -> int:
     if functionals:
         meta["functionals"] = [name for name, _ in functionals]
 
+    tables = []  # (stem, drop_key, statistic, key, keys, point) per band table
     if args.mode == "features":
         feats = leading_features(model.A_hat, args.m)
         columns = {f"progressive_{k + 1}": f.values for k, f in enumerate(feats.progressive)}
@@ -388,12 +377,11 @@ def _cmd_analyze(args) -> int:
                    model.grid.points.tolist(), columns)
         meta["strengths"] = [float(s) for s in feats.strengths]
     elif args.mode == "irf":
-        for name, v in functionals:
-            _irf_table(args, model, meta, f"irf_{name}", name, v)
+        tables = [_irf_table(model, f"irf_{name}", name, v) for name, v in functionals]
     elif args.mode == "vardecomp":
         basis = moment_basis(model.Q_hat, model.grid, args.kmax)
-        for name, v in functionals:
-            _vardecomp_table(args, model, basis, meta, f"vardecomp_{name}", name, name, v)
+        tables = [_vardecomp_table(args, model, basis, meta, f"vardecomp_{name}", name, name, v)
+                  for name, v in functionals]
     else:  # tails
         level = args.tail_quantile
         tau_lo = quantile(model.mean_density, level)
@@ -402,9 +390,21 @@ def _cmd_analyze(args) -> int:
         basis = moment_basis(model.Q_hat, model.grid, args.kmax)
         for side, tau in (("left", tau_lo), ("right", tau_hi)):
             v = tail_indicator(model.grid, side, tau)
-            _irf_table(args, model, meta, f"tails_{side}_irf", f"{side}_irf", v)
-            _vardecomp_table(args, model, basis, meta, f"tails_{side}_vardecomp", side,
-                             f"{side}_vardecomp", v)
+            tables += [_irf_table(model, f"tails_{side}_irf", f"{side}_irf", v),
+                       _vardecomp_table(args, model, basis, meta, f"tails_{side}_vardecomp",
+                                        side, f"{side}_vardecomp", v)]
+    # <stem>.csv per table: the point value per key and, under --bootstrap, its
+    # band, all from one set of B refits; dropped replications go to meta
+    bands = {}
+    if args.bootstrap and tables:
+        bands = residual_bootstrap(model, {t[0]: t[2] for t in tables}, args.bootstrap,
+                                   args.alpha, args.seed)
+    for stem, drop_key, _, key, keys, point in tables:
+        columns = {"point": point}
+        if stem in bands:
+            columns.update(lower=bands[stem].lower, upper=bands[stem].upper)
+            meta.setdefault("dropped", {})[drop_key] = bands[stem].n_dropped
+        _table_csv(os.path.join(args.out_dir, f"{stem}.csv"), key, keys, columns)
     dfio.write_json(os.path.join(args.out_dir, "analyze_meta.json"), meta)
     print(f"wrote {args.mode} analysis -> {args.out_dir}")
     return 0

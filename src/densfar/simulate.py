@@ -131,8 +131,13 @@ class FarGenerator:
 
     @cached_property
     def _noise_factor(self) -> np.ndarray:
-        # (n, r) factor F with F F^T = noise covariance, over the r eigenpairs
-        # above roundoff; r = 0 draws zeros
+        # (n, r) factor F with F F^T = noise covariance. A covariance held as
+        # left @ right / d with left = right^T, as fit holds Sigma_hat = resid^T
+        # resid / T, gives F = left / sqrt(d) exactly; any other covariance
+        # keeps the r eigenpairs above roundoff, and r = 0 draws zeros
+        factors = self.noise_covariance._factors
+        if factors is not None and np.array_equal(factors[0], factors[1].T):
+            return factors[0] / np.sqrt(factors[2])
         eigen = eigh_operator(self.noise_covariance)
         lam = eigen.eigenvalues
         keep = lam > 1e-14 * (lam[0] if len(lam) else 0.0)

@@ -12,7 +12,7 @@ from densfar.bootstrap import (
     residual_bootstrap,
     vardecomp_statistic,
 )
-from densfar.errors import DegenerateForecast, TooFewResiduals
+from densfar.errors import DegenerateForecast, TooFewResiduals, ZeroVariance
 from densfar.estimation import fit
 from densfar.forecast import _to_densities
 from densfar.grid import (
@@ -37,7 +37,7 @@ def _model(T=60, seed=0, n=48):
 
 def test_constant_statistic_zero_width_band():
     model, _ = _model(seed=1)
-    band = residual_bootstrap(model, lambda m: 3.25, B=100, alpha=0.05, seed=0)
+    band = residual_bootstrap(model, {"c": lambda m: 3.25}, B=100, alpha=0.05, seed=0)["c"]
     assert np.all(band.lower == 3.25)
     assert np.all(band.upper == 3.25)
     assert band.point[0] == 3.25
@@ -47,19 +47,19 @@ def test_constant_statistic_zero_width_band():
 def test_band_deterministic_given_seed():
     model, _ = _model(seed=2)
     v = moment_functional(1, model.grid)
-    b1 = residual_bootstrap(model, irf_statistic(v), B=100, alpha=0.05, seed=9)
-    b2 = residual_bootstrap(model, irf_statistic(v), B=100, alpha=0.05, seed=9)
+    b1 = residual_bootstrap(model, {"irf": irf_statistic(v)}, B=100, alpha=0.05, seed=9)["irf"]
+    b2 = residual_bootstrap(model, {"irf": irf_statistic(v)}, B=100, alpha=0.05, seed=9)["irf"]
     assert np.array_equal(b1.lower, b2.lower)
     assert np.array_equal(b1.upper, b2.upper)
-    b3 = residual_bootstrap(model, irf_statistic(v), B=100, alpha=0.05, seed=10)
+    b3 = residual_bootstrap(model, {"irf": irf_statistic(v)}, B=100, alpha=0.05, seed=10)["irf"]
     assert not np.array_equal(b1.lower, b3.lower)
 
 
 def test_band_monotone_in_alpha():
     model, _ = _model(seed=3)
     v = moment_functional(2, model.grid)
-    wide = residual_bootstrap(model, irf_statistic(v), B=150, alpha=0.05, seed=4)
-    narrow = residual_bootstrap(model, irf_statistic(v), B=150, alpha=0.10, seed=4)
+    wide = residual_bootstrap(model, {"irf": irf_statistic(v)}, B=150, alpha=0.05, seed=4)["irf"]
+    narrow = residual_bootstrap(model, {"irf": irf_statistic(v)}, B=150, alpha=0.10, seed=4)["irf"]
     assert np.all(wide.lower <= narrow.lower + 1e-15)
     assert np.all(narrow.upper <= wide.upper + 1e-15)
     assert np.all(wide.lower <= wide.upper)
@@ -76,9 +76,9 @@ def test_band_identical_under_thread_pool(monkeypatch, factory):
     v = moment_functional(2, model.grid)
     stat = factory(v, 2) if factory is vardecomp_statistic else factory(v)
     monkeypatch.delenv("FAR_THREADS", raising=False)
-    serial = residual_bootstrap(model, stat, B=100, alpha=0.05, seed=1)
+    serial = residual_bootstrap(model, {"s": stat}, B=100, alpha=0.05, seed=1)["s"]
     monkeypatch.setenv("FAR_THREADS", "3")
-    pooled = residual_bootstrap(model, stat, B=100, alpha=0.05, seed=1)
+    pooled = residual_bootstrap(model, {"s": stat}, B=100, alpha=0.05, seed=1)["s"]
     assert np.array_equal(serial.lower, pooled.lower)
     assert np.array_equal(serial.upper, pooled.upper)
 
@@ -87,10 +87,10 @@ def test_band_guards():
     model, _ = _model(seed=5)
     v = moment_functional(1, model.grid)
     with pytest.raises(ValueError):
-        residual_bootstrap(model, irf_statistic(v), B=50, alpha=0.05, seed=0)
+        residual_bootstrap(model, {"irf": irf_statistic(v)}, B=50, alpha=0.05, seed=0)
     small, _ = _model(T=8, seed=6)
     with pytest.raises(TooFewResiduals):
-        residual_bootstrap(small, irf_statistic(v), B=100, alpha=0.05, seed=0)
+        residual_bootstrap(small, {"irf": irf_statistic(v)}, B=100, alpha=0.05, seed=0)
 
 
 def _dense_regeneration(model, pool, rng):
@@ -140,7 +140,7 @@ def _regenerated(monkeypatch, model, B, seed):
     monkeypatch.delenv("FAR_THREADS", raising=False)
     monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)
     monkeypatch.setattr(bootstrap, "fit", recording_fit)
-    band = residual_bootstrap(model, lambda m: 0.0, B=B, alpha=0.05, seed=seed)
+    band = residual_bootstrap(model, {"zero": lambda m: 0.0}, B=B, alpha=0.05, seed=seed)["zero"]
     return band, np.concatenate(draws), panels
 
 
@@ -203,6 +203,74 @@ def test_replication_without_mass_is_dropped_as_before(monkeypatch):
         assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def _recording_items(monkeypatch):
+    # serial runs whose pool items' results are kept, in replication order
+    items, run = [], bootstrap.parallel_map
+
+    def recording_map(fn, xs):
+        out = run(fn, xs)
+        items.extend(out)
+        return out
+
+    monkeypatch.delenv("FAR_THREADS", raising=False)
+    monkeypatch.setattr(bootstrap, "parallel_map", recording_map)
+    return items
+
+
+def test_statistic_error_drops_the_replication_for_that_statistic_only(monkeypatch):
+    # "flaky" raises ZeroVariance on a fixed set of replications; the irf
+    # named after it in the same mapping keeps every replication, and its band
+    # is the band of a call that names the irf alone
+    model, _ = _model(seed=13)
+    irf = irf_statistic(moment_functional(1, model.grid))
+    bad, seen, kept = {0, 7, 42, 99}, [], []
+
+    def flaky(m):
+        b = len(seen) - 1  # call 0 is the point estimate
+        seen.append(b)
+        if b in bad:
+            raise ZeroVariance("no variance")
+        kept.append(m.eigen.eigenvalues[0])
+        return m.eigen.eigenvalues[0]
+
+    items = _recording_items(monkeypatch)
+    bands = residual_bootstrap(model, {"flaky": flaky, "irf": irf}, B=100, alpha=0.1, seed=6)
+    assert list(bands) == ["flaky", "irf"]
+    assert bands["flaky"].n_dropped == len(bad) and bands["irf"].n_dropped == 0
+    assert bands["flaky"].lower[0] == np.percentile(kept[1:], 5.0)
+    assert all(item is not None for item in items)
+    alone = residual_bootstrap(model, {"irf": irf}, B=100, alpha=0.1, seed=6)["irf"]
+    for field in ("point", "lower", "upper"):
+        assert np.array_equal(getattr(bands["irf"], field), getattr(alone, field))
+    # alone, "flaky" leaves exactly its failed replications' pool items None
+    seen.clear()
+    items.clear()
+    residual_bootstrap(model, {"flaky": flaky}, B=100, alpha=0.1, seed=6)
+    assert sum(item is None for item in items) == len(bad)
+
+
+def test_replication_without_mass_is_dropped_for_every_statistic(monkeypatch):
+    # the poisoned pool of the test above: a replication whose regenerated
+    # state has no mass is dropped for both statistics, and its pool item is
+    # None, as it is for a single statistic
+    model, _ = _model(seed=12)
+    resid = np.array(model.resid)
+    resid[4] = -5.0 * model.mean_density.values
+    model = dataclasses.replace(model, resid=resid)
+    pool = model.resid - model.resid.mean(axis=0)
+    n_bad = sum(
+        _per_period_regeneration(model, pool, np.random.default_rng((2, b)))[1] is None
+        for b in range(150)
+    )
+    assert 0 < n_bad < 150
+    monkeypatch.setattr(bootstrap, "_DROP_CEILING", 1.0)
+    items = _recording_items(monkeypatch)
+    stats = {"irf": irf_statistic(moment_functional(1, model.grid)), "zero": lambda m: 0.0}
+    bands = residual_bootstrap(model, stats, B=150, alpha=0.05, seed=2)
+    assert [band.n_dropped for band in bands.values()] == [n_bad, n_bad]
+    assert sum(item is None for item in items) == n_bad
+
+
 def test_bootstrap_rejects_operator_that_does_not_factor():
     model, _ = _model(seed=8)
     rng = np.random.default_rng(8)
@@ -211,7 +279,7 @@ def test_bootstrap_rejects_operator_that_does_not_factor():
     )
     calls = []
     with pytest.raises(ValueError, match="factor"):
-        residual_bootstrap(swapped, calls.append, B=100, alpha=0.05, seed=0)
+        residual_bootstrap(swapped, {"s": calls.append}, B=100, alpha=0.05, seed=0)
     assert calls == []
 
 
@@ -219,7 +287,7 @@ def test_negative_seed_rejected_before_any_work():
     model, _ = _model(seed=9)
     calls = []
     with pytest.raises(ValueError, match="seed"):
-        residual_bootstrap(model, calls.append, B=100, alpha=0.05, seed=-1)
+        residual_bootstrap(model, {"s": calls.append}, B=100, alpha=0.05, seed=-1)
     assert calls == []
 
 
@@ -250,7 +318,7 @@ def test_r_squared_band_covers_population_value():
     for rep in range(outer):
         panel = simulate_far(gen, 199, seed=(55, rep), burn_in=80)
         model = fit(panel, 2)
-        band = residual_bootstrap(model, stat, B=400, alpha=0.05, seed=rep)
+        band = residual_bootstrap(model, {"r2": stat}, B=400, alpha=0.05, seed=rep)["r2"]
         if band.lower[0] <= r2_pop <= band.upper[0]:
             hits += 1
     assert hits >= 85

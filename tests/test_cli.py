@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import densfar
+import densfar.bootstrap as bootstrap
 from densfar.cli import main
 from densfar.grid import make_grid
 from densfar.io import load_model, save_grid_function, save_model
@@ -199,7 +200,7 @@ def test_analyze_with_bootstrap_band(tmp_path, panel_csv):
 
 
 def test_tails_bootstrap_records_every_drop_count(tmp_path, panel_csv):
-    # tails runs four bootstraps, one per side and statistic, and records the
+    # tails bands four statistics, one per side and kind, and records the
     # dropped replications of each, as irf and vardecomp do
     model_path = tmp_path / "model.bin"
     assert main(
@@ -219,6 +220,30 @@ def test_tails_bootstrap_records_every_drop_count(tmp_path, panel_csv):
     for name in ("tails_left_irf.csv", "tails_right_vardecomp.csv"):
         header = (out_dir / name).read_text().splitlines()[0]
         assert header.endswith(",point,lower,upper")
+
+
+@pytest.mark.parametrize("mode", ["tails", "vardecomp"])
+def test_analyze_bootstrap_refits_once_per_replication(tmp_path, panel_csv, monkeypatch,
+                                                        mode):
+    # one set of B refits serves every table: tails writes four band tables
+    # and the default vardecomp two, but each replication is refitted once
+    model_path = tmp_path / "model.bin"
+    assert main(
+        ["estimate", "--input", str(panel_csv), "--grid-n", "48",
+         "--K", "2", "--out", str(model_path)]
+    ) == 0
+    refits, refit = [], bootstrap.fit
+
+    def counting_fit(panel, K):
+        refits.append(K)
+        return refit(panel, K)
+
+    monkeypatch.setattr(bootstrap, "fit", counting_fit)
+    assert main(
+        ["analyze", mode, "--model", str(model_path), "--out-dir", str(tmp_path / mode),
+         "--kmax", "2", "--bootstrap", "100", "--seed", "3"]
+    ) == 0
+    assert len(refits) == 100
 
 
 def test_backtest_report(tmp_path, panel_csv):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from densfar import io as dfio
 from densfar.errors import DensfarError, EmptyFile, FormatError, IoError, ParseError
 from densfar.estimation import fit
+from densfar.forecast import make_forecast
 from densfar.grid import make_grid
 from densfar.io import (
     fmt17,
@@ -310,6 +311,26 @@ def test_model_json_roundtrip(tmp_path):
         1 + np.abs(model.A_hat.kernel).max()
     )
     assert np.abs(back.Sigma_hat.kernel - model.Sigma_hat.kernel).max() < 1e-15
+
+
+@settings(max_examples=12, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(16, 96), T=st.integers(12, 90), K=st.integers(1, 3),
+       seed=st.integers(0, 99), mode=st.sampled_from(["json", "binary"]))
+def test_loaded_model_forecasts_bit_for_bit(tmp_path, n, T, K, seed, mode):
+    # a model file carries what the fit is computed from, so a loaded model
+    # forecasts exactly as the fitted one, in either format
+    grid = make_grid(0.0, 1.0, n)
+    gen = make_cosine_generator(grid, strengths=(0.8, 0.6, 0.4),
+                                noise_sds=(0.02, 0.015, 0.01))
+    model = fit(simulate_far(gen, T - 1, seed=seed, burn_in=40), K)
+    path = tmp_path / f"model.{'json' if mode == 'json' else 'bin'}"
+    save_model(model, path, mode)
+    back = load_model(path, mode)
+    for got, want in zip(make_forecast(back, model.w_last, 3),
+                         make_forecast(model, model.w_last, 3)):
+        assert np.array_equal(got.w_forecast.values, want.w_forecast.values)
+        assert np.array_equal(got.f_forecast.values, want.f_forecast.values)
 
 
 def test_model_truncated_file(tmp_path):

@@ -313,11 +313,23 @@ def _kernel_only_generator():
     )
 
 
+def _fitted_gaussian_generator():
+    # the fitted model with Gaussian noise of its factored Sigma_hat
+    model = _fitted_model()
+    return FarGenerator(
+        grid=model.grid,
+        transition=model.A_hat,
+        mean_density=model.mean_density,
+        noise_covariance=model.Sigma_hat,
+    )
+
+
 GENERATORS = {
     "cosine": lambda: make_cosine_generator(
         make_grid(0.0, 1.0, 128), strengths=(0.8, 0.6, 0.45), noise_sds=(0.05, 0.04, 0.03)),
     "residual_pool": lambda: FarGenerator.from_model(_fitted_model()),
     "model_gaussian": _gaussian_model_generator,
+    "fitted_gaussian": _fitted_gaussian_generator,
     "kernel_only": _kernel_only_generator,
 }
 
@@ -338,6 +350,21 @@ def test_simulate_far_matches_per_period_reference(name):
             assert got.tobytes() == ref.tobytes()
         else:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fitted_noise_factor_is_the_scaled_residuals(monkeypatch):
+    # Sigma_hat = resid^T resid / T factors as resid^T / sqrt(T): no eigh and
+    # no cutoff on its small eigenvalues
+    def no_eigh(op):
+        raise AssertionError("eigh_operator called")
+
+    model, generator = _fitted_model(), _fitted_gaussian_generator()
+    monkeypatch.setattr(simulate_module, "eigh_operator", no_eigh)
+    factor = generator._noise_factor
+    assert factor.shape == model.resid.T.shape
+    assert np.array_equal(factor, model.resid.T / np.sqrt(model.sample_size))
+    kernel = model.Sigma_hat.kernel
+    assert np.abs(factor @ factor.T - kernel).max() <= 1e-12 * np.abs(kernel).max()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
