@@ -127,7 +127,9 @@ def moment_functional(p: int, grid: GridSpec) -> GridFunction:
     """The monomial x^p on the grid; <x^p, w> is the p-th integral moment."""
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    return GridFunction(grid, grid.points ** p)
+    with np.errstate(over="ignore"):  # an overflow fails GridFunction's finite check
+        values = grid.points ** p
+    return GridFunction(grid, values)
 
 
 def _cell_overlap(grid: GridSpec, lo: float, hi: float) -> np.ndarray:

@@ -5,7 +5,13 @@ Every command validates its inputs before computing, writes output files
 atomically, and serializes numbers with 17 significant digits, so repeated
 invocations with identical inputs and seeds produce byte-identical files.
 Exit codes: 0 success, 1 validation error (bad usage, unreadable or
-malformed inputs), 2 runtime error (the pipeline itself failed).
+malformed inputs), 2 runtime error (the pipeline itself failed); every
+error is one line on stderr.
+
+A flag's default and range check live in its add_argument: its type
+converter rejects a bad value while the command line is parsed. Only checks
+that need two flags (--grid-a with --grid-b) or the loaded model (-m against
+the grid size, --functional specs) run in the command body.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import io as dfio
 from .analysis import (
@@ -50,120 +55,63 @@ from .simulate import (
     run_study,
 )
 
-__all__ = ["main", "cli_dispatch", "PipelineConfig"]
+__all__ = ["main", "cli_dispatch"]
 
-DEFAULT_GRID_N = 512
-DEFAULT_COVERAGE = 0.999
 DEFAULT_K_CANDIDATES = "1..8"
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _ValidationFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Validated settings for a panel-driven pipeline command.
-
-    Construction fails (validation error, exit code 1) when referenced
-    paths do not resolve or numeric settings fall outside the module
-    preconditions; computation never starts on a bad configuration.
-    """
-
-    input_path: str | None = None
-    model_path: str | None = None
-    grid_n: int = DEFAULT_GRID_N
-    grid_a: float | None = None
-    grid_b: float | None = None
-    coverage: float = DEFAULT_COVERAGE
-    kernel: str = "epanechnikov"
-    K: int | None = None
-    K_candidates: tuple | None = None
-    n_validation: int = 5
-    horizon: int = 1
-    n_test: int | None = None
-    features_m: int = 3
-    functionals: tuple = ()
-    kmax: int = 10
-    tail_quantile: float = 0.05
-    bootstrap_B: int = 0
-    alpha: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        for path in (self.input_path, self.model_path):
-            if path is not None and not os.path.exists(path):
-                raise _ValidationFailure(f"input path does not exist: {path}")
-        lo, hi = MIN_GRID_SIZE, MAX_GRID_SIZE
-        if not lo <= self.grid_n <= hi:
-            raise _ValidationFailure(f"--grid-n must be in {lo}..{hi}, got {self.grid_n}")
-        if (self.grid_a is None) != (self.grid_b is None):
-            raise _ValidationFailure("--grid-a and --grid-b must be given together")
-        if self.grid_a is not None and not self.grid_a < self.grid_b:
-            raise _ValidationFailure(
-                f"need --grid-a < --grid-b, got {self.grid_a} >= {self.grid_b}"
-            )
-        if not 0.5 < self.coverage < 1.0:
-            raise _ValidationFailure(
-                f"--coverage must lie in (0.5, 1), got {self.coverage}"
-            )
-        if self.kernel not in KERNELS:
-            raise _ValidationFailure(f"unknown kernel {self.kernel!r}")
-        if self.K is not None and self.K < 1:
-            raise _ValidationFailure(f"--K must be >= 1, got {self.K}")
-        if self.K_candidates is not None and (
-            not self.K_candidates or min(self.K_candidates) < 1
-        ):
-            raise _ValidationFailure("K candidates must be integers >= 1")
-        if self.n_validation < 1:
-            raise _ValidationFailure("--n-validation must be >= 1")
-        if self.horizon < 1:
-            raise _ValidationFailure("--horizon must be >= 1")
-        if self.n_test is not None and self.n_test < 1:
-            raise _ValidationFailure("--n-test must be >= 1")
-        if self.features_m < 1:
-            raise _ValidationFailure("-m must be >= 1")
-        if not 1 <= self.kmax <= DEFAULT_KMAX:
-            raise _ValidationFailure(
-                f"--kmax must lie in 1..{DEFAULT_KMAX}, got {self.kmax}"
-            )
-        if not 0.0 < self.tail_quantile < 0.5:
-            raise _ValidationFailure("--tail-quantile must lie in (0, 0.5)")
-        if self.bootstrap_B < 0:
-            raise _ValidationFailure("--bootstrap must be >= 0")
-        if self.bootstrap_B and self.bootstrap_B < 100:
-            raise _ValidationFailure("--bootstrap needs >= 100 replications")
-        if not 0.0 < self.alpha < 1.0:
-            raise _ValidationFailure("--alpha must lie in (0, 1)")
-        if self.seed < 0:
-            raise _ValidationFailure(f"--seed must be >= 0, got {self.seed}")
-
-
 class _Parser(argparse.ArgumentParser):
-    # raise instead of exiting so the dispatcher controls exit codes
+    # a usage error is one "error:" line with exit code 1, like every bad flag
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise _ValidationFailure(f"{self.prog}: {message}; see '{self.prog} --help' for usage")
 
 
-def _parse_candidates(text: str) -> list:
+def _flag(kind, ok, message):
+    """Argparse type for one flag: ``kind(text)``, then unless ``ok(value)`` a
+    validation failure with ``message.format(value)``.
+
+    Argparse turns the ``ValueError`` of ``kind`` into a usage error and lets
+    the failure through ``parse_args``, so a bad value stops the command
+    before it reads any input.
+    """
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise _ValidationFailure(message.format(value))
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
+_EXISTING_PATH = _flag(str, os.path.exists, "input path does not exist: {}")
+_N_VALIDATION = _flag(int, lambda n: n >= 1, "--n-validation must be >= 1")
+# the interval's normal quantile is taken at 1 - alpha/2, which must differ from 1
+_ALPHA = _flag(_flag(float, lambda a: 0.0 < a < 1.0, "--alpha must lie in (0, 1)"),
+               lambda a: 1.0 - a / 2.0 < 1.0, "--alpha is too small for 1 - alpha/2 < 1, got {}")
+_SEED = _flag(int, lambda s: s >= 0, "--seed must be >= 0, got {}")
+
+
+def _K_candidates(text: str) -> list:
     text = text.strip()
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            vals = list(range(int(lo), int(hi) + 1))
-        else:
-            vals = [int(x) for x in text.split(",") if x.strip()]
+        ends = [int(lo), int(hi)] if dots else [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise _ValidationFailure(
             f"cannot parse K candidates {text!r}; use e.g. '1..8' or '1,2,4'"
         ) from None
-    if not vals or min(vals) < 1:
+    # no K above the largest grid is within the usable rank min(T, n)
+    if ends and max(ends) > MAX_GRID_SIZE:
+        raise _ValidationFailure(f"--K-candidates must not exceed {MAX_GRID_SIZE}, got {text!r}")
+    if dots:  # from 0 at most: a lower end below 1 fails below, so build no long range
+        ends = list(range(max(ends[0], 0), ends[1] + 1))
+    if not ends or min(ends) < 1:
         raise _ValidationFailure(f"K candidates must be >= 1, got {text!r}")
-    return vals
+    return ends
 
 
 def _validated(fn, *args, **kwargs):
@@ -174,37 +122,40 @@ def _validated(fn, *args, **kwargs):
         raise _ValidationFailure(str(exc)) from exc
 
 
-def _panel_config(args, **extra) -> PipelineConfig:
-    return PipelineConfig(
-        input_path=args.input,
-        grid_n=args.grid_n,
-        grid_a=args.grid_a,
-        grid_b=args.grid_b,
-        coverage=args.coverage,
-        kernel=args.kernel,
-        **extra,
-    )
-
-
-def _build_panel(config: PipelineConfig):
-    raw = _validated(dfio.read_observations, config.input_path)
-    if config.grid_a is not None:
-        a, b = config.grid_a, config.grid_b
+def _build_panel(args):
+    if (args.grid_a is None) != (args.grid_b is None):
+        raise _ValidationFailure("--grid-a and --grid-b must be given together")
+    if args.grid_a is not None and not args.grid_a < args.grid_b:
+        raise _ValidationFailure(f"need --grid-a < --grid-b, got {args.grid_a} >= {args.grid_b}")
+    raw = _validated(dfio.read_observations, args.input)
+    if args.grid_a is not None:
+        a, b = args.grid_a, args.grid_b
     else:
-        a, b = _validated(select_support, raw, config.coverage)
-    grid = _validated(make_grid, a, b, config.grid_n)
-    return _validated(estimate_panel, raw, grid, config.kernel), raw
+        a, b = _validated(select_support, raw, args.coverage)
+    grid = _validated(make_grid, a, b, args.grid_n)
+    return _validated(estimate_panel, raw, grid, args.kernel)
+
+
+def _make_out_dir(path):
+    # the first write of the command, so a bad --out-dir leaves no output
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _ValidationFailure(f"cannot create --out-dir: {exc}") from exc
 
 
 def _add_panel_options(p):
-    p.add_argument("--input", required=True, help="observation CSV (period,value)")
-    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, help="grid size")
+    p.add_argument("--input", required=True, type=_EXISTING_PATH,
+                   help="observation CSV (period,value)")
+    p.add_argument("--grid-n", default=512, help="grid size", type=_flag(
+        int, lambda n: MIN_GRID_SIZE <= n <= MAX_GRID_SIZE,
+        f"--grid-n must be in {MIN_GRID_SIZE}..{MAX_GRID_SIZE}, got {{}}"))
     p.add_argument("--grid-a", type=float, default=None, help="support lower bound")
     p.add_argument("--grid-b", type=float, default=None, help="support upper bound")
     p.add_argument(
         "--coverage",
-        type=float,
-        default=DEFAULT_COVERAGE,
+        type=_flag(float, lambda c: 0.5 < c < 1.0, "--coverage must lie in (0.5, 1), got {}"),
+        default=0.999,
         help="pooled-quantile coverage for automatic support selection",
     )
     p.add_argument("--kernel", choices=KERNELS, default="epanechnikov")
@@ -220,17 +171,11 @@ def _table_csv(path, key, keys, columns):
 # -- estimate -------------------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
-    config = _panel_config(
-        args,
-        K=args.K,
-        K_candidates=None if args.K is not None else tuple(_parse_candidates(args.K_candidates)),
-        n_validation=args.n_validation,
-    )
-    panel, _ = _build_panel(config)
-    if config.K is not None:
-        K = config.K
+    panel = _build_panel(args)
+    if args.K is not None:
+        K = args.K
     else:
-        K = select_K_cv(panel, config.K_candidates, config.n_validation)
+        K = select_K_cv(panel, args.K_candidates, args.n_validation)
     model = fit(panel, K)
     dfio.save_model(model, args.out, args.format)
     scree_path = args.scree or f"{args.out}.scree.csv"
@@ -250,22 +195,15 @@ def _cmd_estimate(args) -> int:
 # -- forecast --------------------------------------------------------------------
 
 def _cmd_forecast(args) -> int:
-    config = PipelineConfig(
-        input_path=args.input,
-        model_path=args.model,
-        kernel=args.kernel,
-        horizon=args.horizon,
-        alpha=args.alpha,
-    )
-    model = _validated(dfio.load_model, config.model_path)
-    raw = _validated(dfio.read_observations, config.input_path)
+    model = _validated(dfio.load_model, args.model)
+    raw = _validated(dfio.read_observations, args.input)
     # only the last period's density enters the forecast
     last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
-    panel = _validated(estimate_panel, last, model.grid, config.kernel)
+    panel = _validated(estimate_panel, last, model.grid, args.kernel)
     w_T = project_zero_integral(
         GridFunction._wrap(model.grid, panel.values[-1]) - model.mean_density)
-    results = make_forecast(model, w_T, config.horizon)
-    os.makedirs(args.out_dir, exist_ok=True)
+    results = make_forecast(model, w_T, args.horizon)
+    _make_out_dir(args.out_dir)
     _table_csv(os.path.join(args.out_dir, "forecast.csv"), "x", model.grid.points.tolist(),
                {f"f_step{r.horizon}": r.f_forecast.values for r in results})
     int_rows = []
@@ -335,27 +273,15 @@ def _vardecomp_table(args, model, basis, meta, stem, name, drop_key, v):
 
 
 def _cmd_analyze(args) -> int:
-    config = PipelineConfig(
-        model_path=args.model,
-        features_m=args.m,
-        functionals=tuple(args.functional),
-        kmax=args.kmax,
-        tail_quantile=args.tail_quantile,
-        bootstrap_B=args.bootstrap,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
-    model = _validated(dfio.load_model, config.model_path)
-    if args.mode == "features" and config.features_m > model.grid.n:
-        raise _ValidationFailure(
-            f"-m must not exceed the grid size {model.grid.n}, got {config.features_m}"
-        )
+    model = _validated(dfio.load_model, args.model)
+    if args.mode == "features" and args.m > model.grid.n:
+        raise _ValidationFailure(f"-m must not exceed the grid size {model.grid.n}, got {args.m}")
     functionals = (
-        [_parse_functional(spec, model) for spec in config.functionals]
+        [_parse_functional(spec, model) for spec in args.functional]
         if args.mode in ("irf", "vardecomp")
         else []
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     meta = {
         "mode": args.mode,
         "K": model.K,
@@ -413,15 +339,8 @@ def _cmd_analyze(args) -> int:
 # -- backtest --------------------------------------------------------------------
 
 def _cmd_backtest(args) -> int:
-    config = _panel_config(
-        args,
-        n_test=args.n_test,
-        K_candidates=tuple(_parse_candidates(args.K_candidates)),
-        n_validation=args.n_validation,
-    )
-    panel, _ = _build_panel(config)
-    candidates = list(config.K_candidates)
-    report = rolling_backtest(panel, config.n_test, candidates, config.n_validation)
+    panel = _build_panel(args)
+    report = rolling_backtest(panel, args.n_test, args.K_candidates, args.n_validation)
     dfio.write_csv(
         args.out, ["predictor", "measure", "mean", "median"], report.to_rows()
     )
@@ -430,7 +349,7 @@ def _cmd_backtest(args) -> int:
         {
             "n_test": report.n_test,
             "n_validation": args.n_validation,
-            "K_candidates": candidates,
+            "K_candidates": args.K_candidates,
             "selected_K": list(report.selected_K),
             "labels": list(report.labels),
             "scaling": 1,
@@ -522,10 +441,6 @@ def _cmd_simulate(args) -> int:
 # -- sample ----------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        raise _ValidationFailure(f"--n must be >= 1, got {args.n}")
-    if args.seed < 0:
-        raise _ValidationFailure(f"--seed must be >= 0, got {args.seed}")
     density = _validated(dfio.load_grid_function, args.density)
     draws = acceptance_sample(density, args.n, args.seed)
     dfio.write_csv(args.out, ["value"], [{"value": float(x)} for x in draws])
@@ -541,50 +456,62 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="fit a model from an observation CSV")
     _add_panel_options(p)
-    p.add_argument("--K", type=int, default=None, help="fixed truncation level")
+    p.add_argument("--K", type=_flag(int, lambda K: K >= 1, "--K must be >= 1, got {}"),
+                   default=None, help="fixed truncation level")
     p.add_argument(
         "--K-candidates",
+        type=_K_candidates,
         default=DEFAULT_K_CANDIDATES,
         help="candidate set for cross-validated K, e.g. '1..8' or '2,4,6'",
     )
-    p.add_argument("--n-validation", type=int, default=5)
+    p.add_argument("--n-validation", type=_N_VALIDATION, default=5)
     p.add_argument("--out", required=True, help="model file (.json for text mode)")
     p.add_argument("--format", choices=["json", "binary"], default=None)
     p.add_argument("--scree", default=None, help="scree CSV path")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("forecast", help="forecast densities from a fitted model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True, help="observation CSV (period,value)")
+    p.add_argument("--model", required=True, type=_EXISTING_PATH)
+    p.add_argument("--input", required=True, type=_EXISTING_PATH,
+                   help="observation CSV (period,value)")
     p.add_argument("--kernel", choices=KERNELS, default="epanechnikov")
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--horizon", type=_flag(int, lambda h: h >= 1, "--horizon must be >= 1"),
+                   default=1)
+    p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("analyze", help="feature/IRF/decomposition tables")
     p.add_argument("mode", choices=["features", "irf", "vardecomp", "tails"])
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=_EXISTING_PATH)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("-m", type=int, default=3, help="number of leading features")
+    p.add_argument("-m", type=_flag(int, lambda m: m >= 1, "-m must be >= 1"), default=3,
+                   help="number of leading features")
     p.add_argument(
         "--functional",
         nargs="+",
         default=["moment:1", "moment:2"],
         help="functionals to probe: moment:P, left:Q, right:Q",
     )
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--tail-quantile", type=float, default=0.05)
-    p.add_argument("--bootstrap", type=int, default=0, help="replications B")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kmax", default=DEFAULT_KMAX, type=_flag(
+        int, lambda k: 1 <= k <= DEFAULT_KMAX, f"--kmax must lie in 1..{DEFAULT_KMAX}, got {{}}"))
+    # 1 - q must differ from 1, or the right threshold is the quantile at p = 1
+    p.add_argument("--tail-quantile", default=0.05, type=_flag(
+        _flag(float, lambda q: 0.0 < q < 0.5, "--tail-quantile must lie in (0, 0.5)"),
+        lambda q: 1.0 - q < 1.0, "--tail-quantile is too small for 1 - q < 1, got {}"))
+    p.add_argument("--bootstrap", default=0, help="replications B", type=_flag(
+        _flag(int, lambda B: B >= 0, "--bootstrap must be >= 0"),
+        lambda B: B == 0 or B >= 100, "--bootstrap needs >= 100 replications"))
+    p.add_argument("--alpha", type=_ALPHA, default=0.05)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("backtest", help="rolling out-of-sample comparison")
     _add_panel_options(p)
-    p.add_argument("--n-test", type=int, default=50)
-    p.add_argument("--K-candidates", default=DEFAULT_K_CANDIDATES)
-    p.add_argument("--n-validation", type=int, default=5)
+    p.add_argument("--n-test", type=_flag(int, lambda n: n >= 1, "--n-test must be >= 1"),
+                   default=50)
+    p.add_argument("--K-candidates", type=_K_candidates, default=DEFAULT_K_CANDIDATES)
+    p.add_argument("--n-validation", type=_N_VALIDATION, default=5)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(func=_cmd_backtest)
 
@@ -595,8 +522,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw observations from a stored density")
     p.add_argument("--density", required=True, help="grid-function file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_flag(int, lambda n: n >= 1, "--n must be >= 1, got {}"),
+                   required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", required=True, help="draws CSV path")
     p.set_defaults(func=_cmd_sample)
     return parser
@@ -604,18 +532,10 @@ def _build_parser() -> _Parser:
 
 def cli_dispatch(argv=None) -> int:
     """Run one command; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, EmptyFile, FormatError, TooFewPeriods) as exc:
+    except (_ValidationFailure, ParseError, EmptyFile, FormatError, TooFewPeriods) as exc:
         # too few periods is a property of the input file, not of the run
         print(f"error: {exc}", file=sys.stderr)
         return 1

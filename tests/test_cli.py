@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output files, determinism basics."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import densfar
 import densfar.bootstrap as bootstrap
-from densfar.cli import main
+from densfar.cli import _build_parser, main
 from densfar.grid import make_grid
 from densfar.io import load_model, save_grid_function, save_model
 from densfar.simulate import acceptance_sample, make_cosine_generator, simulate_far
@@ -581,3 +582,186 @@ def test_corrupted_csv_ends_in_one_error_line(tmp_path, capsys):
         assert (codes[-1], err) == (0, "") or (
             codes[-1] == 1 and err.startswith("error: ") and err.count("\n") == 1)
     assert 0 in codes and 1 in codes
+
+
+# -- one error line for every bad flag ---------------------------------------------
+
+
+def _estimate_argv(panel_csv, out, *options):
+    return ["estimate", "--input", str(panel_csv), "--grid-n", "32", *options, "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def bin_model(tmp_path_factory, panel_csv):
+    path = tmp_path_factory.mktemp("bin_model") / "model.bin"
+    assert main(_estimate_argv(panel_csv, path, "--K", "2")) == 0
+    return path
+
+
+def _assert_one_error_line(capsys, code, argv):
+    err = capsys.readouterr().err
+    assert code == 1, (argv, code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+@pytest.mark.parametrize("case", ["empty", "unknown_command", "missing_out", "kmax_not_int",
+                                  "unknown_kernel"])
+def test_usage_error_is_one_line(tmp_path, panel_csv, bin_model, capsys, case):
+    argv = {
+        "empty": [],
+        "unknown_command": ["frobnicate"],
+        "missing_out": ["estimate", "--input", str(panel_csv)],
+        "kmax_not_int": ["analyze", "irf", "--model", str(bin_model),
+                         "--out-dir", str(tmp_path / "out"), "--kmax", "x"],
+        "unknown_kernel": _estimate_argv(panel_csv, tmp_path / "m.bin", "--kernel", "box"),
+    }[case]
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "m.bin").exists()
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: densfar analyze") and "--tail-quantile" in out
+
+
+def test_tail_quantile_too_small_for_its_complement_exits_one(tmp_path, bin_model, capsys):
+    # 1 - 1e-300 rounds to 1, where the right-tail quantile is undefined
+    argv = ["analyze", "tails", "--model", str(bin_model), "--out-dir", str(tmp_path / "out"),
+            "--tail-quantile", "1e-300"]
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+
+
+def test_overflowing_moment_functional_exits_one_without_warning(tmp_path, bin_model, capsys):
+    # warnings are errors under pytest, so an overflow warning fails the run here
+    argv = ["analyze", "irf", "--model", str(bin_model), "--out-dir", str(tmp_path / "out"),
+            "--functional", "moment:100000"]
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+
+
+def test_alpha_too_small_for_its_complement_exits_one(tmp_path, panel_csv, bin_model, capsys):
+    # found by the argv property: the normal quantile at 1 - 1e-300/2 = 1 raised
+    argv = ["forecast", "--model", str(bin_model), "--input", str(panel_csv),
+            "--out-dir", str(tmp_path / "fc"), "--alpha", "1e-300"]
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+    assert not (tmp_path / "fc").exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "analyze"])
+def test_out_dir_naming_a_file_exits_one(tmp_path, panel_csv, bin_model, capsys, command):
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("keep\n")
+    argv = (["forecast", "--model", str(bin_model), "--input", str(panel_csv)]
+            if command == "forecast" else ["analyze", "irf", "--model", str(bin_model)])
+    argv += ["--out-dir", str(out_dir)]
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+    assert out_dir.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_K_candidates_above_the_grid_cap_exit_one(tmp_path, panel_csv, capsys):
+    # no K above MAX_GRID_SIZE is usable; the range is rejected before it is built
+    argv = _estimate_argv(panel_csv, tmp_path / "m.bin", "--K-candidates", "1..5000")
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+    assert not (tmp_path / "m.bin").exists()
+
+
+# -- the argv property: any flag value ends in exit 0, or one stderr line -----------
+
+# flag values that probe parsing and range checks; None gives the flag no value
+# and "drop" leaves a flag of the base command out. No value is a large valid
+# size, so no run can grow with the hazard.
+ARGV_HAZARDS = ("-1", "0", "nan", "inf", "-inf", "1e308", "1e-300", "x", "", None, "drop")
+
+
+@pytest.fixture(scope="module")
+def argv_bases(tmp_path_factory, panel_csv, bin_model):
+    # one small valid command line per subcommand (and analyze mode)
+    root = tmp_path_factory.mktemp("argv_inputs")
+    density = root / "density.json"
+    save_grid_function(triangular_density(make_grid(0.0, 1.0, 32)), density)
+    study = _study(root)[2]
+    panel = ["--input", str(panel_csv), "--grid-n", "32"]
+    cv = ["--K-candidates", "1,2", "--n-validation", "2"]
+    bases = {
+        "estimate": ["estimate", *panel, *cv, "--out", "m.bin"],
+        "forecast": ["forecast", "--model", str(bin_model), "--input", str(panel_csv),
+                     "--out-dir", "fc"],
+        "backtest": ["backtest", *panel, "--n-test", "2", *cv, "--out", "r.csv"],
+        "simulate": ["simulate", "--config", study, "--out", "s.csv"],
+        "sample": ["sample", "--density", str(density), "--n", "20", "--seed", "1",
+                   "--out", "d.csv"],
+    }
+    for mode in ("features", "irf", "vardecomp", "tails"):
+        bases[f"analyze {mode}"] = ["analyze", mode, "--model", str(bin_model),
+                                    "--out-dir", "an", "--kmax", "2"]
+    return bases
+
+
+def _parser_flags():
+    # every option string each subcommand's parser accepts, except --help
+    (commands,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[-1] for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, parser in commands.choices.items()}
+
+
+def _with_hazard(argv, flag, value):
+    # replace the flag's values in argv (all of them, for nargs="+") by value
+    argv = list(argv)
+    if flag in argv:
+        i = argv.index(flag)
+        j = i + 1
+        while j < len(argv) and not argv[j].startswith("--"):
+            j += 1
+        del argv[i:j]
+    if value == "drop":
+        return argv
+    return argv + [flag] + ([] if value is None else [value])
+
+
+def _run_argv(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr()
+    if code == 0:
+        assert out.err == "", (argv, out.err)
+    else:
+        prefix = "error: " if code == 1 else "runtime error: "
+        assert code in (1, 2) and out.err.startswith(prefix), (argv, code, out.err)
+        assert out.err.count("\n") == 1 and out.err.endswith("\n"), (argv, out.err)
+    return code
+
+
+def test_every_flag_value_ends_in_success_or_one_error_line(tmp_path, monkeypatch, capsys,
+                                                            argv_bases):
+    # derandomized: each flag of each parser with each hazard, then random
+    # combinations of up to three; outputs land in the temporary directory
+    monkeypatch.chdir(tmp_path)
+    flags = _parser_flags()
+    cases = [(base, [(flag, value)])
+             for name, base in argv_bases.items() for flag in flags[base[0]]
+             for value in ARGV_HAZARDS]
+    rng = np.random.default_rng(15)
+    names = sorted(argv_bases)
+    for _ in range(80):
+        base = argv_bases[names[rng.integers(len(names))]]
+        options = flags[base[0]]
+        picks = rng.choice(options, size=rng.integers(2, min(4, len(options) + 1)), replace=False)
+        cases.append((base, [(f, ARGV_HAZARDS[rng.integers(len(ARGV_HAZARDS))]) for f in picks]))
+    codes = set()
+    for base, hazards in cases:
+        argv = base
+        for flag, value in hazards:
+            argv = _with_hazard(argv, flag, value)
+        codes.add(_run_argv(capsys, argv))
+    assert codes == {0, 1, 2}
