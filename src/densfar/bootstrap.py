@@ -17,6 +17,13 @@ scores s_t = R w*_{t+1} of a block of replications step together, and each
 replication's states w*_{t+1} = L s_t + e*_t take one product before its
 refit. An A_hat held only as a kernel (e.g. one swapped in with
 `dataclasses.replace`) raises ValueError.
+
+Each refit is warm-started from the original panel's K + p leading
+eigenfunctions (times sqrt(weights)), computed once per call and shared
+read-only by every replication: it solves only the K leading eigenpairs of
+its T-by-T Gram matrix by block subspace iteration, at about a third of the
+cost of a full `eigh`, and falls back to the full `eigh` when those do not
+converge within a few sweeps (see :func:`~densfar.estimation.fit_demeaned`).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .analysis import impulse_response, moment_basis, r_squared, variance_decomp
 from .errors import DegenerateForecast, DensfarError, TooFewResiduals, TooManyDropped
 from .estimation import FarModel, fit
 from .forecast import _to_densities
-from .grid import GridFunction, _weighted_factors
+from .grid import _SUBSPACE_EXTRA, GridFunction, _weighted_factors, snapshot_spectrum
 from .kde import DensityPanel, period_labels
 
 __all__ = [
@@ -148,6 +155,11 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
     points = {k: np.array(f(model), dtype=np.float64, ndmin=1) for k, f in statistics.items()}
     grid, T, w_first = model.grid, model.sample_size, model.demeaned[0]
     step, s_first, noise = (R @ L).T, R @ w_first, pool @ R.T
+    # the original panel's K + p leading eigenvectors of X^T X warm-start every
+    # refit's truncated spectrum; read-only, so pooled refits share it
+    start = (snapshot_spectrum(grid, model.demeaned, model.K + _SUBSPACE_EXTRA).vectors
+             * np.sqrt(grid.weights))
+    start.setflags(write=False)
     labels = period_labels(T)
     outcomes = []
     for lo in range(0, B, _BLOCK):
@@ -164,7 +176,7 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
             states[1:] += pool[idx[j]]
             try:
                 raw = _to_densities(states, model.mean_density, DegenerateForecast)
-                refit = fit(DensityPanel._wrap(grid, raw, labels), model.K)
+                refit = fit(DensityPanel._wrap(grid, raw, labels), model.K, start)
             except DensfarError:
                 return None
             values = {}

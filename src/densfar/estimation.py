@@ -32,6 +32,13 @@ factors, all views of arrays the model holds: A = (B, V_K^T, T) with
 B = W_1^T C_K Lambda_K^{-1}, Sigma = (e^T, e, T), Q = (W^T, W, T) and
 P = (W_1^T, W_0, T); no n-by-n kernel exists until a caller reads one.
 
+A refit reads only the K leading eigenpairs. Given a warm start, such as
+the leading K + p eigenfunctions of a nearby panel (a bootstrap refit gets
+those of the original panel), :func:`fit` solves just those K pairs of the
+T-by-T Gram matrix by block subspace iteration instead of a full `eigh`,
+and falls back to the full spectrum when that does not converge in a few
+sweeps.
+
 The dense building blocks above are the agreement reference the tests hold
 :func:`fit` to. Three of them stay here because the benchmark's tracer needs
 this module to bind `eigh_operator`, `compose` and `apply_operator`.
@@ -105,7 +112,9 @@ class FarModel:
         Truncation level of the regularized inverse.
     eigen : EigenSystem
         The min(T, n) leading eigenvalues of the covariance operator Q_hat,
-        and the eigenfunctions of the leading K of them.
+        and the eigenfunctions of the leading K of them. A warm-started fit
+        (a bootstrap refit) holds only the K leading eigenvalues, unless its
+        truncated solve fell back to the full spectrum.
     A_hat, Sigma_hat : OperatorRep
         Autoregressive operator and residual noise covariance.
     resid : ndarray, shape (T-1, n)
@@ -171,7 +180,8 @@ def _deviations(panel: DensityPanel, f_bar: GridFunction) -> np.ndarray:
     # rows f_t - f_bar, projected onto zero integral to remove quadrature roundoff
     grid = _require_same_grid(panel, f_bar)
     dev = panel.values - f_bar.values
-    return dev - (dev @ grid.weights / (grid.b - grid.a))[:, None]
+    dev -= (dev @ grid.weights / (grid.b - grid.a))[:, None]
+    return dev
 
 
 def demean(panel: DensityPanel, f_bar: GridFunction) -> list:
@@ -294,8 +304,10 @@ def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int) -> tuple:
     return V, (W[:-1] * eigen.grid.weights) @ V.T
 
 
-def fit(panel: DensityPanel, K: int) -> FarModel:
+def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None) -> FarModel:
     """Fit the full autoregression on a density panel with truncation K.
+
+    `start` warm-starts the spectrum as in :func:`fit_demeaned`.
 
     Raises
     ------
@@ -305,15 +317,19 @@ def fit(panel: DensityPanel, K: int) -> FarModel:
         K exceeds the usable rank of the estimated covariance.
     """
     f_bar, W = _snapshots(panel)
-    return fit_demeaned(panel.grid, f_bar, W, K)
+    return fit_demeaned(panel.grid, f_bar, W, K, start)
 
 
 def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
-                 K: int) -> FarModel:
+                 K: int, start: np.ndarray | None = None) -> FarModel:
     """Fit at truncation K from the read-only demeaned (T, n) panel W.
 
     Every :class:`FarModel` is built here: :func:`fit` comes with the
     snapshots of a density panel, a model loader with the stored ones.
+    `start`, a (b, n) array with b >= K such as a nearby panel's leading
+    eigenfunctions times sqrt(weights), warm-starts a truncated spectrum
+    (:func:`~densfar.grid.snapshot_spectrum`): the model's `eigen` then
+    holds only the K leading eigenvalues, unless the solve falls back.
 
     Raises
     ------
@@ -327,11 +343,14 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
         raise TooFewPeriods(f"fit needs >= 5 periods, got {T}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    eigen = snapshot_spectrum(grid, W, K)
+    eigen = snapshot_spectrum(grid, W, K, start)
     _check_rank(eigen, K)
     V, C = _lagged_scores(W, eigen, K)
     B = W[1:].T @ (C / eigen.eigenvalues[:K])
-    resid = W[1:] - C @ B.T / T
+    # e = W_1 - (C B^T) / T, in one buffer
+    resid = np.matmul(C, B.T)
+    np.divide(resid, T, out=resid)
+    np.subtract(W[1:], resid, out=resid)
     B.setflags(write=False)
     resid.setflags(write=False)
     return FarModel(

@@ -153,7 +153,8 @@ def to_density(w_forecast: GridFunction, f_bar: GridFunction) -> GridFunction:
 def _to_densities(states: np.ndarray, f_bar: GridFunction, error) -> np.ndarray:
     """The rows of f_bar + states with negatives set to zero, each rescaled to
     unit mass; raises `error` when a clipped row carries (almost) no mass."""
-    raw = np.clip(f_bar.values + states, 0.0, None)
+    raw = np.add(f_bar.values, states)
+    np.clip(raw, 0.0, None, out=raw)
     masses = raw @ f_bar.grid.weights
     if float(masses.min()) <= 1e-12:
         raise error(f"clipped state integrates to {masses.min():.3e}, not a positive mass")
@@ -175,6 +176,9 @@ def feature_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    # the normal quantile is taken at 1 - alpha/2, which must differ from 1
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise ValueError(f"alpha is too small for 1 - alpha/2 < 1, got {alpha}")
     center = inner(v, w_forecast)
     qf = quadratic_form(model.Sigma_hat, v)
     if qf < 0.0:
@@ -267,6 +271,13 @@ def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
     NoFeasibleK
         If every candidate was skipped.
     """
+    return _select_K(panel, candidates, n_validation, {})
+
+
+def _select_K(panel: DensityPanel, candidates, n_validation: int, spectra: dict) -> int:
+    """:func:`select_K_cv`, taking each fold's truncated forecasts from
+    `spectra`, keyed by (training prefix length, kmax), and adding the missing
+    ones: panels sharing their leading periods share one spectrum per prefix."""
     candidates = sorted(set(int(k) for k in candidates))
     if not candidates or candidates[0] < 1:
         raise ValueError("candidates must be a nonempty set of integers >= 1")
@@ -282,7 +293,10 @@ def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
     for s in range(T - n_validation, T):
         if not scores:
             break
-        f_bar, steps = _truncated_forecasts(panel.head(s), max(scores))
+        key = (s, max(scores))
+        if key not in spectra:
+            spectra[key] = _truncated_forecasts(panel.head(s), key[1])
+        f_bar, steps = spectra[key]
         truth = GridFunction._wrap(panel.grid, panel.values[s])
         for K in [K for K in scores if K > len(steps)]:
             del scores[K]  # beyond the usable rank of this prefix
@@ -343,7 +357,8 @@ def rolling_backtest(
     For each of the last n_test periods: K is re-selected by
     cross-validation on the data before the period, the model refitted, and
     the normalized forecast scored against the realized density. Aggregates
-    report the mean and median of every measure per predictor.
+    report the mean and median of every measure per predictor. The
+    selections share their folds' spectra: one per training prefix.
     """
     if n_test < 1:
         raise ValueError(f"need n_test >= 1, got {n_test}")
@@ -354,12 +369,13 @@ def rolling_backtest(
         )
     records = {}
     selected = []
+    spectra = {}
     labels = panel.labels[T - n_test :]
     for s in range(T - n_test, T):
         train = panel.head(s)
         truth = GridFunction._wrap(panel.grid, panel.values[s])
         label = panel.labels[s]
-        K = select_K_cv(train, K_candidates, n_validation)
+        K = _select_K(train, K_candidates, n_validation, spectra)
         selected.append(K)
         model = fit(train, K)
         f_far = to_density(forecast_one_step(model, model.w_last), model.mean_density)

@@ -63,6 +63,13 @@ MAX_GRID_SIZE = 4096
 # are treated as roundoff and clipped to zero.
 _PSD_CLIP_REL = 1e-12
 
+# Block subspace iteration for the leading Gram eigenpairs: the columns it
+# carries past the wanted pairs, the sweeps it may take before the caller falls
+# back to a full eigh, and its residual bound relative to the largest eigenvalue.
+_SUBSPACE_EXTRA = 6
+_SUBSPACE_SWEEPS = 6
+_SUBSPACE_TOL = 1e-13
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, copy=True)
@@ -420,7 +427,52 @@ def eigh_operator(K: OperatorRep) -> EigenSystem:
                        vectors=_eigenfunctions(vecs.T, sqrt_w))
 
 
-def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None) -> EigenSystem:
+def _leading_gram_pairs(G: np.ndarray, start: np.ndarray, m: int):
+    """Leading m eigenpairs (theta descending, V with orthonormal columns) of
+    the symmetric PSD matrix G, or None if they are not certified in time.
+
+    Block subspace iteration on G^2 from the (T, b) block `start`, b >= m,
+    with a Rayleigh-Ritz step per sweep (Halko, Martinsson & Tropp 2011; Saad
+    2011, ch. 5), gives Ritz pairs (theta_j, v_j) with residuals
+    r_j = G v_j - theta_j v_j. It stops once every ||r_j||, j <= m, is at most
+    tol = _SUBSPACE_TOL * theta_1 and no other eigenvalue of G can exceed
+    theta_m + tol, and gives up after _SUBSPACE_SWEEPS sweeps. The second test
+    is needed because small residuals do not tell the leading pairs from
+    others: a start orthogonal to the leading space stays orthogonal to it.
+    In the orthonormal basis of the m pairs, the b - m others and their
+    complement, Weyl's inequality and the norm bound of a 2x2 PSD block
+    matrix give
+
+        lambda_{m+1} <= (a + d) / 2 + hypot((a - d) / 2, beta) + ||r_{1..m}||_F
+
+    with a = theta_{m+1}, beta = ||r_{m+1..b}||_F and d^2 = ||G||_F^2 -
+    sum_j theta_j^2 - 2 ||r_{1..b}||_F^2 (the complement block's squared
+    Frobenius norm) plus a roundoff slack.
+    """
+    GQ = G @ start
+    norm2 = float(np.vdot(G, G))
+    slack = len(G) * np.finfo(float).eps * norm2
+    for _ in range(_SUBSPACE_SWEEPS):
+        Q = np.linalg.qr(G @ GQ)[0]
+        GQ = G @ Q
+        theta, Z = np.linalg.eigh(Q.T @ GQ)
+        theta, Z = theta[::-1], Z[:, ::-1]
+        V = Q @ Z
+        R = GQ @ Z - V * theta
+        r2 = np.einsum("ij,ij->j", R, R)
+        tol = _SUBSPACE_TOL * theta[0]
+        if np.all(r2[:m] <= tol * tol):
+            a = np.max(theta[m:], initial=0.0)
+            d = np.sqrt(max(norm2 - theta @ theta - 2.0 * r2.sum(), 0.0) + slack)
+            bound = (0.5 * (a + d) + np.hypot(0.5 * (a - d), np.sqrt(r2[m:].sum()))
+                     + np.sqrt(r2[:m].sum()))
+            if bound <= theta[m - 1] + tol:
+                return theta[:m], V[:, :m]
+    return None
+
+
+def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None,
+                      start: np.ndarray | None = None) -> EigenSystem:
     """Spectrum of the covariance (1/T) sum_t w_t (x) w_t of a stack of functions.
 
     `stack` holds the values of w_1..w_T as a (T, n) array. The eigenpairs
@@ -434,21 +486,36 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None) -
     the covariance is zero) and the eigenfunctions of the leading m of them,
     or of all when m is None. Pairs below the rank cutoff are not accurate,
     only finite and of unit norm.
+
+    `start`, a (b, n) array with b >= m, warm-starts a truncated solve: its
+    rows span a guess of the leading eigenvectors of X^T X, such as a nearby
+    stack's leading eigenfunctions times sqrt(weights). When T <= n the
+    leading m pairs then come from a block subspace iteration on X X^T from
+    X start^T, and the result holds only those m eigenvalues. If those are
+    not certified within a few sweeps, the result is the unstarted one.
     """
     sqrt_w = np.sqrt(grid.weights)
     X = stack * sqrt_w
     T, n = X.shape
+    if start is not None and (m is None or len(start) < m):
+        raise ValueError(f"a start needs m <= {len(start)} rows, got m={m}")
     if T <= n:
-        mu, U = np.linalg.eigh(X @ X.T)
-        vecs = X.T @ U[:, ::-1][:, :m]
+        G = X @ X.T
+        pairs = None if start is None else _leading_gram_pairs(G, X @ start.T, m)
+        if pairs is None:
+            mu, U = np.linalg.eigh(G)
+            mu, U = mu[::-1], U[:, ::-1][:, :m]
+        else:
+            mu, U = pairs
+        vecs = X.T @ U
         norms = np.linalg.norm(vecs, axis=0)
         # an exact null direction of X maps to zero; any unit vector will do
         vecs[:, norms == 0.0] = 1.0
         vecs /= np.where(norms == 0.0, np.sqrt(n), norms)
     else:
         mu, vecs = np.linalg.eigh(X.T @ X)
-        vecs = vecs[:, ::-1][:, :m]
-    return EigenSystem(grid=grid, eigenvalues=np.clip(mu[::-1], 0.0, None) / T,
+        mu, vecs = mu[::-1], vecs[:, ::-1][:, :m]
+    return EigenSystem(grid=grid, eigenvalues=np.clip(mu, 0.0, None) / T,
                        vectors=_eigenfunctions(vecs.T, sqrt_w))
 
 

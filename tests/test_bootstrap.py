@@ -133,9 +133,9 @@ def _regenerated(monkeypatch, model, B, seed):
         draws.append(idx.copy())
         return score_paths(step, s_first, noise, idx)
 
-    def recording_fit(panel, K):
+    def recording_fit(panel, K, start=None):
         panels.append(panel.values)
-        return refit(panel, K)
+        return refit(panel, K, start)
 
     monkeypatch.delenv("FAR_THREADS", raising=False)
     monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)

@@ -235,9 +235,9 @@ def test_analyze_bootstrap_refits_once_per_replication(tmp_path, panel_csv, monk
     ) == 0
     refits, refit = [], bootstrap.fit
 
-    def counting_fit(panel, K):
+    def counting_fit(panel, K, start=None):
         refits.append(K)
-        return refit(panel, K)
+        return refit(panel, K, start)
 
     monkeypatch.setattr(bootstrap, "fit", counting_fit)
     assert main(

@@ -38,6 +38,8 @@ from densfar.grid import (
     norm,
     outer,
     quadratic_form,
+    snapshot_spectrum,
+    _SUBSPACE_EXTRA,
     _weighted_factors,
     _weighted_trace,
 )
@@ -442,6 +444,69 @@ def test_select_k_cv_matches_per_k_fits():
         scores[K] = float(np.mean(ref))
     assert len(scores) >= 4
     assert select_K_cv(panel, candidates, n_validation=5) == min(scores, key=scores.get)
+
+
+def _start_from(panel, rows):
+    # warm start from another panel: its leading eigenfunctions times sqrt(weights)
+    grid = panel.grid
+    eig = snapshot_spectrum(grid, fit(panel, 1).demeaned, rows)
+    return eig.vectors * np.sqrt(grid.weights)
+
+
+@pytest.mark.parametrize("T, n, K", [(40, 64, 4), (60, 64, 3), (120, 128, 2)])
+def test_started_fit_matches_the_unstarted_fit(T, n, K):
+    # started from a prefix of the panel, as a bootstrap refit is started from
+    # the original panel: K eigenvalues, and the fit of the full spectrum
+    panel, _ = _simulated_panel(T=T, seed=T + K, n=n)
+    start = _start_from(panel.head(T - 3), K + _SUBSPACE_EXTRA)
+    ref = fit(panel, K)
+    got = fit(panel, K, start)
+    assert len(ref.eigen) == min(T, n)
+    assert len(got.eigen) == K and got.eigen.vectors.shape == (K, n)
+    vals = ref.eigen.eigenvalues[:K]
+    assert np.abs(got.eigen.eigenvalues - vals).max() <= 1e-12 * vals.min()
+    assert _rel(got.eigen.vectors, ref.eigen.vectors) < 1e-12
+    for name in ("A_hat", "Sigma_hat"):
+        assert _rel(getattr(got, name).kernel, getattr(ref, name).kernel) < 1e-12
+    assert _rel(got.resid, ref.resid) < 1e-12
+
+
+def _rank_r_panel(r, T=30, n=64, seed=0):
+    # densities 1 + sum_{k <= r} c_tk cos(k pi x) on [0, 1]: demeaned rank r
+    rng = np.random.default_rng(seed)
+    grid = make_grid(0.0, 1.0, n)
+    modes = np.cos(np.pi * np.arange(1, r + 1)[:, None] * grid.points)
+    f = 1.0 + rng.uniform(-0.2, 0.2, size=(T, r)) @ modes
+    return DensityPanel(grid, [GridFunction(grid, row) for row in f], range(T))
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_started_fit_is_rank_deficient_where_the_full_fit_is(r):
+    panel = _rank_r_panel(r, seed=r)
+    start = _start_from(_simulated_panel(T=30, seed=r)[0], 4 + _SUBSPACE_EXTRA)
+    for K in range(1, 5):
+        try:
+            fit(panel, K)
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                fit(panel, K, start)
+            assert K > r
+        else:
+            assert K <= r and len(fit(panel, K, start).eigen) == K
+
+
+def test_started_fit_with_tied_eigenvalues_is_the_unstarted_fit():
+    # twenty modes of equal noise sd and no dynamics: a flat leading spectrum
+    # that no few sweeps resolve, so the started fit falls back to the full one
+    grid = make_grid(0.0, 1.0, 64)
+    gen = make_cosine_generator(grid, strengths=(0.0,) * 20, noise_sds=(0.002,) * 20)
+    panel = simulate_far(gen, 39, seed=33, burn_in=10)
+    start = _start_from(simulate_far(gen, 39, seed=34, burn_in=10), 3 + _SUBSPACE_EXTRA)
+    ref, got = fit(panel, 3), fit(panel, 3, start)
+    assert len(got.eigen) == len(ref.eigen) == 40
+    assert np.array_equal(got.eigen.eigenvalues, ref.eigen.eigenvalues)
+    assert np.array_equal(got.eigen.vectors, ref.eigen.vectors)
+    assert np.array_equal(got.resid, ref.resid)
 
 
 # -- invariants ------------------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
+from densfar import forecast
 from densfar.errors import DegenerateForecast, NoFeasibleK, TooFewPeriods
 from densfar.estimation import fit
 from densfar.forecast import (
@@ -158,6 +159,18 @@ def test_feature_interval_width_scaling_in_k():
     got = (hi2 - lo2) / (hi1 - lo1)
     expect = np.sqrt((1.0 + 2.0 * K / T) / (1.0 + K / T))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 1e-300, 5e-324])
+def test_feature_interval_alpha_too_small_for_its_complement(alpha):
+    # 1 - alpha/2 rounds to 1, where the normal quantile is infinite: a
+    # ValueError with the CLI's rule, not the stdlib's StatisticsError
+    model, _, _ = _fitted_model(T=40, seed=13)
+    v = GridFunction(model.grid, model.grid.points)
+    w_fc = forecast_one_step(model, model.w_last)
+    with pytest.raises(ValueError, match=r"alpha is too small for 1 - alpha/2 < 1"):
+        feature_interval(model, v, w_fc, alpha)
+    assert np.isfinite(feature_interval(model, v, w_fc, 3e-16)).all()
 
 
 # -- K selection -----------------------------------------------------------------------
@@ -335,3 +348,22 @@ def test_backtest_deterministic():
     r2 = rolling_backtest(panel, 6, [1, 2], n_validation=5)
     assert r1.selected_K == r2.selected_K
     assert r1.to_rows() == r2.to_rows()
+
+
+def test_backtest_computes_one_spectrum_per_training_prefix(monkeypatch):
+    # n_test = 6 selections of 5 folds each cover the 10 prefixes T-11..T-2;
+    # each is computed once, and every selection is that of select_K_cv alone
+    _, panel, _ = _fitted_model(T=45, seed=22)
+    T, candidates = len(panel), range(1, 7)
+    expected = [select_K_cv(panel.head(s), candidates, 5) for s in range(T - 6, T)]
+    prefixes, truncated = [], forecast._truncated_forecasts
+
+    def recording(train, kmax):
+        prefixes.append((len(train), kmax))
+        return truncated(train, kmax)
+
+    monkeypatch.setattr(forecast, "_truncated_forecasts", recording)
+    report = rolling_backtest(panel, 6, candidates, n_validation=5)
+    assert list(report.selected_K) == expected
+    assert len(prefixes) == len(set(prefixes))
+    assert {s for s, _ in prefixes} == set(range(T - 11, T - 1))

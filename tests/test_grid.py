@@ -28,6 +28,7 @@ from densfar.grid import (
     quantile,
     snapshot_spectrum,
     svd_operator,
+    _SUBSPACE_EXTRA,
 )
 from densfar.estimation import usable_rank
 
@@ -374,6 +375,63 @@ def test_snapshot_spectrum_maps_only_the_leading_m_vectors(T, n, m):
     assert got.vectors.shape == (m, n)
     assert not got.vectors.flags.writeable
     assert np.abs(got.vectors - full.vectors[:m]).max() < 1e-14 * np.abs(full.vectors[:m]).max()
+
+
+def _nearby_start(grid, stack, rows, seed, scale=1e-2):
+    # warm start: the leading eigenfunctions, times sqrt(weights), of the
+    # stack plus a small perturbation, as a bootstrap refit gets them
+    rng = np.random.default_rng(seed)
+    near = stack + scale * np.abs(stack).max() * rng.standard_normal(stack.shape)
+    return snapshot_spectrum(grid, near, rows).vectors * np.sqrt(grid.weights)
+
+
+@pytest.mark.parametrize("T, n, K", [(40, 64, 4), (64, 64, 3), (100, 128, 6), (212, 512, 4)])
+def test_started_spectrum_matches_full_eigh(T, n, K):
+    grid = make_grid(0.0, 1.0, n)
+    stack = _decaying_stack(T, n, seed=T + K)
+    full = snapshot_spectrum(grid, stack, K)
+    start = _nearby_start(grid, stack, K + _SUBSPACE_EXTRA, seed=K)
+    got = snapshot_spectrum(grid, stack, K, start)
+    assert len(got) == K and got.vectors.shape == (K, n)
+    assert not got.vectors.flags.writeable
+    ref = full.eigenvalues[:K]
+    assert np.abs(got.eigenvalues - ref).max() <= 1e-12 * ref.min()
+    assert np.abs(got.vectors - full.vectors).max() <= 1e-12 * np.abs(full.vectors).max()
+
+
+def test_started_spectrum_falls_back_to_the_unstarted_result():
+    # a random stack has a flat spectrum whose leading pairs no few sweeps
+    # resolve, whether the start is random or orthogonal to the leading space
+    T, n, K = 40, 64, 4
+    grid = make_grid(0.0, 1.0, n)
+    stack = np.random.default_rng(7).standard_normal((T, n))
+    full = snapshot_spectrum(grid, stack, K)
+    b = K + _SUBSPACE_EXTRA
+    sqrt_w = np.sqrt(grid.weights)
+    random_start = np.random.default_rng(8).standard_normal((b, n))
+    orthogonal_start = snapshot_spectrum(grid, stack, 2 * b).vectors[b:] * sqrt_w
+    for start in (random_start, orthogonal_start):
+        got = snapshot_spectrum(grid, stack, K, start)
+        assert len(got) == min(T, n)
+        assert np.array_equal(got.eigenvalues, full.eigenvalues)
+        assert np.array_equal(got.vectors, full.vectors)
+
+
+def test_started_spectrum_ignores_the_start_when_T_exceeds_n():
+    grid = make_grid(0.0, 1.0, 32)
+    stack = _decaying_stack(150, 32, seed=3)
+    full = snapshot_spectrum(grid, stack, 4)
+    got = snapshot_spectrum(grid, stack, 4, _nearby_start(grid, stack, 10, seed=4))
+    assert np.array_equal(got.eigenvalues, full.eigenvalues)
+    assert np.array_equal(got.vectors, full.vectors)
+
+
+def test_started_spectrum_needs_m_start_rows(grid64):
+    stack = _decaying_stack(20, grid64.n, seed=5)
+    start = _nearby_start(grid64, stack, 3, seed=6)
+    for m in (None, 4):
+        with pytest.raises(ValueError, match="a start needs m <= 3 rows"):
+            snapshot_spectrum(grid64, stack, m, start)
 
 
 def test_snapshot_spectrum_zero_stack_has_unit_functions(grid64):
