@@ -5,7 +5,8 @@ so results are identical whether executed serially or on a pool. The
 FAR_THREADS environment variable sets the pool size; unset or 1 means serial.
 A pool pays off on spare cores: at n=512 and T=212 on 2 vCPUs and one BLAS
 thread, FAR_THREADS=2 cut `analyze vardecomp --bootstrap 100`, whose refits solve
-only their K leading eigenpairs, from 1.46 s to 1.18 s (medians of 7 runs each).
+only their K leading eigenpairs in reused buffers, from 1.00 s to 0.81 s wall
+(medians of 8 alternating runs each), for 0.09 s more CPU time.
 """
 
 from __future__ import annotations

@@ -24,10 +24,14 @@ read-only by every replication: it solves only the K leading eigenpairs of
 its T-by-T Gram matrix by block subspace iteration, at about a third of the
 cost of a full `eigh`, and falls back to the full `eigh` when those do not
 converge within a few sweeps (see :func:`~densfar.estimation.fit_demeaned`).
+Each worker regenerates and refits into one set of (T, n) buffers, made once
+per call, because the allocator returns freed panel-sized arrays to the
+system and fresh ones are paged in again on every replication.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +128,11 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
         Maps a name to a callable from a fitted model to a float or a 1-d
         array (a curve or a bar vector); each is evaluated once on `model`
         for the point estimate and once on each replication's refit (same K).
+        A refit's arrays (its panel, `demeaned`, `resid` and the operator
+        factors built on them) are valid only during the statistic call:
+        each worker's refits reuse one set of buffers. The returned value
+        is copied, so it may be a view into the refit; a statistic must not
+        keep the refit itself.
     B : int
         Number of replications, >= 100.
     alpha : float
@@ -161,6 +170,8 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
              * np.sqrt(grid.weights))
     start.setflags(write=False)
     labels = period_labels(T)
+    # each worker refits into one set of panel buffers for the whole call
+    local = threading.local()
     outcomes = []
     for lo in range(0, B, _BLOCK):
         idx = np.stack([np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
@@ -170,13 +181,21 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
         def replicate(j: int):
             # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t;
             # None when no statistic keeps the replication
-            states = np.empty((T, grid.n))
-            states[0] = w_first
-            np.matmul(scores[j], L.T, out=states[1:])
-            states[1:] += pool[idx[j]]
+            if not hasattr(local, "buffers"):
+                local.buffers = tuple(np.empty((rows, grid.n)) for rows in (T, T, T, T - 1))
+            S, W, X, E = local.buffers
+            S[0] = w_first
+            np.matmul(scores[j], L.T, out=S[1:])
+            # the pool rows e*_t, gathered into E before it takes the residuals;
+            # the indices are in range, and mode="raise" would buffer the output
+            np.take(pool, idx[j], axis=0, out=E, mode="clip")
+            S[1:] += E
             try:
-                raw = _to_densities(states, model.mean_density, DegenerateForecast)
-                refit = fit(DensityPanel._wrap(grid, raw, labels), model.K, start)
+                _to_densities(S, model.mean_density, DegenerateForecast, out=S)
+                # the panel, the refit's demeaned panel and its residuals are
+                # made read-only, so they get views and the buffers stay writeable
+                refit = fit(DensityPanel._wrap(grid, S[:], labels), model.K, start,
+                            out=(W[:], X, E[:]))
             except DensfarError:
                 return None
             values = {}

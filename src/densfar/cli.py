@@ -22,6 +22,7 @@ import os
 import sys
 
 from . import io as dfio
+from ._threads import worker_count
 from .analysis import (
     DEFAULT_KMAX,
     impulse_response,
@@ -58,6 +59,8 @@ from .simulate import (
 __all__ = ["main", "cli_dispatch"]
 
 DEFAULT_K_CANDIDATES = "1..8"
+# a forecast keeps two grid functions and writes one CSV column per step
+MAX_HORIZON = 1000
 
 
 class _ValidationFailure(Exception):
@@ -475,8 +478,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, type=_EXISTING_PATH,
                    help="observation CSV (period,value)")
     p.add_argument("--kernel", choices=KERNELS, default="epanechnikov")
-    p.add_argument("--horizon", type=_flag(int, lambda h: h >= 1, "--horizon must be >= 1"),
-                   default=1)
+    p.add_argument("--horizon", default=1, type=_flag(
+        int, lambda h: 1 <= h <= MAX_HORIZON, f"--horizon must lie in 1..{MAX_HORIZON}, got {{}}"))
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_forecast)
@@ -534,6 +537,11 @@ def cli_dispatch(argv=None) -> int:
     """Run one command; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        # the pool size is read where replications run; check it before any input
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise _ValidationFailure(str(exc)) from None
         return args.func(args)
     except (_ValidationFailure, ParseError, EmptyFile, FormatError, TooFewPeriods) as exc:
         # too few periods is a property of the input file, not of the run

@@ -176,10 +176,11 @@ def mean_density(panel: DensityPanel) -> GridFunction:
     return GridFunction(panel.grid, panel.values.mean(axis=0))
 
 
-def _deviations(panel: DensityPanel, f_bar: GridFunction) -> np.ndarray:
-    # rows f_t - f_bar, projected onto zero integral to remove quadrature roundoff
+def _deviations(panel: DensityPanel, f_bar: GridFunction, out=None) -> np.ndarray:
+    # rows f_t - f_bar, projected onto zero integral to remove quadrature roundoff;
+    # written into `out` when given
     grid = _require_same_grid(panel, f_bar)
-    dev = panel.values - f_bar.values
+    dev = np.subtract(panel.values, f_bar.values, out=out)
     dev -= (dev @ grid.weights / (grid.b - grid.a))[:, None]
     return dev
 
@@ -288,26 +289,35 @@ def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:
     return OperatorRep(grid, mat.T @ mat / d)
 
 
-def _snapshots(panel: DensityPanel) -> tuple:
+def _snapshots(panel: DensityPanel, out=None) -> tuple:
     """Mean density and the demeaned (T, n) panel, read-only: the rows of
-    :func:`mean_density` followed by :func:`demean`, bit for bit."""
+    :func:`mean_density` followed by :func:`demean`, bit for bit. The panel
+    is written into `out` when given, which is then made read-only too."""
     f_bar = mean_density(panel)
-    W = _deviations(panel, f_bar)
+    W = _deviations(panel, f_bar, out)
     W.setflags(write=False)
     return f_bar, W
 
 
-def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int) -> tuple:
+def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int, out=None) -> tuple:
     """Leading K eigenfunctions as a (K, n) array, and the (T-1, K) scores
-    <v_k, w_t> of the lagged periods w_1..w_{T-1}."""
+    <v_k, w_t> of the lagged periods w_1..w_{T-1}; the weighted periods go to
+    the leading T-1 rows of `out` when given."""
     V = eigen.vectors[:K]
-    return V, (W[:-1] * eigen.grid.weights) @ V.T
+    lagged = np.multiply(W[:-1], eigen.grid.weights, out=None if out is None else out[:-1])
+    return V, lagged @ V.T
 
 
-def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None) -> FarModel:
+def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None, *,
+        out: tuple | None = None) -> FarModel:
     """Fit the full autoregression on a density panel with truncation K.
 
-    `start` warm-starts the spectrum as in :func:`fit_demeaned`.
+    `start` warm-starts the spectrum as in :func:`fit_demeaned`. `out`, for
+    loops that refit many panels of one shape, is a (W, X, E) triple of
+    buffers shaped (T, n), (T, n) and (T-1, n): the demeaned panel goes to W
+    and the rest as in :func:`fit_demeaned`. W and E become the model's
+    read-only `demeaned` and `resid`, so pass views of buffers that are to
+    be reused. The panel's values are only read.
 
     Raises
     ------
@@ -316,12 +326,13 @@ def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None) -> FarMode
     RankDeficient
         K exceeds the usable rank of the estimated covariance.
     """
-    f_bar, W = _snapshots(panel)
-    return fit_demeaned(panel.grid, f_bar, W, K, start)
+    f_bar, W = _snapshots(panel, None if out is None else out[0])
+    return fit_demeaned(panel.grid, f_bar, W, K, start, out=None if out is None else out[1:])
 
 
 def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
-                 K: int, start: np.ndarray | None = None) -> FarModel:
+                 K: int, start: np.ndarray | None = None, *,
+                 out: tuple | None = None) -> FarModel:
     """Fit at truncation K from the read-only demeaned (T, n) panel W.
 
     Every :class:`FarModel` is built here: :func:`fit` comes with the
@@ -330,6 +341,10 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
     eigenfunctions times sqrt(weights), warm-starts a truncated spectrum
     (:func:`~densfar.grid.snapshot_spectrum`): the model's `eigen` then
     holds only the K leading eigenvalues, unless the solve falls back.
+
+    `out`, an (X, E) pair of (T, n) and (T-1, n) buffers, takes the
+    fit's panel-sized temporaries: X the weighted panel, E the residuals,
+    which become the model's read-only `resid`.
 
     Raises
     ------
@@ -343,12 +358,13 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
         raise TooFewPeriods(f"fit needs >= 5 periods, got {T}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    eigen = snapshot_spectrum(grid, W, K, start)
+    X, E = (None, None) if out is None else out
+    eigen = snapshot_spectrum(grid, W, K, start, out=X)
     _check_rank(eigen, K)
-    V, C = _lagged_scores(W, eigen, K)
+    V, C = _lagged_scores(W, eigen, K, out=X)
     B = W[1:].T @ (C / eigen.eigenvalues[:K])
     # e = W_1 - (C B^T) / T, in one buffer
-    resid = np.matmul(C, B.T)
+    resid = np.matmul(C, B.T, out=E)
     np.divide(resid, T, out=resid)
     np.subtract(W[1:], resid, out=resid)
     B.setflags(write=False)

@@ -150,10 +150,11 @@ def to_density(w_forecast: GridFunction, f_bar: GridFunction) -> GridFunction:
                                                   DegenerateForecast))
 
 
-def _to_densities(states: np.ndarray, f_bar: GridFunction, error) -> np.ndarray:
+def _to_densities(states: np.ndarray, f_bar: GridFunction, error, out=None) -> np.ndarray:
     """The rows of f_bar + states with negatives set to zero, each rescaled to
-    unit mass; raises `error` when a clipped row carries (almost) no mass."""
-    raw = np.add(f_bar.values, states)
+    unit mass, in `out` when given (it may be `states`); raises `error` when a
+    clipped row carries (almost) no mass."""
+    raw = np.add(f_bar.values, states, out=out)
     np.clip(raw, 0.0, None, out=raw)
     masses = raw @ f_bar.grid.weights
     if float(masses.min()) <= 1e-12:

@@ -472,7 +472,7 @@ def _leading_gram_pairs(G: np.ndarray, start: np.ndarray, m: int):
 
 
 def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None,
-                      start: np.ndarray | None = None) -> EigenSystem:
+                      start: np.ndarray | None = None, *, out=None) -> EigenSystem:
     """Spectrum of the covariance (1/T) sum_t w_t (x) w_t of a stack of functions.
 
     `stack` holds the values of w_1..w_T as a (T, n) array. The eigenpairs
@@ -493,9 +493,11 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None,
     leading m pairs then come from a block subspace iteration on X X^T from
     X start^T, and the result holds only those m eigenvalues. If those are
     not certified within a few sweeps, the result is the unstarted one.
+
+    `out`, a buffer shaped like `stack`, takes X instead of a new array.
     """
     sqrt_w = np.sqrt(grid.weights)
-    X = stack * sqrt_w
+    X = np.multiply(stack, sqrt_w, out=out)
     T, n = X.shape
     if start is not None and (m is None or len(start) < m):
         raise ValueError(f"a start needs m <= {len(start)} rows, got m={m}")

@@ -242,6 +242,15 @@ def _grid_interpolator(grid: GridSpec, values: np.ndarray):
     return interp
 
 
+def _row_rng(seed) -> np.random.Generator:
+    # a uint32 array gives the SeedSequence pool of the same integers as a
+    # tuple, and hashes in about half the time
+    words = seed if isinstance(seed, tuple) else (seed,)
+    if all(isinstance(x, (int, np.integer)) and 0 <= x < 1 << 32 for x in words):
+        seed = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(seed)
+
+
 def _sample_rows(grid: GridSpec, values: np.ndarray, n: int, seeds) -> tuple:
     """Draw n points from each row of `values`, nonnegative densities on the
     grid, by rejection; row i draws from its own `default_rng(seeds[i])`.
@@ -270,7 +279,7 @@ def _sample_rows(grid: GridSpec, values: np.ndarray, n: int, seeds) -> tuple:
     per_group = max(1, _SAMPLE_BLOCK // int(chunk_sizes(slice(None)).max()))
     for start in range(0, len(values), per_group):
         members = range(start, min(start + per_group, len(values)))
-        rngs = {i: np.random.default_rng(seeds[i]) for i in members}
+        rngs = {i: _row_rng(seeds[i]) for i in members}
         while rngs:
             rows = np.fromiter(rngs, dtype=np.intp, count=len(rngs))
             chunk = chunk_sizes(rows)

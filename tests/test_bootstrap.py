@@ -1,6 +1,7 @@
 """Residual bootstrap bands: determinism, nesting, coverage."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,34 @@ def test_band_identical_under_thread_pool(monkeypatch, factory):
     assert np.array_equal(serial.upper, pooled.upper)
 
 
+@pytest.mark.parametrize("threads", [None, "2", "4"])
+def test_statistic_returning_a_view_into_its_refit(monkeypatch, threads):
+    # each worker refits into one set of buffers for the whole call, so a
+    # statistic that returns a view into its refit must still give the band
+    # of the same statistic returning a copy: each value is copied when kept.
+    # Pooled runs switch threads often, so that workers sharing a buffer
+    # would overwrite each other's refits.
+    model, _ = _model(seed=10)
+    if threads is None:
+        monkeypatch.delenv("FAR_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FAR_THREADS", threads)
+    stats = {"last": lambda m: m.demeaned[-1], "resid": lambda m: m.resid[0],
+             "last_copy": lambda m: m.demeaned[-1].copy(),
+             "resid_copy": lambda m: m.resid[0].copy()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        bands = residual_bootstrap(model, stats, B=100, alpha=0.05, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("last", "resid"):
+        assert np.any(bands[name].lower < bands[name].upper)
+        for field in ("point", "lower", "upper"):
+            assert np.array_equal(getattr(bands[name], field),
+                                  getattr(bands[f"{name}_copy"], field))
+
+
 def test_band_guards():
     model, _ = _model(seed=5)
     v = moment_functional(1, model.grid)
@@ -133,9 +162,10 @@ def _regenerated(monkeypatch, model, B, seed):
         draws.append(idx.copy())
         return score_paths(step, s_first, noise, idx)
 
-    def recording_fit(panel, K, start=None):
-        panels.append(panel.values)
-        return refit(panel, K, start)
+    def recording_fit(panel, K, start=None, *, out=None):
+        # every replication's panel is one reused buffer
+        panels.append(panel.values.copy())
+        return refit(panel, K, start, out=out)
 
     monkeypatch.delenv("FAR_THREADS", raising=False)
     monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)

@@ -12,6 +12,7 @@ import pytest
 
 import densfar
 import densfar.bootstrap as bootstrap
+import densfar.cli as cli
 from densfar.cli import _build_parser, main
 from densfar.grid import make_grid
 from densfar.io import load_model, save_grid_function, save_model
@@ -235,9 +236,9 @@ def test_analyze_bootstrap_refits_once_per_replication(tmp_path, panel_csv, monk
     ) == 0
     refits, refit = [], bootstrap.fit
 
-    def counting_fit(panel, K, start=None):
+    def counting_fit(panel, K, start=None, *, out=None):
         refits.append(K)
-        return refit(panel, K, start)
+        return refit(panel, K, start, out=out)
 
     monkeypatch.setattr(bootstrap, "fit", counting_fit)
     assert main(
@@ -672,6 +673,37 @@ def test_K_candidates_above_the_grid_cap_exit_one(tmp_path, panel_csv, capsys):
     capsys.readouterr()
     _assert_one_error_line(capsys, main(argv), argv)
     assert not (tmp_path / "m.bin").exists()
+
+
+def test_horizon_above_the_cap_exits_one(tmp_path, panel_csv, bin_model, capsys):
+    # every step keeps two grid functions and one CSV column; the cap is
+    # checked while the command line is parsed, before the model is read
+    argv = ["forecast", "--model", str(bin_model), "--input", str(panel_csv),
+            "--out-dir", str(tmp_path / "fc"), "--horizon", "1001"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --horizon must lie in 1..1000, got 1001\n"
+    assert not (tmp_path / "fc").exists()
+    assert main(argv[:-1] + ["1000"]) == 0
+    meta = json.loads((tmp_path / "fc" / "forecast_meta.json").read_text())
+    assert meta["horizon"] == 1000
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_bad_FAR_THREADS_exits_one_before_reading_input(tmp_path, bin_model, monkeypatch,
+                                                        capsys, command, value):
+    reads = []
+    monkeypatch.setattr(cli.dfio, "load_model", lambda *a: reads.append(a))
+    monkeypatch.setattr(cli, "_load_study_config", lambda *a: reads.append(a))
+    monkeypatch.setenv("FAR_THREADS", value)
+    argv = (["analyze", "vardecomp", "--model", str(bin_model), "--out-dir",
+             str(tmp_path / "out"), "--bootstrap", "100"]
+            if command == "analyze" else _study(tmp_path))
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+    assert reads == []
+    assert not (tmp_path / "out").exists() and not (tmp_path / "study.csv").exists()
 
 
 # -- the argv property: any flag value ends in exit 0, or one stderr line -----------
