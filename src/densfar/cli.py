@@ -91,6 +91,15 @@ def _flag(kind, ok, message):
 
 
 _EXISTING_PATH = _flag(str, os.path.exists, "input path does not exist: {}")
+
+
+def _output_path(flag):
+    # an output file's directory must exist, so a typo stops the command
+    # before it reads or writes anything
+    return _flag(str, lambda path: os.path.isdir(os.path.dirname(path) or os.curdir),
+                 f"{flag}: directory of {{}} does not exist")
+
+
 _N_VALIDATION = _flag(int, lambda n: n >= 1, "--n-validation must be >= 1")
 # the interval's normal quantile is taken at 1 - alpha/2, which must differ from 1
 _ALPHA = _flag(_flag(float, lambda a: 0.0 < a < 1.0, "--alpha must lie in (0, 1)"),
@@ -468,9 +477,10 @@ def _build_parser() -> _Parser:
         help="candidate set for cross-validated K, e.g. '1..8' or '2,4,6'",
     )
     p.add_argument("--n-validation", type=_N_VALIDATION, default=5)
-    p.add_argument("--out", required=True, help="model file (.json for text mode)")
+    p.add_argument("--out", required=True, type=_output_path("--out"),
+                   help="model file (.json for text mode)")
     p.add_argument("--format", choices=["json", "binary"], default=None)
-    p.add_argument("--scree", default=None, help="scree CSV path")
+    p.add_argument("--scree", default=None, type=_output_path("--scree"), help="scree CSV path")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("forecast", help="forecast densities from a fitted model")
@@ -515,12 +525,12 @@ def _build_parser() -> _Parser:
                    default=50)
     p.add_argument("--K-candidates", type=_K_candidates, default=DEFAULT_K_CANDIDATES)
     p.add_argument("--n-validation", type=_N_VALIDATION, default=5)
-    p.add_argument("--out", required=True, help="report CSV path")
+    p.add_argument("--out", required=True, type=_output_path("--out"), help="report CSV path")
     p.set_defaults(func=_cmd_backtest)
 
     p = sub.add_parser("simulate", help="Monte Carlo forecast study")
     p.add_argument("--config", required=True, help="study config (JSON or TOML)")
-    p.add_argument("--out", required=True, help="report CSV path")
+    p.add_argument("--out", required=True, type=_output_path("--out"), help="report CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sample", help="draw observations from a stored density")
@@ -528,7 +538,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_flag(int, lambda n: n >= 1, "--n must be >= 1, got {}"),
                    required=True)
     p.add_argument("--seed", type=_SEED, required=True)
-    p.add_argument("--out", required=True, help="draws CSV path")
+    p.add_argument("--out", required=True, type=_output_path("--out"), help="draws CSV path")
     p.set_defaults(func=_cmd_sample)
     return parser
 

@@ -7,8 +7,21 @@ integrates to one over the support (mass beyond the support is redistributed
 proportionally rather than reflected). The Epanechnikov sum visits only the
 observations within one bandwidth of each grid point, at a cost of
 O(N log N + sum of window sizes) instead of O(N n) for N observations and n
-grid points. The normal kernel has no compact support, so every grid point
-sums over every observation, in one reused buffer of blocked terms.
+grid points.
+
+The normal kernel has no compact support, so every grid point takes every
+observation. On the uniform grid the term at c + r * step factors into
+exp(-d^2) exp(-2 d e)^r exp(-(r e)^2), with d and e the distance from
+anchor c to the observation and the step in units of h sqrt(2). With an
+anchor every Bs <= 32 grid points, where Bs e <= 3, a row costs 2 n / Bs exp
+calls per observation instead of n, and one multiply and one add per term;
+on the study's grid-128 panels Bs = 32, 16 times fewer exp calls, and
+`estimate_panel` takes about a third of the term-by-term time. Its sums stay
+within 1e-12 of the largest term-by-term sum (about 1e-15 measured on those
+panels). A step above 1.5 h sqrt(2), or a support so far from zero that the
+stored grid points depart from uniform spacing, is summed term by term.
+`estimate_panel` sums runs of equal-size periods together, each row equal to
+`kde` of its block.
 """
 
 from __future__ import annotations
@@ -213,6 +226,31 @@ def bandwidth(sigma_hat: float, n: int, kernel: str = "epanechnikov") -> float:
 # Evaluate at most this many kernel terms at once (grid points x observations).
 _KDE_BLOCK = 1 << 22
 
+# The separable normal sum (see _normal_sums) holds two work arrays of at most
+# this many (rows x anchors x observations) elements, 128 KB each
+_SEPARABLE_BLOCK = 1 << 14
+# Its widest anchor spacing, in grid steps, and its farthest reach from an
+# anchor in kernel units: Bs e <= 3 keeps exp(-(d + r e)^2) = A B^r C_r within
+# range wherever the term is above roundoff
+_MAX_SPACING = 32
+_REACH = 3.0
+# Largest departure of the grid from uniform spacing, in kernel units, for
+# which evaluating at anchor + r * step stays within 1e-12 of the sum at the
+# stored points: a term moves by at most 2 |u| times the departure, and
+# |u| < 27.3 for every term that does not underflow
+_DEPARTURE = 1e-14
+# A term whose anchor factor A = exp(-d^2) is subnormal or zero is lost, and
+# each such term is below about 1e-240: a row whose sums all lie below this
+# times its count may consist of them, so it is summed term by term
+_TINY = 1e-200
+# exp(-2 d e) is capped here; a factor that large only multiplies an A = 0
+_EXP_CAP = 700.0
+# Observations per estimate_panel call into the sums, so that the stacked
+# rows of a long run of equal-size periods stay small: with these two blocks
+# a study iteration at T=100, N=500 and grid 128 allocates most in
+# simulate_far, not here
+_PANEL_BLOCK = 1 << 15
+
 
 def _epanechnikov_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
     """Sum 0.75 (1 - u^2)+, u = (x - X_j) / h, at every grid point x.
@@ -245,13 +283,33 @@ def _epanechnikov_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndar
     return raw
 
 
-def _normal_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Sum exp(-u^2 / 2) / sqrt(2 pi), u = (x - X_j) / h, at every grid point x,
-    in one (n, block) buffer of at most ``_KDE_BLOCK`` terms filled in place."""
+def _anchor_spacings(points: np.ndarray, scale: np.ndarray) -> tuple:
+    """Anchor spacing Bs per row of the separable normal sum, and the grid step.
+
+    Bs is the largest power of two up to ``_MAX_SPACING`` with Bs e <= _REACH,
+    where e is the step in kernel units, and at which the stored grid points
+    depart from anchor + r * step by at most ``_DEPARTURE`` in kernel units
+    (they depart more on a support far from zero); Bs = 1 where none is.
+    """
+    step = (points[-1] - points[0]) / (points.size - 1)
+    e = step * scale
+    spacing = np.ones(scale.size, dtype=np.intp)
+    bs = _MAX_SPACING
+    while bs > 1:
+        rows = (spacing == 1) & (bs * e <= _REACH)
+        if rows.any():
+            offset = np.arange(points.size) % bs
+            departure = np.abs(points - points[np.arange(points.size) - offset] - offset * step).max()
+            spacing[rows & (departure * scale <= _DEPARTURE)] = bs
+        bs //= 2
+    return spacing, step
+
+
+def _pair_sums(obs: np.ndarray, points: np.ndarray, scale) -> np.ndarray:
+    # sum of exp(-((x - X_j) scale)^2) at every grid point x, term by term, in
+    # one (n, block) buffer of at most _KDE_BLOCK terms filled in place
     step = max(1, _KDE_BLOCK // points.size)
     buf = np.empty((points.size, min(step, obs.size)))
-    # scale before squaring: 0.5 / h**2 overflows for h below about 1e-154
-    scale = np.sqrt(0.5) / h
     raw = np.zeros(points.size)
     for start in range(0, obs.size, step):
         terms = buf[:, : min(step, obs.size - start)]
@@ -261,7 +319,95 @@ def _normal_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
         np.negative(terms, out=terms)
         np.exp(terms, out=terms)
         raw += terms.sum(axis=1)
-    return raw / np.sqrt(2.0 * np.pi)
+    return raw
+
+
+def _separable_sums(obs: np.ndarray, points: np.ndarray, scale: np.ndarray,
+                    bs: int, step: float) -> np.ndarray:
+    # the sums of _pair_sums for rows obs (p, N), evaluated at c + r * step
+    # for the anchors c = points[::bs] and offsets r < bs. With d = (c - X)
+    # scale and e = step * scale, exp(-(d + r e)^2) = A B^r C_r for
+    # A = exp(-d^2), B = exp(-2 d e) and C_r = exp(-(r e)^2): V starts at A
+    # and is multiplied by B once per offset, and its sum over X after each
+    # step, times C_r, is the sum at offset r
+    anchors = points[::bs]
+    e = step * scale
+    # rows come in chunks of at most _SEPARABLE_BLOCK elements, or one at a
+    # time with pieces of its observations, so a row's pieces and the order
+    # of its sums do not depend on the rows beside it
+    piece = max(1, _SEPARABLE_BLOCK // (len(obs) * anchors.size))
+    sums = np.zeros((bs, len(obs), anchors.size))
+    part = np.empty_like(sums)
+    for start in range(0, obs.shape[1], piece):
+        v = np.subtract(anchors[:, None], obs[:, None, start : start + piece])
+        v *= scale[:, None, None]
+        b = v * (-2.0 * e)[:, None, None]
+        np.square(v, out=v)
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+        # an overflowing B only meets an underflowed A: cap it, and V stays 0
+        np.minimum(b, _EXP_CAP, out=b)
+        np.exp(b, out=b)
+        np.add.reduce(v, axis=2, out=part[0])
+        for r in range(1, bs):
+            v *= b
+            np.add.reduce(v, axis=2, out=part[r])
+        sums += part
+    sums *= np.exp(-np.square(np.arange(bs)[:, None] * e))[:, :, None]
+    return sums.transpose(1, 2, 0).reshape(len(obs), -1)[:, : points.size]
+
+
+def _normal_sums(obs: np.ndarray, points: np.ndarray, h) -> np.ndarray:
+    """Sum exp(-u^2 / 2) / sqrt(2 pi), u = (x - X_j) / h, at every grid point x.
+
+    ``obs`` is one sample (N,) with a float ``h``, or rows (P, N) of samples
+    with bandwidths ``h`` (P,), and the sums have shape (n,) or (P, n). Each
+    row is summed in separable form with its own anchor spacing Bs (see
+    ``_anchor_spacings``), at 2 n / Bs exp calls per observation instead of n,
+    or term by term where Bs = 1. A row's sums do not depend on the rows
+    summed with it.
+    """
+    rows = np.atleast_2d(obs)
+    # scale before squaring: 0.5 / h**2 overflows for h below about 1e-154
+    scale = np.sqrt(0.5) / np.atleast_1d(np.asarray(h, dtype=np.float64))
+    spacing, step = _anchor_spacings(points, scale)
+    raw = np.empty((len(rows), points.size))
+    for bs in sorted(set(spacing.tolist())):
+        members = np.flatnonzero(spacing == bs)
+        if bs > 1:
+            per_chunk = max(1, _SEPARABLE_BLOCK // (-(-points.size // bs) * rows.shape[1]))
+            for lo in range(0, members.size, per_chunk):
+                chunk = members[lo : lo + per_chunk]
+                raw[chunk] = _separable_sums(rows[chunk], points, scale[chunk], bs, step)
+            members = members[raw[members].max(axis=1) < _TINY * rows.shape[1]]
+        for i in members.tolist():
+            raw[i] = _pair_sums(rows[i], points, scale[i])
+    raw /= np.sqrt(2.0 * np.pi)
+    return raw if np.ndim(obs) > 1 else raw[0]
+
+
+def _densities(obs: np.ndarray, grid: GridSpec, kernel: str, h: np.ndarray,
+               labels=None) -> np.ndarray:
+    """Unit-mass estimates (P, n) from samples obs (P, N) with bandwidths h (P,).
+
+    Raises DegenerateSample at the first row that carries no mass inside the
+    support, naming its period when ``labels`` are given.
+    """
+    if kernel == "normal":
+        raw = _normal_sums(obs, grid.points, h)
+    else:
+        raw = np.stack([_epanechnikov_sums(x, grid.points, b) for x, b in zip(obs, h)])
+    raw /= (obs.shape[1] * h)[:, None]
+    for i, row in enumerate(raw):
+        mass = float(np.dot(grid.weights, row))
+        if mass <= 1e-12:
+            period = "" if labels is None else f"period {labels[i]!r}: "
+            raise DegenerateSample(
+                f"{period}estimated density carries no mass inside the support; "
+                "observations lie outside [a, b]"
+            )
+        row /= mass
+    return raw
 
 
 def kde(
@@ -279,7 +425,8 @@ def kde(
     The Epanechnikov sum holds exactly the nonzero terms of the sum over all
     N n pairs, found per grid point by binary search in the sorted sample.
     The normal kernel is positive everywhere, so its sum takes all N n
-    terms, computed block by block in place in one reused buffer.
+    terms; around anchors every Bs <= 32 grid points they factor into 2 n / Bs
+    exponentials per observation (see ``_normal_sums``).
 
     Parameters
     ----------
@@ -298,17 +445,7 @@ def kde(
     h = float(h)
     if h <= 0.0:
         raise BandwidthNonpositive(f"need h > 0, got {h}")
-
-    sums = _epanechnikov_sums if kernel == "epanechnikov" else _normal_sums
-    raw = sums(obs, grid.points, h) / (obs.size * h)
-
-    mass = float(np.dot(grid.weights, raw))
-    if mass <= 1e-12:
-        raise DegenerateSample(
-            "estimated density carries no mass inside the support; "
-            "observations lie outside [a, b]"
-        )
-    return GridFunction(grid, raw / mass)
+    return GridFunction(grid, _densities(obs[None], grid, kernel, np.array([h]))[0])
 
 
 def estimate_panel(
@@ -317,16 +454,35 @@ def estimate_panel(
     """Estimate one density per period with per-period bandwidths.
 
     Each period uses its own unbiased sample standard deviation and count in
-    the rule-of-thumb bandwidth. Errors from individual periods are re-raised
-    with the period label attached.
+    the rule-of-thumb bandwidth. Runs of consecutive equal-size periods are
+    estimated together, each row equal to ``kde`` of its block. Errors from
+    individual periods are re-raised with the period label attached, for the
+    first failing period.
     """
     _check_kernel(kernel)
     values = np.empty((len(panel), grid.n))
-    for t, (label, block) in enumerate(zip(panel.labels, panel.blocks)):
-        try:
-            sigma = float(np.std(block, ddof=1)) if block.size > 1 else 0.0
-            h = bandwidth(sigma, block.size, kernel)
-            values[t] = kde(block, grid, kernel, h).values
-        except (TooFewObservations, DegenerateSample, BandwidthNonpositive) as exc:
-            raise type(exc)(f"period {label!r}: {exc}") from exc
+    sizes = panel.counts
+    start = 0
+    while start < len(panel):
+        # the run of periods the size of this one, up to _PANEL_BLOCK observations
+        stop = start + 1
+        limit = min(len(panel), start + max(1, _PANEL_BLOCK // int(sizes[start])))
+        while stop < limit and sizes[stop] == sizes[start]:
+            stop += 1
+        obs = np.stack(panel.blocks[start:stop])
+        labels = panel.labels[start:stop]
+        sigma = np.std(obs, axis=1, ddof=1) if obs.shape[1] > 1 else np.zeros(len(obs))
+        h = np.empty(len(obs))
+        for i, s in enumerate(sigma.tolist()):
+            try:
+                h[i] = bandwidth(s, obs.shape[1], kernel)
+                if h[i] <= 0.0:
+                    raise BandwidthNonpositive(f"need h > 0, got {h[i]}")
+            except (TooFewObservations, DegenerateSample, BandwidthNonpositive) as exc:
+                # an earlier period of the run that fails fails first
+                if i:
+                    _densities(obs[:i], grid, kernel, h[:i], labels)
+                raise type(exc)(f"period {labels[i]!r}: {exc}") from exc
+        values[start:stop] = _densities(obs, grid, kernel, h, labels)
+        start = stop
     return DensityPanel._wrap(grid, values, panel.labels)

@@ -407,9 +407,9 @@ class StudyConfig:
     """Configuration of a Monte Carlo forecast study.
 
     For every (T, N) pair and iteration: simulate T+1 true densities, draw
-    N observations per period, re-estimate the densities by KDE, fit the
-    autoregression with truncation K on the first T periods, and score the
-    FAR/AVE/LAST forecasts of period T+1 against the true density.
+    N observations from each of the first T, re-estimate those densities by
+    KDE, fit the autoregression with truncation K on them, and score the
+    FAR/AVE/LAST forecasts of period T+1 against its true density.
     """
 
     generator: FarGenerator
@@ -486,14 +486,14 @@ def _study_iteration(config: StudyConfig, T: int, N: int, it: int):
         seed=(config.seed, T, N, it, 0),
         burn_in=config.burn_in,
     )
-    # simulate_far's rows are nonnegative with unit mass: no validation here
-    draws, _, _ = _sample_rows(
-        config.generator.grid, panel_true.values, N,
-        [(config.seed, T, N, it, 1, t) for t in range(len(panel_true))],
-    )
-    raw = RawPanel(labels=panel_true.labels, blocks=tuple(draws))
-    estimated = estimate_panel(raw, config.generator.grid, config.kernel)
-    train = estimated.head(T)
+    # only the first T periods are observed; simulate_far's rows are
+    # nonnegative with unit mass, so no validation here. The panel copies the
+    # draws, which are freed before the estimate
+    raw = RawPanel(labels=panel_true.labels[:T], blocks=tuple(_sample_rows(
+        config.generator.grid, panel_true.values[:T], N,
+        [(config.seed, T, N, it, 1, t) for t in range(T)],
+    )[0]))
+    train = estimate_panel(raw, config.generator.grid, config.kernel)
     truth = panel_true.densities[T]
     model = fit(train, config.K)
     f_far = to_density(forecast_one_step(model, model.w_last), model.mean_density)

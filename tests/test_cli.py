@@ -706,6 +706,27 @@ def test_bad_FAR_THREADS_exits_one_before_reading_input(tmp_path, bin_model, mon
     assert not (tmp_path / "out").exists() and not (tmp_path / "study.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("estimate", "--out"), ("estimate", "--scree"),
+                                           ("backtest", "--out"), ("simulate", "--out"),
+                                           ("sample", "--out")])
+def test_output_in_a_missing_directory_exits_one_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                 argv_bases, command, flag):
+    # the directory is checked while the command line is parsed, so nothing
+    # is read, computed or written
+    reads = []
+    for module, name in ((cli.dfio, "read_observations"), (cli.dfio, "load_grid_function"),
+                         (cli, "_load_study_config")):
+        monkeypatch.setattr(module, name, lambda *a: reads.append(a))
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join("nodir", "out.csv")
+    argv = _with_hazard(argv_bases[command], flag, path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag}: directory of {path} does not exist\n"
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- the argv property: any flag value ends in exit 0, or one stderr line -----------
 
 # flag values that probe parsing and range checks; None gives the flag no value

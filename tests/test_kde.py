@@ -338,6 +338,98 @@ def test_windowed_sum_matches_dense_oracle(obs, h, ends, n):
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
 
+def _per_pair_normal(obs, points, h):
+    # the term-by-term sum in (n, block) buffers that the anchor spacing
+    # Bs = 1 keeps bit for bit
+    step = max(1, kde_module._KDE_BLOCK // points.size)
+    buf = np.empty((points.size, min(step, obs.size)))
+    scale = np.sqrt(0.5) / h
+    raw = np.zeros(points.size)
+    for start in range(0, obs.size, step):
+        terms = buf[:, : min(step, obs.size - start)]
+        np.subtract.outer(points, obs[start : start + step], out=terms)
+        terms *= scale
+        np.square(terms, out=terms)
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        raw += terms.sum(axis=1)
+    return raw / np.sqrt(2.0 * np.pi)
+
+
+@pytest.mark.parametrize("block", [1, 1000, 1 << 22])
+@pytest.mark.parametrize("case", sorted(NORMAL_CASES))
+def test_unit_anchor_spacing_is_the_per_pair_sum(monkeypatch, case, block):
+    obs, grid, h = NORMAL_CASES[case]()
+    monkeypatch.setattr(kde_module, "_KDE_BLOCK", block)
+    monkeypatch.setattr(kde_module, "_MAX_SPACING", 1)
+    got = kde_module._normal_sums(obs, grid.points, h)
+    assert np.array_equal(got, _per_pair_normal(obs, grid.points, h))
+
+
+def test_anchor_spacing_per_row():
+    # the study's grid-128 panels take Bs = 32; a wider step a smaller Bs; a
+    # step above 1.5 h sqrt(2), or a support whose stored points depart from
+    # uniform spacing by more than 1e-14 in kernel units, Bs = 1
+    points = make_grid(0.0, 1.0, 128).points
+    h = np.array([0.06, 0.02, 0.008, 0.003])
+    spacing, step = kde_module._anchor_spacings(points, np.sqrt(0.5) / h)
+    assert step == pytest.approx(1.0 / 127, rel=1e-15)
+    assert spacing.tolist() == [32, 8, 4, 1]
+    for a in (1000.0, 1e6):
+        far = make_grid(a, a + 1.0, 128).points
+        assert kde_module._anchor_spacings(far, np.sqrt(0.5) / h)[0].tolist() == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("width_share", [0.02, 0.05])
+@pytest.mark.parametrize("a", [0.0, 1000.0, 1e6])
+def test_normal_sums_on_supports_far_from_zero(a, width_share):
+    # on [a, a + 1] the stored points depart from a + i * step by up to an
+    # ulp of a; the sums must still be those at the stored points
+    grid = make_grid(a, a + 1.0, 128)
+    obs = a + np.random.default_rng(19).beta(2.0, 5.0, size=500) * 1.2 - 0.1
+    h = width_share * 1.0
+    ref = _dense_normal(obs, grid.points, h)
+    got = kde_module._normal_sums(obs, grid.points, h)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+def test_normal_sums_near_underflow():
+    # every observation lies about 37 bandwidths beyond the support, where
+    # the last anchor factor exp(-d^2) underflows: the sums are about 1e-297
+    grid = make_grid(0.0, 1.0, 128)
+    h = 0.05
+    obs = 1.0 + 37.0 * h + np.random.default_rng(20).uniform(0.0, 0.2 * h, size=300)
+    ref = _dense_normal(obs, grid.points, h)
+    assert 0.0 < ref.max() < 1e-250
+    got = kde_module._normal_sums(obs, grid.points, h)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+def _mixed_rows(size=300):
+    # rows whose bandwidths give anchor spacings 32, 16, 8, 2 and 1, and a
+    # row beyond the support, all in one (P, N) array
+    rng = np.random.default_rng(21)
+    rows = [rng.normal(0.5, sd, size=size) for sd in (0.2, 0.1, 0.05, 0.02, 0.005)]
+    rows.append(1.0 + 37.0 * 0.05 + rng.uniform(0.0, 0.01, size=size))
+    return np.array(rows), np.array([0.05, 0.025, 0.012, 0.003, 0.001, 0.05])
+
+
+@pytest.mark.parametrize("block", [64, 1 << 14])
+def test_normal_sums_of_a_row_do_not_depend_on_its_neighbours(monkeypatch, block):
+    # 64 elements split every row into pieces of observations; 1 << 14 puts
+    # several rows of one spacing in a chunk
+    monkeypatch.setattr(kde_module, "_SEPARABLE_BLOCK", block)
+    points = make_grid(0.0, 1.0, 128).points
+    rows, h = _mixed_rows()
+    together = kde_module._normal_sums(rows, points, h)
+    shuffled = kde_module._normal_sums(rows[::-1], points, h[::-1])[::-1]
+    assert np.array_equal(together, shuffled)
+    for row, b, got in zip(rows, h, together):
+        assert np.array_equal(got, kde_module._normal_sums(row, points, b))
+        ref = _dense_normal(row, points, b)
+        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
 # -- estimate_panel ---------------------------------------------------------------------
 
 def test_estimate_panel_identical_blocks():
@@ -364,6 +456,50 @@ def test_estimate_panel_attaches_period_label():
     panel = RawPanel(labels=("1", "2"), blocks=(np.random.default_rng(0).normal(size=50), np.zeros(40)))
     with pytest.raises(DegenerateSample, match="period '2'"):
         estimate_panel(panel, g)
+
+
+def _study_like_panel(sizes):
+    # periods of draws from moving bell curves on [0, 1], cut to the given sizes
+    rng = np.random.default_rng(22)
+    blocks = tuple(np.clip(rng.normal(0.5 + 0.1 * np.sin(t), 0.1 + 0.1 * rng.uniform(), m), 0.0, 1.0)
+                   for t, m in enumerate(sizes))
+    return RawPanel(labels=tuple(str(t + 1) for t in range(len(sizes))), blocks=blocks)
+
+
+PANEL_SIZES = {
+    "equal": [500] * 40,
+    "ragged": [100, 100, 300, 300, 300, 120, 500, 500, 100, 100, 100],
+}
+
+
+@pytest.mark.parametrize("blocks", [(1 << 14, 1 << 16), (64, 700)])
+@pytest.mark.parametrize("kernel", ["epanechnikov", "normal"])
+@pytest.mark.parametrize("sizes", sorted(PANEL_SIZES))
+def test_estimate_panel_rows_equal_kde(monkeypatch, sizes, kernel, blocks):
+    # batched equals serial: each row is kde() of its block bit for bit,
+    # whatever the run and chunk sizes
+    monkeypatch.setattr(kde_module, "_SEPARABLE_BLOCK", blocks[0])
+    monkeypatch.setattr(kde_module, "_PANEL_BLOCK", blocks[1])
+    g = make_grid(0.0, 1.0, 128)
+    panel = _study_like_panel(PANEL_SIZES[sizes])
+    est = estimate_panel(panel, g, kernel)
+    for row, block in zip(est.values, panel.blocks):
+        assert np.array_equal(row, kde(block, g, kernel).values)
+
+
+def test_estimate_panel_reports_the_first_failing_period():
+    # period 2 has no mass on the grid and period 3 no spread; both sit in
+    # one run of equal-size periods, and period 2 is reported
+    g = make_grid(0.0, 1.0, 64)
+    rng = np.random.default_rng(23)
+    blocks = (rng.uniform(size=50), 40.0 + rng.uniform(size=50), np.zeros(50), rng.uniform(size=50))
+    panel = RawPanel(labels=("1", "2", "3", "4"), blocks=blocks)
+    for kernel in ("epanechnikov", "normal"):
+        with pytest.raises(DegenerateSample, match="period '2': estimated density carries no mass"):
+            estimate_panel(panel, g, kernel)
+    panel = RawPanel(labels=("1", "2", "3"), blocks=(blocks[0], blocks[2], blocks[1]))
+    with pytest.raises(DegenerateSample, match="period '2': need sigma_hat > 0"):
+        estimate_panel(panel, g, "normal")
 
 
 def test_estimate_panel_large_panel_shape():
