@@ -61,6 +61,8 @@ __all__ = ["main", "cli_dispatch"]
 DEFAULT_K_CANDIDATES = "1..8"
 # a forecast keeps two grid functions and writes one CSV column per step
 MAX_HORIZON = 1000
+# sample holds its draws in memory and writes one CSV row per draw
+MAX_SAMPLE_SIZE = 10_000_000
 
 
 class _ValidationFailure(Exception):
@@ -535,7 +537,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw observations from a stored density")
     p.add_argument("--density", required=True, help="grid-function file")
-    p.add_argument("--n", type=_flag(int, lambda n: n >= 1, "--n must be >= 1, got {}"),
+    p.add_argument("--n", type=_flag(int, lambda n: 1 <= n <= MAX_SAMPLE_SIZE,
+                                     f"--n must lie in 1..{MAX_SAMPLE_SIZE}, got {{}}"),
                    required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", required=True, type=_output_path("--out"), help="draws CSV path")

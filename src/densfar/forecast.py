@@ -208,6 +208,12 @@ def predictor_last(panel: DensityPanel) -> GridFunction:
     return GridFunction._wrap(panel.grid, panel.values[-1])
 
 
+def _l2_distance(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
+    """The d2 measure: the quadrature L2 distance between grid values f and g."""
+    diff = f - g
+    return float(np.sqrt(np.dot(weights, diff * diff)))
+
+
 def error_metrics(f_hat: GridFunction, f_true: GridFunction) -> ErrorReport:
     """Compute the six deviation measures between two densities."""
     grid = _require_same_grid(f_hat, f_true)
@@ -216,7 +222,7 @@ def error_metrics(f_hat: GridFunction, f_true: GridFunction) -> ErrorReport:
     w = grid.weights
     x = grid.points
     diff = f_hat.values - f_true.values
-    d2 = float(np.sqrt(np.dot(w, diff * diff)))
+    d2 = _l2_distance(w, f_hat.values, f_true.values)
     d1 = float(np.dot(w, np.abs(diff)))
     F_hat = cdf_from_density(f_hat).values
     F_true = cdf_from_density(f_true).values
@@ -298,16 +304,16 @@ def _select_K(panel: DensityPanel, candidates, n_validation: int, spectra: dict)
         if key not in spectra:
             spectra[key] = _truncated_forecasts(panel.head(s), key[1])
         f_bar, steps = spectra[key]
-        truth = GridFunction._wrap(panel.grid, panel.values[s])
         for K in [K for K in scores if K > len(steps)]:
             del scores[K]  # beyond the usable rank of this prefix
         for K in list(scores):
             try:
-                f_fc = to_density(GridFunction._wrap(panel.grid, steps[K - 1]), f_bar)
+                f_fc = _to_densities(steps[K - 1], f_bar, DegenerateForecast)
             except DegenerateForecast:
                 del scores[K]
                 continue
-            scores[K].append(error_metrics(f_fc, truth).d2)
+            # the d2 of error_metrics, without the five measures CV does not use
+            scores[K].append(_l2_distance(panel.grid.weights, f_fc, panel.values[s]))
     if not scores:
         raise NoFeasibleK(
             f"all candidates {candidates} were rank deficient or degenerate"

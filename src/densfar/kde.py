@@ -4,10 +4,18 @@ Raw data come as blocks of observations per period. Each block is turned
 into a density on the shared grid with an Epanechnikov or normal kernel and
 a rule-of-thumb bandwidth, then renormalized so every estimated density
 integrates to one over the support (mass beyond the support is redistributed
-proportionally rather than reflected). The Epanechnikov sum visits only the
-observations within one bandwidth of each grid point, at a cost of
-O(N log N + sum of window sizes) instead of O(N n) for N observations and n
-grid points.
+proportionally rather than reflected).
+
+The Epanechnikov sum at a grid point x covers its window, the run of sorted
+observations whose rounded term 1 - u^2 is positive; an empty window sums to
+exactly 0. With one anchor c per sample, d = (x - c) / h and y = (X - c) / h,
+a window of m observations sums to 0.75 [m (1 - d^2) + 2 d S1 - S2], where S1
+and S2 are its sums of y and y^2, read off long-double prefix sums over the
+sorted sample: O(N log N + n log N) work for N observations and n grid
+points, instead of one term per pair. An a-posteriori roundoff bound per
+grid point guards the cancellation in that combination; a sample whose
+largest bound exceeds 1e-13 of its largest sum, or every sample where long
+double is a plain double, is summed term by term over the same windows.
 
 The normal kernel has no compact support, so every grid point takes every
 observation. On the uniform grid the term at c + r * step factors into
@@ -20,8 +28,8 @@ on the study's grid-128 panels Bs = 32, 16 times fewer exp calls, and
 within 1e-12 of the largest term-by-term sum (about 1e-15 measured on those
 panels). A step above 1.5 h sqrt(2), or a support so far from zero that the
 stored grid points depart from uniform spacing, is summed term by term.
-`estimate_panel` sums runs of equal-size periods together, each row equal to
-`kde` of its block.
+`estimate_panel` sums consecutive periods together (for the normal kernel,
+runs of equal-size periods), each row equal to `kde` of its block.
 """
 
 from __future__ import annotations
@@ -101,6 +109,18 @@ class RawPanel:
             block.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _wrap(cls, labels: tuple, blocks: tuple) -> "RawPanel":
+        # fast path for draws the program makes itself: nonempty finite 1-d
+        # float64 blocks under string labels in natural order, kept without
+        # a copy or the per-period checks
+        obj = object.__new__(cls)
+        for block in blocks:
+            block.setflags(write=False)
+        object.__setattr__(obj, "labels", labels)
+        object.__setattr__(obj, "blocks", blocks)
+        return obj
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -245,24 +265,150 @@ _DEPARTURE = 1e-14
 _TINY = 1e-200
 # exp(-2 d e) is capped here; a factor that large only multiplies an A = 0
 _EXP_CAP = 700.0
-# Observations per estimate_panel call into the sums, so that the stacked
-# rows of a long run of equal-size periods stay small: with these two blocks
-# a study iteration at T=100, N=500 and grid 128 allocates most in
-# simulate_far, not here
+# Observations per estimate_panel call into the sums, counting the padding
+# of periods shorter than the longest, so that the stacked rows stay small:
+# with these two blocks a study iteration at T=100, N=500 and grid 128
+# allocates most in simulate_far, not here, and the two Epanechnikov prefix
+# sums of a call of several periods take at most 1 MB
 _PANEL_BLOCK = 1 << 15
+# The Epanechnikov moment sums (see _moment_sums) run in long double when it
+# has at least a 64-bit mantissa (x86-64 Linux); a row whose roundoff bound
+# exceeds _GUARD of its largest sum is summed term by term instead
+_LONG_MOMENTS = np.finfo(np.longdouble).nmant >= 63
+_EPS = np.finfo(np.float64).eps / 2
+_EPS_LONG = float(np.finfo(np.longdouble).eps) / 2
+_GUARD = 1e-13
 
 
 def _epanechnikov_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Sum 0.75 (1 - u^2)+, u = (x - X_j) / h, at every grid point x.
+    """Sum 0.75 (1 - u^2)+, u = (x - X_j) / h, at every grid point x: the
+    one-sample case of ``_epanechnikov_rows``."""
+    return _epanechnikov_rows([obs], points, np.array([h], dtype=np.float64))[0]
 
-    Each point visits only its window [x - h, x + h] with rounded ends: an
-    observation outside lies at least h from x, so its rounded |u| >= 1 and
-    its term is zero. Whole rows go in blocks of at most ``_KDE_BLOCK`` terms
-    (or one longer row), so the sums do not depend on the block size.
+
+def _epanechnikov_rows(samples, points: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Epanechnikov sums (P, n) of P samples of any sizes with bandwidths h (P,).
+
+    Each grid point's window is the run of sorted observations whose rounded
+    term 1 - u^2 is positive, the terms of the sum over all pairs; an empty
+    window sums to exactly 0. The sum over a window is read off prefix sums
+    of moments (``_moment_sums``). A row whose roundoff bound is too large
+    for them, or every row where long double is a plain double, is summed
+    term by term (``_gathered_sums``). A row's sums do not depend on the rows
+    summed with it.
     """
-    xs = np.sort(obs)
-    lo = np.searchsorted(xs, points - h, side="left")
-    sizes = np.searchsorted(xs, points + h, side="right") - lo
+    sizes = np.array([len(s) for s in samples])
+    # the samples sorted side by side, each padded with +inf to the longest
+    xs = np.full((sizes.size, int(sizes.max())), np.inf)
+    for row, s in zip(xs, samples):
+        row[: len(s)] = s
+    xs.sort(axis=1)
+    lo, hi = _windows(xs, sizes, points, h)
+    if _LONG_MOMENTS:
+        raw, fits = _moment_sums(xs, sizes, points, h, lo, hi)
+    else:
+        raw, fits = np.empty((sizes.size, points.size)), np.zeros(sizes.size, dtype=bool)
+    for i in np.flatnonzero(~fits).tolist():
+        raw[i] = _gathered_sums(xs[i, : sizes[i]], points, h[i], lo[i], hi[i])
+    return raw
+
+
+def _windows(xs: np.ndarray, sizes: np.ndarray, points: np.ndarray, h: np.ndarray) -> tuple:
+    # per row and grid point x, the first and one past the last index of the
+    # sorted observations with a positive rounded term. An observation
+    # outside [x - h, x + h] with rounded ends lies at least h from x, so its
+    # rounded |u| >= 1; inside, u falls as X rises and the rounded u^2 grows
+    # with |u|, so the terms that round to <= 0 sit at the ends and are cut
+    # off there, by bisection where there are any
+    n, width = points.size, xs.shape[1]
+    lo = np.empty((sizes.size, n), dtype=np.intp)
+    hi = np.empty_like(lo)
+    for i, (size, b) in enumerate(zip(sizes.tolist(), h.tolist())):
+        lo[i] = np.searchsorted(xs[i, :size], points - b, side="left")
+        hi[i] = np.searchsorted(xs[i, :size], points + b, side="right")
+    flat = xs.ravel()
+
+    def zero(pair, idx, side):
+        # the rounded term of pair (row, point) = divmod(pair, n) at
+        # observation idx of the row is <= 0, with the observation below
+        # the point (side 1) or above it (side -1)
+        row = pair // n
+        u = (points[pair - row * n] - flat[row * width + idx]) / h[row]
+        return (1.0 - u * u <= 0.0) & (u * side > 0.0)
+
+    lo_, hi_ = lo.ravel(), hi.ravel()
+    pairs = np.flatnonzero(lo_ < hi_)
+    cut = pairs[zero(pairs, lo_[pairs], 1.0)]
+    lo_[cut] = _first(lambda p, i: ~zero(p, i, 1.0), cut, lo_[cut] + 1, hi_[cut])
+    pairs = pairs[lo_[pairs] < hi_[pairs]]
+    cut = pairs[zero(pairs, hi_[pairs] - 1, -1.0)]
+    hi_[cut] = _first(lambda p, i: zero(p, i, -1.0), cut, lo_[cut], hi_[cut] - 1)
+    return lo, hi
+
+
+def _first(pred, pairs, start, stop):
+    # per pair, the first index in [start, stop) at which the monotone
+    # pred(pairs, index) holds, or stop, by bisection
+    while True:
+        open_ = np.flatnonzero(start < stop)
+        if not open_.size:
+            return start
+        mid = (start[open_] + stop[open_]) // 2
+        hit = pred(pairs[open_], mid)
+        stop[open_[hit]] = mid[hit]
+        start[open_[~hit]] = mid[~hit] + 1
+
+
+def _moment_sums(xs, sizes, points, h, lo, hi) -> tuple:
+    # With an anchor c, d = (x - c) / h and y = (X - c) / h, a window's terms
+    # sum to m (1 - d^2) + 2 d S1 - S2 for its count m and its sums S1, S2 of
+    # y and y^2, differences of long-double prefix sums C1, C2 along the row.
+    # Returns the sums and whether each row's roundoff bound is within
+    # _GUARD of its largest sum
+    rows = np.arange(sizes.size)
+    # the observations that some window holds, and their median as anchor:
+    # y <= 0 before it and y >= 0 after it, so the prefix sums C1 of y are
+    # largest in size at the anchor or at the end
+    a, b = lo.min(axis=1), hi.max(axis=1)
+    mid = np.minimum(a + (b - a) // 2, sizes - 1)
+    c = xs[rows, mid][:, None]
+    held = np.arange(xs.shape[1]) - a[:, None]
+    held = (held >= 0) & (held < (b - a)[:, None])
+    m = hi - lo
+    at = rows[:, None]
+    # a row whose y or d overflows (h far below the spread of its window
+    # ends) gets an infinite or NaN bound, which fails the guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = ((np.where(held, xs, c) - c) / h[:, None]).astype(np.longdouble)
+        c1 = np.zeros((sizes.size, xs.shape[1] + 1), dtype=np.longdouble)
+        c2 = np.zeros_like(c1)
+        np.cumsum(y, axis=1, out=c1[:, 1:])
+        np.cumsum(y * y, axis=1, out=c2[:, 1:])
+        d = (points.astype(np.longdouble) - c) / h[:, None]
+        sums = m * (1.0 - d * d) + (d + d) * (c1[at, hi] - c1[at, lo]) - (c2[at, hi] - c2[at, lo])
+        sums = np.maximum(sums.astype(np.float64), 0.0)
+        # a posteriori bound on the error against the exact sum: the float64
+        # rounding of y (2 eps |y|) moves a term by at most 4 eps |y| <=
+        # 4 eps (|d| + 1), about as much as the term-by-term sum's own
+        # rounding of u moves it, so rows whose terms are all that small go
+        # to the gather. A difference of prefix sums carries only the
+        # roundings of the m additions between its ends, each at most eps_ld
+        # times a partial sum; with the combination's own roundings the
+        # long-double part stays below
+        # (m + 10) eps_ld (m (1 + d^2) + 2 |d| max|C1| + C2[N])
+        dd = np.abs(d.astype(np.float64))
+        c1_max = np.maximum(-c1[rows, mid], np.abs(c1[:, -1])).astype(np.float64)[:, None]
+        bound = 4.0 * _EPS * m * (dd + 1.0) + (m + 10.0) * _EPS_LONG * (
+            m * (1.0 + dd * dd) + 2.0 * c1_max * dd + c2[:, -1:].astype(np.float64))
+    bound[m == 0] = 0.0
+    return 0.75 * sums, bound.max(axis=1) <= _GUARD * sums.max(axis=1)
+
+
+def _gathered_sums(xs, points, h, lo, hi):
+    # the windows' terms gathered and summed one by one; whole rows go in
+    # blocks of at most _KDE_BLOCK terms (or one longer row), so the sums do
+    # not depend on the block size
+    sizes = hi - lo
     ends = np.cumsum(sizes)
     firsts = ends - sizes
     raw = np.zeros(points.size)
@@ -386,18 +532,20 @@ def _normal_sums(obs: np.ndarray, points: np.ndarray, h) -> np.ndarray:
     return raw if np.ndim(obs) > 1 else raw[0]
 
 
-def _densities(obs: np.ndarray, grid: GridSpec, kernel: str, h: np.ndarray,
+def _densities(samples, grid: GridSpec, kernel: str, h: np.ndarray,
                labels=None) -> np.ndarray:
-    """Unit-mass estimates (P, n) from samples obs (P, N) with bandwidths h (P,).
+    """Unit-mass estimates (P, n) from P samples with bandwidths h (P,): the
+    rows of a (P, N) array for the normal kernel, of any sizes for the
+    Epanechnikov kernel.
 
     Raises DegenerateSample at the first row that carries no mass inside the
     support, naming its period when ``labels`` are given.
     """
     if kernel == "normal":
-        raw = _normal_sums(obs, grid.points, h)
+        raw = _normal_sums(samples, grid.points, h)
     else:
-        raw = np.stack([_epanechnikov_sums(x, grid.points, b) for x, b in zip(obs, h)])
-    raw /= (obs.shape[1] * h)[:, None]
+        raw = _epanechnikov_rows(samples, grid.points, h)
+    raw /= (np.array([len(s) for s in samples]) * h)[:, None]
     for i, row in enumerate(raw):
         mass = float(np.dot(grid.weights, row))
         if mass <= 1e-12:
@@ -423,9 +571,11 @@ def kde(
     quadrature integral so <1, f> = 1 exactly.
 
     The Epanechnikov sum holds exactly the nonzero terms of the sum over all
-    N n pairs, found per grid point by binary search in the sorted sample.
-    The normal kernel is positive everywhere, so its sum takes all N n
-    terms; around anchors every Bs <= 32 grid points they factor into 2 n / Bs
+    N n pairs, found per grid point by binary search in the sorted sample,
+    and is read off long-double prefix sums of the window's moments; where
+    their roundoff bound exceeds 1e-13 of the largest sum it is summed term
+    by term (see ``_epanechnikov_rows``). The normal kernel is positive
+    everywhere, so its sum takes all N n terms; around anchors every Bs <= 32 grid points they factor into 2 n / Bs
     exponentials per observation (see ``_normal_sums``).
 
     Parameters
@@ -454,28 +604,34 @@ def estimate_panel(
     """Estimate one density per period with per-period bandwidths.
 
     Each period uses its own unbiased sample standard deviation and count in
-    the rule-of-thumb bandwidth. Runs of consecutive equal-size periods are
-    estimated together, each row equal to ``kde`` of its block. Errors from
-    individual periods are re-raised with the period label attached, for the
-    first failing period.
+    the rule-of-thumb bandwidth. Consecutive periods are estimated together
+    (for the normal kernel, runs of equal-size periods), each row equal to
+    ``kde`` of its block. Errors from individual periods are re-raised with
+    the period label attached, for the first failing period.
     """
     _check_kernel(kernel)
     values = np.empty((len(panel), grid.n))
-    sizes = panel.counts
+    sizes = panel.counts.tolist()
     start = 0
     while start < len(panel):
-        # the run of periods the size of this one, up to _PANEL_BLOCK observations
-        stop = start + 1
-        limit = min(len(panel), start + max(1, _PANEL_BLOCK // int(sizes[start])))
-        while stop < limit and sizes[stop] == sizes[start]:
+        # the next periods, at most _PANEL_BLOCK observations when padded to
+        # the longest; for the normal kernel a run of equal-size periods
+        stop, width = start + 1, sizes[start]
+        while stop < len(panel) and (kernel == "epanechnikov" or sizes[stop] == width) and (
+                (stop + 1 - start) * max(width, sizes[stop]) <= _PANEL_BLOCK):
+            width = max(width, sizes[stop])
             stop += 1
-        obs = np.stack(panel.blocks[start:stop])
         labels = panel.labels[start:stop]
-        sigma = np.std(obs, axis=1, ddof=1) if obs.shape[1] > 1 else np.zeros(len(obs))
+        if kernel == "normal":
+            obs = np.stack(panel.blocks[start:stop])
+            sigma = np.std(obs, axis=1, ddof=1) if width > 1 else np.zeros(len(obs))
+        else:
+            obs = panel.blocks[start:stop]
+            sigma = np.array([np.std(b, ddof=1) if b.size > 1 else 0.0 for b in obs])
         h = np.empty(len(obs))
         for i, s in enumerate(sigma.tolist()):
             try:
-                h[i] = bandwidth(s, obs.shape[1], kernel)
+                h[i] = bandwidth(s, sizes[start + i], kernel)
                 if h[i] <= 0.0:
                     raise BandwidthNonpositive(f"need h > 0, got {h[i]}")
             except (TooFewObservations, DegenerateSample, BandwidthNonpositive) as exc:

@@ -62,6 +62,14 @@ __all__ = [
 # the tail of a 1000-period run.
 DEFAULT_TOTAL_PERIODS = 1000
 
+# Study sizes beyond these end as a config error rather than as an allocation
+# failure: a panel holds (burn_in + T + 1) grid rows of states and T x N draws
+MAX_BURN_IN = 10_000
+MAX_STUDY_T = 10_000
+MAX_STUDY_N = 1_000_000
+MAX_STUDY_DRAWS = 100_000_000
+MAX_ITERATIONS = 100_000
+
 _STABILITY_FACTOR = 1e6
 
 # Rows per block when simulate_far turns scores into states, so that the build
@@ -429,14 +437,16 @@ class StudyConfig:
         if self.burn_in is not None:
             object.__setattr__(self, "burn_in", _integer("burn_in", self.burn_in))
         _check_kernel(self.kernel)
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if any(t < 10 for t in self.T_values) or not self.T_values:
-            raise ValueError("every T must be >= 10")
-        if any(n < 10 for n in self.N_values) or not self.N_values:
-            raise ValueError("every N must be >= 10")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must lie in 1..{MAX_ITERATIONS}, got {self.iterations}")
+        if not self.T_values or not all(10 <= t <= MAX_STUDY_T for t in self.T_values):
+            raise ValueError(f"every T must lie in 10..{MAX_STUDY_T}")
+        if not self.N_values or not all(10 <= n <= MAX_STUDY_N for n in self.N_values):
+            raise ValueError(f"every N must lie in 10..{MAX_STUDY_N}")
+        if max(self.T_values) * max(self.N_values) > MAX_STUDY_DRAWS:
+            raise ValueError(f"T x N must not exceed {MAX_STUDY_DRAWS} draws per panel")
+        if self.burn_in is not None and not 0 <= self.burn_in <= MAX_BURN_IN:
+            raise ValueError(f"burn_in must lie in 0..{MAX_BURN_IN}, got {self.burn_in}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.seed < 0:
@@ -487,9 +497,10 @@ def _study_iteration(config: StudyConfig, T: int, N: int, it: int):
         burn_in=config.burn_in,
     )
     # only the first T periods are observed; simulate_far's rows are
-    # nonnegative with unit mass, so no validation here. The panel copies the
-    # draws, which are freed before the estimate
-    raw = RawPanel(labels=panel_true.labels[:T], blocks=tuple(_sample_rows(
+    # nonnegative with unit mass, and the draws are finite points of the grid
+    # under labels in natural order, so the panel keeps them unchecked and
+    # uncopied
+    raw = RawPanel._wrap(panel_true.labels[:T], tuple(_sample_rows(
         config.generator.grid, panel_true.values[:T], N,
         [(config.seed, T, N, it, 1, t) for t in range(T)],
     )[0]))

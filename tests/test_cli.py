@@ -503,6 +503,12 @@ BAD_INPUTS = {
     "study_burn_in_float": lambda tmp, obj: _study(tmp, burn_in=10.5),
     "study_kernel_number": lambda tmp, obj: _study(tmp, kernel=5),
     "study_T_float": lambda tmp, obj: _study(tmp, T_values=[20.7]),
+    "study_burn_in_huge": lambda tmp, obj: _study(tmp, burn_in=10**10),
+    "study_T_huge": lambda tmp, obj: _study(tmp, T_values=[10**9]),
+    "study_N_huge": lambda tmp, obj: _study(tmp, N_values=[10**10]),
+    "study_T_times_N_huge": lambda tmp, obj: _study(tmp, T_values=[10_000], N_values=[1_000_000]),
+    "study_iterations_huge": lambda tmp, obj: _study(tmp, iterations=10**9),
+    "sample_n_huge": lambda tmp, obj: _sample(tmp, _density(), n=10**10),
     "estimate_support_overflows": lambda tmp, obj: _estimate_on_support(tmp, "-1e308", "1e308"),
     "estimate_support_infinite": lambda tmp, obj: _estimate_on_support(tmp, "-inf", "inf"),
 }

@@ -239,6 +239,27 @@ def test_select_k_skips_degenerate_candidate():
         select_K_cv(panel, [1], n_validation=5)
 
 
+def test_cv_fold_score_is_the_error_metrics_d2(monkeypatch):
+    # each fold is scored by d2 alone; the score equals error_metrics' d2 bit
+    # for bit, so the selection is that of scoring every fold with all six
+    _, panel, _ = _fitted_model(T=45, seed=23)
+    scored, distance = [], forecast._l2_distance
+
+    def recording(weights, f, g):
+        scored.append((f, g, distance(weights, f, g)))
+        return scored[-1][2]
+
+    monkeypatch.setattr(forecast, "_l2_distance", recording)
+    # the panel's four modes give a usable rank of four
+    chosen = select_K_cv(panel, range(1, 5), n_validation=5)
+    monkeypatch.undo()
+    assert len(scored) == 4 * 5
+    for f, g, score in scored:
+        assert score == error_metrics(GridFunction(panel.grid, f), GridFunction(panel.grid, g)).d2
+    means = {K: np.mean([score for _, _, score in scored[K - 1 :: 4]]) for K in range(1, 5)}
+    assert chosen == min(means, key=means.get)
+
+
 # -- predictors -------------------------------------------------------------------------
 
 def test_benchmark_predictors():

@@ -250,6 +250,22 @@ AGREEMENT_CASES = {
     "sigma_over_h_100": lambda: _student_t_case(100.0),
     "sigma_over_h_1e4": lambda: _student_t_case(1e4),
     "student_t_n512_N1800": _student_t_case,
+    "cauchy_N1800": lambda: (
+        np.random.default_rng(24).standard_cauchy(1800), make_grid(-6.0, 6.0, 512), 0.3),
+    "support_at_1e3": lambda: (
+        1e3 + np.random.default_rng(25).normal(size=1800), make_grid(1e3 - 4.0, 1e3 + 4.0, 512), 0.4),
+    "support_at_1e6": lambda: (
+        1e6 + np.random.default_rng(26).normal(size=1800), make_grid(1e6 - 4.0, 1e6 + 4.0, 512), 0.4),
+    "h_far_below_step": lambda: (
+        np.random.default_rng(27).normal(size=1800), make_grid(-4.0, 4.0, 512), 1e-4),
+    "h_far_above_width": lambda: (
+        np.random.default_rng(28).normal(size=1800), make_grid(-4.0, 4.0, 512), 100.0),
+    # every term is below 1.2e-7, where 1 - u^2 cancels almost all of u^2
+    "ties_one_h_below_a_grid_6e-8_wide": lambda: (
+        np.array([1.0, 1.0]), make_grid(2.0 - 6e-8, 2.0, 64), 1.0),
+    # terms of 1e-4 to 2e-4, each rounded by about eps in the dense sum
+    "ties_one_h_below_a_grid_5e-5_wide": lambda: (
+        np.array([1.0, 1.0]), make_grid(2.0 - 1e-4, 2.0 - 5e-5, 64), 1.0),
 }
 
 
@@ -273,6 +289,83 @@ def test_epanechnikov_kde_independent_of_block_size(monkeypatch, block):
     default = kde(obs, grid, "epanechnikov", h).values
     monkeypatch.setattr(kde_module, "_KDE_BLOCK", block)
     assert np.array_equal(kde(obs, grid, "epanechnikov", h).values, default)
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_epanechnikov_sums_match_dense_oracle(case):
+    # the sums themselves: within 1e-12 of the largest, and exactly 0 where
+    # every term of the dense sum is
+    obs, grid, h = AGREEMENT_CASES[case]()
+    ref = _dense_epanechnikov(obs, grid.points, h)
+    got = kde_module._epanechnikov_sums(obs, grid.points, h)
+    assert np.all(got[ref == 0.0] == 0.0)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_windows_hold_exactly_the_positive_terms(case):
+    # per grid point, [lo, hi) is the run of sorted observations whose
+    # rounded term 1 - u^2 is positive, and lo == hi where there is none
+    obs, grid, h = AGREEMENT_CASES[case]()
+    xs = np.sort(obs)
+    lo, hi = kde_module._windows(xs[None], np.array([xs.size]), grid.points, np.array([h]))
+    for x, a, b in zip(grid.points, lo[0], hi[0]):
+        u = (x - xs) / h
+        positive = np.flatnonzero(1.0 - u * u > 0.0)
+        if positive.size:
+            assert (a, b) == (positive[0], positive[-1] + 1)
+        else:
+            assert a == b
+
+
+def _gathered_epanechnikov(obs, points, h):
+    # the term-by-term windowed sum that the roundoff fallback keeps bit for
+    # bit: each point's terms within h with rounded ends, summed in order
+    xs = np.sort(obs)
+    lo = np.searchsorted(xs, points - h, side="left")
+    hi = np.searchsorted(xs, points + h, side="right")
+    raw = np.zeros(points.size)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        u = (points[i] - xs[a:b]) / h
+        raw[i] = 0.75 * np.bincount(np.zeros(b - a, dtype=np.intp),
+                                    np.clip(1.0 - u * u, 0.0, None), minlength=1)[0]
+    return raw
+
+
+@pytest.mark.parametrize("setting", [("_GUARD", 0.0), ("_LONG_MOMENTS", False)])
+@pytest.mark.parametrize("case", ["student_t_n512_N1800", "ties", "some_outside", "cauchy_N1800"])
+def test_forced_fallback_is_the_gather(monkeypatch, case, setting):
+    # a zero guard sends every row with a term to the gather, and so does a
+    # long double without extra precision
+    obs, grid, h = AGREEMENT_CASES[case]()
+    monkeypatch.setattr(kde_module, *setting)
+    got = kde_module._epanechnikov_sums(obs, grid.points, h)
+    assert np.array_equal(got, _gathered_epanechnikov(obs, grid.points, h))
+
+
+@pytest.mark.parametrize("case, fits", [
+    ("student_t_n512_N1800", True), ("cauchy_N1800", True), ("support_at_1e6", True),
+    ("h_far_above_width", True), ("h_far_below_step", False),
+    ("at_rounded_grid_point_plus_minus_h", False), ("ties_one_h_below_a_grid_6e-8_wide", False),
+    ("ties_one_h_below_a_grid_5e-5_wide", False),
+])
+def test_moment_sums_guard(case, fits):
+    # the roundoff bound keeps the moment sums where they hold to 1e-13 of
+    # the row's largest sum, and rejects them where |d| = |x - c| / h is
+    # large (the long-double part of the bound) or where every term is so
+    # small that rounding u in float64 moves it by more (its float64 part)
+    obs, grid, h = AGREEMENT_CASES[case]()
+    xs, sizes, h = np.sort(obs)[None], np.array([obs.size]), np.array([h])
+    lo, hi = kde_module._windows(xs, sizes, grid.points, h)
+    assert kde_module._moment_sums(xs, sizes, grid.points, h, lo, hi)[1].tolist() == [fits]
+
+
+def test_moment_sums_that_overflow_fall_back():
+    # y = (X - c) / h passes 1e308 at h = 1e-305: the row is gathered, with
+    # no warning, and each point sums its own observation's term 0.75
+    points = make_grid(0.0, 1e4, 16).points
+    assert np.array_equal(kde_module._epanechnikov_sums(points, points, 1e-305),
+                          np.full(16, 0.75))
 
 
 def _normal_student_t_case(sigma_over_h):
