@@ -13,10 +13,10 @@ from densfar import (
     apply_operator,
     eigh_operator,
     inner,
+    leading_features,
     make_grid,
     outer,
     project_zero_integral,
-    svd_operator,
 )
 
 # ---------------------------------------------------------------- the grid
@@ -55,5 +55,5 @@ print("eigenfunctions are orthonormal under quadrature:",
 
 # the singular system of a non-symmetric operator separates input/output
 A = OperatorRep(grid, 0.9 * np.outer(eig.functions[0].values, eig.functions[1].values))
-sv = svd_operator(A, 2)
-print("singular values of a rank-one transition:", np.round(sv.values, 4))
+feats = leading_features(A, 2)
+print("singular values of a rank-one transition:", np.round(feats.strengths, 4))

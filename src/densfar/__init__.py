@@ -31,15 +31,10 @@ from .bootstrap import (
 from .errors import DensfarError
 from .estimation import (
     FarModel,
-    covariance_operator,
-    demean,
     estimate_operator,
     fit,
-    lag1_cross_covariance,
     mean_density,
-    noise_covariance,
     principal_components,
-    regularized_inverse,
     residuals,
 )
 from .forecast import (
@@ -62,7 +57,6 @@ from .grid import (
     GridFunction,
     GridSpec,
     OperatorRep,
-    SingularSystem,
     adjoint,
     apply_operator,
     cdf_from_density,
@@ -75,7 +69,6 @@ from .grid import (
     project_zero_integral,
     quadratic_form,
     quantile,
-    svd_operator,
 )
 from .io import (
     load_grid_function,

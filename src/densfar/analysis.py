@@ -6,11 +6,14 @@ driven), point-impulse response curves for arbitrary linear functionals,
 moment and tail functionals, the covariance-orthonormal polynomial basis,
 the predictable-variance share R^2, and the decomposition of a functional's
 variance over the moments of the lagged distribution.
+
+On a fitted model, only features past its rank form an n-by-n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +27,8 @@ from .grid import (
     apply_operator,
     inner,
     quadratic_form,
-    svd_operator,
+    _orientation,
+    _readonly,
     _require_same_grid,
     _weighted_trace,
 )
@@ -76,16 +80,23 @@ class MomentBasis:
 
     u_k has exact degree k; <u_p, Q u_q> = delta_pq. The basis indexes the
     variance decomposition: the k-th coordinate of the lagged state in this
-    basis is its normalized k-th moment.
+    basis is its normalized k-th moment. The polynomials are stored once as
+    the read-only (kmax, n) array `values`, row k-1 holding u_k; `functions`
+    is a tuple of GridFunction views of its rows, built on first access.
     """
 
     grid: GridSpec
-    functions: tuple
+    values: np.ndarray
     kmax: int
     gram_operator: OperatorRep
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
+        if self.values.flags.writeable:
+            object.__setattr__(self, "values", _readonly(self.values))
+
+    @cached_property
+    def functions(self) -> tuple:
+        return tuple(GridFunction._wrap(self.grid, row) for row in self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +119,34 @@ def leading_features(A_hat: OperatorRep, m: int) -> LeadingFeatures:
     """Top-m singular triplets of the autoregressive operator.
 
     The right singular functions are the progressive features and the left
-    singular functions the regressive ones.
+    ones the regressive features, quadrature-orthonormal, each progressive
+    peak positive and its regressive feature flipped along. With the factors
+    kernel = left @ right / d ((kernel, I, 1) for a kernel-only operator) and
+    thin QRs W^{1/2} left / d = Q_L R_L, (right W^{1/2})^T = Q_R R_R, the SVD
+    U S V^T of the small R_L R_R^T gives W^{1/2} kernel W^{1/2} =
+    (Q_L U) S (Q_R V)^T (Halko, Martinsson & Tropp 2011, sec. 5). Past the
+    rank r (K for a fitted A_hat), features r+1..m continue both complete QR
+    bases with strength exactly 0: a deterministic orthonormal completion.
     """
-    values, left, right = svd_operator(A_hat, m)
-    return LeadingFeatures(progressive=right, regressive=left, strengths=values)
+    grid = A_hat.grid
+    if not 1 <= m <= grid.n:
+        raise ValueError(f"need 1 <= m <= n={grid.n}, got m={m}")
+    left, right, d = A_hat._factors or (A_hat.kernel, np.eye(grid.n), 1)
+    sqrt_w = np.sqrt(grid.weights)
+    r = min(left.shape[1], grid.n)
+    mode = "complete" if m > r else "reduced"
+    q_left, r_left = np.linalg.qr(sqrt_w[:, None] * left / d, mode=mode)
+    q_right, r_right = np.linalg.qr((right * sqrt_w).T, mode=mode)
+    u, s, vt = np.linalg.svd(r_left[:r] @ r_right[:r].T)
+    top = min(m, r)
+    regressive = np.hstack([q_left[:, :r] @ u[:, :top], q_left[:, r:m]]).T / sqrt_w
+    progressive = np.hstack([q_right[:, :r] @ vt[:top].T, q_right[:, r:m]]).T / sqrt_w
+    sign = _orientation(progressive)
+    return LeadingFeatures(
+        progressive=tuple(GridFunction._wrap(grid, row) for row in progressive * sign),
+        regressive=tuple(GridFunction._wrap(grid, row) for row in regressive * sign),
+        strengths=_readonly(np.concatenate([s[:top], np.zeros(m - top)])),
+    )
 
 
 def impulse_response(A_hat: OperatorRep, v: GridFunction) -> GridFunction:
@@ -235,8 +270,7 @@ def moment_basis(Q: OperatorRep, grid: GridSpec, kmax: int = DEFAULT_KMAX) -> Mo
     U = M @ np.linalg.inv(R)
     G = F @ (scale * U)
     U = (U @ np.linalg.inv(np.linalg.cholesky(G.T @ G).T)).T.copy()
-    return MomentBasis(grid=grid, functions=tuple(GridFunction._wrap(grid, u) for u in U),
-                       kmax=kmax, gram_operator=Q)
+    return MomentBasis(grid=grid, values=U, kmax=kmax, gram_operator=Q)
 
 
 def _guarded_q_form(Q: OperatorRep, v: GridFunction) -> float:
@@ -282,8 +316,7 @@ def variance_decomposition(
     """
     qv = _guarded_q_form(Q, v)
     loading = apply_operator(Q, apply_operator(adjoint(A), v))
-    U = np.stack([u.values for u in basis.functions])
-    pi = (U @ (v.grid.weights * loading.values)) ** 2 / qv
+    pi = (basis.values @ (v.grid.weights * loading.values)) ** 2 / qv
     r2 = raw = share = None
     if Sigma is not None:
         r2, raw = r_squared(v, Q, Sigma)

@@ -39,9 +39,11 @@ T-by-T Gram matrix by block subspace iteration instead of a full `eigh`,
 and falls back to the full spectrum when that does not converge in a few
 sweeps.
 
-The dense building blocks above are the agreement reference the tests hold
-:func:`fit` to. Three of them stay here because the benchmark's tracer needs
-this module to bind `eigh_operator`, `compose` and `apply_operator`.
+The dense form of these steps, each operator an n-by-n kernel, is the
+tests' agreement oracle for :func:`fit`, in ``tests/reference.py``. It
+re-exports :func:`principal_components`, :func:`estimate_operator` and
+:func:`residuals`, kept here because the benchmark's tracer needs this
+module to bind `eigh_operator`, `compose` and `apply_operator`.
 """
 
 from __future__ import annotations
@@ -51,12 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyPanel,
-    EmptyResiduals,
-    RankDeficient,
-    TooFewPeriods,
-)
+from .errors import EmptyPanel, RankDeficient, TooFewPeriods
 from .grid import (
     EigenSystem,
     GridFunction,
@@ -75,14 +72,9 @@ __all__ = [
     "FarModel",
     "RANK_CUTOFF_REL",
     "mean_density",
-    "demean",
-    "covariance_operator",
-    "lag1_cross_covariance",
     "principal_components",
-    "regularized_inverse",
     "estimate_operator",
     "residuals",
-    "noise_covariance",
     "fit",
     "fit_demeaned",
 ]
@@ -185,42 +177,6 @@ def _deviations(panel: DensityPanel, f_bar: GridFunction, out=None) -> np.ndarra
     return dev
 
 
-def demean(panel: DensityPanel, f_bar: GridFunction) -> list:
-    """Subtract the mean density from every period, projected onto the
-    zero-integral subspace; the rows :func:`fit` works from."""
-    return [GridFunction._wrap(panel.grid, w) for w in _deviations(panel, f_bar)]
-
-
-def covariance_operator(w, divisor: int | None = None) -> OperatorRep:
-    """Sample covariance operator (1/T) sum_t w_t (x) w_t.
-
-    Parameters
-    ----------
-    divisor : int, optional
-        Normalization; defaults to the number of terms.
-    """
-    w = list(w)
-    if len(w) < 2:
-        raise TooFewPeriods(f"covariance needs >= 2 periods, got {len(w)}")
-    grid = _require_same_grid(*w)
-    mat = np.stack([f.values for f in w])
-    d = len(w) if divisor is None else int(divisor)
-    return OperatorRep(grid, mat.T @ mat / d)
-
-
-def lag1_cross_covariance(w) -> OperatorRep:
-    """Lag-1 cross-covariance (1/T) sum over consecutive pairs w_t (x) w_{t-1}.
-
-    The divisor is the number of periods T although only T-1 pairs exist.
-    """
-    w = list(w)
-    if len(w) < 2:
-        raise TooFewPeriods(f"cross-covariance needs >= 2 periods, got {len(w)}")
-    grid = _require_same_grid(*w)
-    mat = np.stack([f.values for f in w])
-    return OperatorRep(grid, mat[1:].T @ mat[:-1] / len(w))
-
-
 def principal_components(Q_hat: OperatorRep) -> EigenSystem:
     """Eigenpairs of the covariance operator, in descending order."""
     return eigh_operator(Q_hat)
@@ -241,26 +197,6 @@ def _check_rank(eigen: EigenSystem, K: int) -> None:
         )
 
 
-def regularized_inverse(eigen: EigenSystem, K: int) -> OperatorRep:
-    """Rank-K inverse sum_{k<=K} lambda_k^{-1} v_k (x) v_k.
-
-    Raises
-    ------
-    RankDeficient
-        If K exceeds the usable rank (lambda_K <= 1e-10 * lambda_1), meaning
-        the requested truncation cannot be inverted stably on this sample.
-    """
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
-    _check_rank(eigen, K)
-    grid = eigen.grid
-    kernel = np.zeros((grid.n, grid.n))
-    for k in range(K):
-        v = eigen.vectors[k]
-        kernel += np.outer(v, v) / eigen.eigenvalues[k]
-    return OperatorRep(grid, kernel)
-
-
 def estimate_operator(P_hat: OperatorRep, Q_K_plus: OperatorRep) -> OperatorRep:
     """Plug-in autoregressive operator: the composition P Qplus."""
     return compose(P_hat, Q_K_plus)
@@ -274,25 +210,10 @@ def residuals(w, A_hat: OperatorRep) -> list:
     return [w[t] - apply_operator(A_hat, w[t - 1]) for t in range(1, len(w))]
 
 
-def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:
-    """Noise covariance (1/T) sum_t e_t (x) e_t from the fitted residuals.
-
-    The default divisor is len(resid) + 1: the residuals of a fit on T
-    periods number T-1, and the normalization keeps the divisor at T.
-    """
-    resid = list(resid)
-    if not resid:
-        raise EmptyResiduals("noise covariance needs at least one residual")
-    grid = _require_same_grid(*resid)
-    d = len(resid) + 1 if divisor is None else int(divisor)
-    mat = np.stack([r.values for r in resid])
-    return OperatorRep(grid, mat.T @ mat / d)
-
-
 def _snapshots(panel: DensityPanel, out=None) -> tuple:
-    """Mean density and the demeaned (T, n) panel, read-only: the rows of
-    :func:`mean_density` followed by :func:`demean`, bit for bit. The panel
-    is written into `out` when given, which is then made read-only too."""
+    """Mean density and the demeaned (T, n) panel, read-only: each row is
+    f_t - f_bar projected onto zero integral. The panel is written into `out`
+    when given, which is then made read-only too."""
     f_bar = mean_density(panel)
     W = _deviations(panel, f_bar, out)
     W.setflags(write=False)

@@ -9,17 +9,15 @@ quadrature:
 
 A fitted operator keeps its factors, kernel = left @ right / d with left
 (n, r) and right (r, n), acts through them at O(n r) and multiplies the
-kernel out only when it is read. Inner products, adjoints, eigen- and
-singular decompositions are all taken with respect to the quadrature
-geometry, so eigenfunctions come out orthonormal in L2, not in the
-Euclidean sense.
+kernel out only when it is read. Inner products, adjoints and
+eigendecompositions are all taken with respect to the quadrature geometry,
+so eigenfunctions come out orthonormal in L2, not in the Euclidean sense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +36,6 @@ __all__ = [
     "GridFunction",
     "OperatorRep",
     "EigenSystem",
-    "SingularSystem",
     "make_grid",
     "inner",
     "norm",
@@ -50,7 +47,6 @@ __all__ = [
     "quadratic_form",
     "eigh_operator",
     "snapshot_spectrum",
-    "svd_operator",
     "cdf_from_density",
     "quantile",
 ]
@@ -279,14 +275,6 @@ class EigenSystem:
     @cached_property
     def functions(self) -> tuple:
         return tuple(GridFunction._wrap(self.grid, row) for row in self.vectors)
-
-
-class SingularSystem(NamedTuple):
-    """Top singular triplets of an operator under the quadrature geometry."""
-
-    values: np.ndarray
-    left: tuple
-    right: tuple
 
 
 def inner(f: GridFunction, g: GridFunction) -> float:
@@ -519,29 +507,6 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None,
         mu, vecs = mu[::-1], vecs[:, ::-1][:, :m]
     return EigenSystem(grid=grid, eigenvalues=np.clip(mu, 0.0, None) / T,
                        vectors=_eigenfunctions(vecs.T, sqrt_w))
-
-
-def svd_operator(K: OperatorRep, m: int) -> SingularSystem:
-    """Top-m singular triplets of the operator in the quadrature geometry.
-
-    Computed from the dense SVD of W^{1/2} kernel W^{1/2}; left and right
-    singular functions are mapped back through W^{-1/2} and carry the same
-    deterministic sign convention as eigenfunctions (each right function's
-    largest-magnitude entry is positive, the left function flipped along
-    with it so that kernel reconstruction is preserved).
-    """
-    grid = K.grid
-    if not 1 <= m <= grid.n:
-        raise ValueError(f"need 1 <= m <= n={grid.n}, got m={m}")
-    sqrt_w = np.sqrt(grid.weights)
-    sym = sqrt_w[:, None] * K.kernel * sqrt_w[None, :]
-    u_mat, s, vt = np.linalg.svd(sym)
-    right = vt[:m] / sqrt_w
-    sign = _orientation(right)
-    left, right = (u_mat[:, :m].T / sqrt_w) * sign, right * sign
-    return SingularSystem(values=_readonly(s[:m]),
-                          left=tuple(GridFunction._wrap(grid, row) for row in left),
-                          right=tuple(GridFunction._wrap(grid, row) for row in right))
 
 
 def _check_density_values(f: GridFunction) -> np.ndarray:

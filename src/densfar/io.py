@@ -325,9 +325,11 @@ class _BinReader:
             )
 
     def _take(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
+        left = len(self.data) - self.offset
+        if count > left:
             raise FormatError(
-                f"{self.path}: truncated file, needed {count} more bytes",
+                f"{self.path}: truncated file, the next field needs {count} bytes "
+                f"and {left} remain",
                 offset=self.offset,
             )
         out = self.data[self.offset : self.offset + count]

@@ -120,8 +120,7 @@ class FarGenerator:
         """Return draw(rng, m) -> (m, n) array of m noise rows, all from one
         rng call and equal to m successive single-row draws."""
         if self.residual_pool is not None:
-            pool = np.stack([r.values for r in self.residual_pool])
-            pool = pool - pool.mean(axis=0)
+            pool = self._centred_pool
 
             def draw(rng, m):
                 return pool[rng.integers(0, len(pool), size=m)]
@@ -136,6 +135,13 @@ class FarGenerator:
             return np.matmul(factor, z[:, :, None])[:, :, 0]
 
         return draw
+
+    @cached_property
+    def _centred_pool(self) -> np.ndarray:
+        pool = np.stack([r.values for r in self.residual_pool])
+        pool -= pool.mean(axis=0)
+        pool.setflags(write=False)
+        return pool
 
     @cached_property
     def _noise_factor(self) -> np.ndarray:

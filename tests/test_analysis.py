@@ -2,6 +2,7 @@
 variance decompositions."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from densfar.grid import (
     quadratic_form,
 )
 from densfar.kde import DensityPanel, period_labels
-from densfar.simulate import cosine_modes
+from densfar.simulate import cosine_modes, make_cosine_generator, simulate_far
 
 from conftest import (
     centered_poly_basis,
@@ -36,6 +37,7 @@ from conftest import (
     population_construction,
     uniform_density,
 )
+from reference import svd_operator
 
 
 def _identity_operator(grid) -> OperatorRep:
@@ -91,6 +93,61 @@ def test_leading_features_strengths_monotone(grid48):
         resid = sqrt_w[:, None] * (A.kernel - approx) * sqrt_w[None, :]
         errors.append(np.linalg.norm(resid))
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errors, errors[1:]))
+
+
+def _fitted_model(K, n=64, T=60, seed=3):
+    # eight well-separated cosine dynamics, so every K in 1..8 is usable
+    grid = make_grid(0.0, 1.0, n)
+    gen = make_cosine_generator(
+        grid,
+        strengths=(0.9, 0.75, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+        noise_sds=(0.04, 0.035, 0.03, 0.025, 0.02, 0.016, 0.012, 0.01),
+    )
+    return fit(simulate_far(gen, T - 1, seed=seed, burn_in=50), K)
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_leading_features_from_factors_match_dense_svd(K):
+    model = _fitted_model(K)
+    for m in sorted({1, K}):
+        feats = leading_features(model.A_hat, m)
+        ref = svd_operator(model.A_hat, m)
+        assert np.abs(feats.strengths - ref.values).max() <= 1e-12 * ref.values[0]
+        for got, want in zip(feats.progressive + feats.regressive, ref.right + ref.left):
+            assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("K, m", [(1, 3), (2, 3), (3, 7)])
+def test_leading_features_past_the_rank(K, m):
+    model = _fitted_model(K)
+    feats = leading_features(model.A_hat, m)
+    assert feats.strengths.shape == (m,)
+    assert np.all(feats.strengths[K:] == 0.0)
+    assert np.all(feats.strengths[:K] > 0.0)
+    w = model.grid.weights
+    for side in (feats.progressive, feats.regressive):
+        F = np.stack([f.values for f in side])
+        assert np.abs((F * w) @ F.T - np.eye(m)).max() < 1e-12
+    # the leading K agree with the rank-K call, and the completion is deterministic
+    lead = leading_features(model.A_hat, K)
+    assert np.abs(feats.strengths[:K] - lead.strengths).max() <= 1e-12 * lead.strengths[0]
+    again = leading_features(model.A_hat, m)
+    assert again.strengths.tobytes() == feats.strengths.tobytes()
+    for f1, f2 in zip(again.progressive + again.regressive, feats.progressive + feats.regressive):
+        assert f1.values.tobytes() == f2.values.tobytes()
+
+
+def test_leading_features_allocate_no_n_by_n_array():
+    n = 512
+    model = _fitted_model(4, n=n, T=40, seed=32)
+    tracemalloc.start()
+    try:
+        feats = leading_features(model.A_hat, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert len(feats.progressive) == 3
 
 
 # -- impulse response ------------------------------------------------------------
@@ -248,6 +305,17 @@ def test_moment_basis_deterministic_bits():
     b2 = moment_basis(Q, grid, 4)
     for f1, f2 in zip(b1.functions, b2.functions):
         assert np.array_equal(f1.values, f2.values)
+
+
+def test_moment_basis_values_are_the_read_only_stacked_functions():
+    grid = make_grid(-1.0, 1.0, 96)
+    _, _, Q, _ = population_construction(grid, m=4, seed=8)
+    basis = moment_basis(Q, grid, 4)
+    assert basis.values.shape == (4, grid.n)
+    assert not basis.values.flags.writeable
+    with pytest.raises(ValueError):
+        basis.values[0, 0] = 1.0
+    assert np.array_equal(basis.values, np.stack([u.values for u in basis.functions]))
 
 
 def test_moment_basis_exact_degree():

@@ -8,18 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densfar.errors import EmptyPanel, RankDeficient, TooFewPeriods
-from densfar.estimation import (
-    covariance_operator,
-    demean,
-    estimate_operator,
-    fit,
-    lag1_cross_covariance,
-    mean_density,
-    noise_covariance,
-    principal_components,
-    regularized_inverse,
-    residuals,
-)
+from densfar.estimation import fit, mean_density
 from densfar.forecast import (
     _truncated_forecasts,
     error_metrics,
@@ -47,6 +36,16 @@ from densfar.kde import DensityPanel
 from densfar.simulate import cosine_modes, make_cosine_generator, simulate_far
 
 from conftest import iterate_far, orthonormal_functions, uniform_density
+from reference import (
+    covariance_operator,
+    demean,
+    estimate_operator,
+    lag1_cross_covariance,
+    noise_covariance,
+    principal_components,
+    regularized_inverse,
+    residuals,
+)
 
 
 def _simulated_panel(T=60, seed=0, n=64):

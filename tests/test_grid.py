@@ -27,12 +27,12 @@ from densfar.grid import (
     project_zero_integral,
     quantile,
     snapshot_spectrum,
-    svd_operator,
     _SUBSPACE_EXTRA,
 )
 from densfar.estimation import usable_rank
 
 from conftest import orthonormal_functions, random_psd_operator, triangular_density, uniform_density
+from reference import svd_operator
 
 
 # -- make_grid -----------------------------------------------------------------

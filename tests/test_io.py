@@ -333,16 +333,22 @@ def test_loaded_model_forecasts_bit_for_bit(tmp_path, n, T, K, seed, mode):
         assert np.array_equal(got.f_forecast.values, want.f_forecast.values)
 
 
-def test_model_truncated_file(tmp_path):
+@pytest.mark.parametrize("cut", ["half", "8-bytes"])
+def test_model_truncated_file(tmp_path, cut):
     model = _model(seed=2)
     path = tmp_path / "model.bin"
     save_model(model, path, "binary")
     data = path.read_bytes()
+    keep = len(data) // 2 if cut == "half" else len(data) - 8
     broken = tmp_path / "broken.bin"
-    broken.write_bytes(data[: len(data) // 2])
+    broken.write_bytes(data[:keep])
     with pytest.raises(FormatError) as err:
         load_model(broken, "binary")
     assert err.value.offset is not None
+    # both cuts fall in the demeaned panel, the file's last field
+    need = 8 * model.demeaned.size
+    assert err.value.offset == len(data) - need
+    assert f"needs {need} bytes and {keep - err.value.offset} remain" in str(err.value)
 
 
 @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, float("inf"))])
