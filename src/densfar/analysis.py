@@ -30,6 +30,7 @@ from .grid import (
     _orientation,
     _readonly,
     _require_same_grid,
+    _symmetric_kernel,
     _weighted_trace,
 )
 
@@ -81,18 +82,25 @@ class MomentBasis:
     u_k has exact degree k; <u_p, Q u_q> = delta_pq. The basis indexes the
     variance decomposition: the k-th coordinate of the lagged state in this
     basis is its normalized k-th moment. The polynomials are stored once as
-    the read-only (kmax, n) array `values`, row k-1 holding u_k; `functions`
-    is a tuple of GridFunction views of its rows, built on first access.
+    the read-only (kmax, n) array `values`, row k-1 holding u_k, and its grid
+    is that of `gram_operator`, Q. `functions` is a tuple of GridFunction
+    views of its rows, built on first access.
     """
 
-    grid: GridSpec
     values: np.ndarray
-    kmax: int
     gram_operator: OperatorRep
 
     def __post_init__(self):
         if self.values.flags.writeable:
             object.__setattr__(self, "values", _readonly(self.values))
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.gram_operator.grid
+
+    @property
+    def kmax(self) -> int:
+        return len(self.values)
 
     @cached_property
     def functions(self) -> tuple:
@@ -239,6 +247,9 @@ def moment_basis(Q: OperatorRep, grid: GridSpec, kmax: int = DEFAULT_KMAX) -> Mo
 
     Raises
     ------
+    NotSymmetric
+        If Q is not held as (X^T, X, d) and its kernel is not symmetric
+        within 1e-10 (relative), as in :func:`~densfar.grid.eigh_operator`.
     DegenerateMetric
         When some R_kk^2 drops below 1e-10 of R_11^2, signalling that Q is
         too low-rank to support kmax moments.
@@ -249,11 +260,11 @@ def moment_basis(Q: OperatorRep, grid: GridSpec, kmax: int = DEFAULT_KMAX) -> Mo
     powers = np.vander(grid.points, kmax + 1, increasing=True)[:, 1:]
     M = powers - grid.weights @ powers / (grid.b - grid.a)
     M /= np.sqrt(grid.weights @ M**2)
-    if Q._factors is not None:  # a covariance the library builds as (X^T, X, d)
-        _, F, d = Q._factors
+    if Q._factors is not None and np.array_equal(Q._factors[0], Q._factors[1].T):
+        _, F, d = Q._factors  # a covariance the library builds as (X^T, X, d)
     else:  # factored once through the eigenpairs of W^{1/2} kernel W^{1/2}
         sqrt_w = np.sqrt(grid.weights)
-        vals, vecs = np.linalg.eigh(sqrt_w[:, None] * Q.kernel * sqrt_w)
+        vals, vecs = np.linalg.eigh(sqrt_w[:, None] * _symmetric_kernel(Q) * sqrt_w)
         F, d = np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T / sqrt_w, 1
     scale = grid.weights[:, None] / np.sqrt(d)
     R = np.linalg.qr(F @ (scale * M), mode="r")
@@ -270,7 +281,7 @@ def moment_basis(Q: OperatorRep, grid: GridSpec, kmax: int = DEFAULT_KMAX) -> Mo
     U = M @ np.linalg.inv(R)
     G = F @ (scale * U)
     U = (U @ np.linalg.inv(np.linalg.cholesky(G.T @ G).T)).T.copy()
-    return MomentBasis(grid=grid, values=U, kmax=kmax, gram_operator=Q)
+    return MomentBasis(values=U, gram_operator=Q)
 
 
 def _guarded_q_form(Q: OperatorRep, v: GridFunction) -> float:

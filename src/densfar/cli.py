@@ -398,10 +398,12 @@ def _load_study_config(path) -> StudyConfig:
     try:
         gen_spec = obj["generator"]
         if "model" in gen_spec:
+            noise = gen_spec.get("noise", "residuals")
+            if noise not in ("residuals", "gaussian"):
+                raise ValueError(f"noise must be 'residuals' or 'gaussian', got {noise!r}")
             model = _validated(dfio.load_model, gen_spec["model"])
-            if gen_spec.get("noise", "residuals") == "gaussian":
+            if noise == "gaussian":
                 generator = FarGenerator(
-                    grid=model.grid,
                     transition=model.A_hat,
                     mean_density=model.mean_density,
                     noise_covariance=model.Sigma_hat,

@@ -88,10 +88,10 @@ RANK_CUTOFF_REL = 1e-10
 class FarModel:
     """Fitted density autoregression.
 
-    `grid`, `mean_density`, `demeaned` and `K` are what the fit is computed
-    from; :func:`fit_demeaned` derives the rest from them, so a model file
-    stores only those four. The derived fit stays in fields so that
-    `dataclasses.replace` can swap an operator for a what-if model.
+    `mean_density` (on the model's `grid`), `demeaned` and `K` are what the
+    fit is computed from; :func:`fit_demeaned` derives the rest from them, so
+    a model file stores only those three. The derived fit stays in fields so
+    that `dataclasses.replace` can swap an operator for a what-if model.
 
     Attributes
     ----------
@@ -115,7 +115,6 @@ class FarModel:
         GridFunction views of the rows of `resid`, built on first access.
     """
 
-    grid: GridSpec
     mean_density: GridFunction
     demeaned: np.ndarray
     K: int
@@ -128,6 +127,10 @@ class FarModel:
         for name in ("demeaned", "resid"):
             if getattr(self, name).flags.writeable:
                 object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.mean_density.grid
 
     @cached_property
     def residuals(self) -> tuple:
@@ -291,7 +294,6 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
     B.setflags(write=False)
     resid.setflags(write=False)
     return FarModel(
-        grid=grid,
         mean_density=mean_density,
         demeaned=W,
         K=int(K),

@@ -1,9 +1,9 @@
 """Discretized L2([a, b]) numerics on a shared uniform grid.
 
 Every function in the pipeline (densities, demeaned densities, features,
-eigenfunctions) is a vector of values on one :class:`GridSpec`; every
-integral operator has an n-by-n kernel matrix acting through trapezoid
-quadrature:
+eigenfunctions) is a vector of values on one :class:`GridSpec`, the grid
+defined by (a, b, n); every integral operator has an n-by-n kernel matrix
+acting through trapezoid quadrature:
 
     (K g)(x_i) = sum_j weights[j] * kernel[i, j] * g(x_j)
 
@@ -16,7 +16,7 @@ so eigenfunctions come out orthonormal in L2, not in the Euclidean sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -73,51 +73,63 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
     """Uniform grid over a compact support [a, b] with trapezoid weights.
+
+    A grid is (a, b, n): equality and hashing use those three, and the
+    read-only `points` and `weights` are derived from them once. End weights
+    are h/2, interior weights h, with h = (b - a)/(n - 1).
 
     Attributes
     ----------
     a, b : float
         Support bounds, a < b.
     n : int
-        Number of grid points (>= 16).
+        Number of grid points (16 <= n <= 4096).
     points : ndarray, shape (n,)
         Strictly increasing abscissae with points[0] = a, points[-1] = b.
     weights : ndarray, shape (n,)
         Nonnegative quadrature weights summing to b - a.
+
+    Raises
+    ------
+    InvalidSupport
+        If a >= b, or a, b or b - a is not finite.
+    GridTooSmall
+        If n < 16.
+    GridTooLarge
+        If n > 4096.
     """
 
     a: float
     b: float
     n: int
-    points: np.ndarray
-    weights: np.ndarray
+    points: np.ndarray = field(init=False, compare=False)
+    weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(self.points))
-        object.__setattr__(self, "weights", _readonly(self.weights))
+        a, b, n = float(self.a), float(self.b), int(self.n)
+        if not (a < b):
+            raise InvalidSupport(f"need a < b, got a={a}, b={b}")
+        if not np.isfinite(b - a):
+            raise InvalidSupport(f"need finite a, b and b - a, got a={a}, b={b}")
+        if n < MIN_GRID_SIZE:
+            raise GridTooSmall(f"need n >= {MIN_GRID_SIZE}, got n={n}")
+        if n > MAX_GRID_SIZE:
+            raise GridTooLarge(f"need n <= {MAX_GRID_SIZE}, got n={n}")
+        points = np.linspace(a, b, n)
+        h = (b - a) / (n - 1)
+        weights = np.full(n, h)
+        weights[0] = weights[-1] = h / 2.0
+        points.setflags(write=False)
+        weights.setflags(write=False)
+        self.__dict__.update(a=a, b=b, n=n, points=points, weights=weights)
 
     @property
     def h(self) -> float:
         """Grid spacing (b - a) / (n - 1)."""
         return (self.b - self.a) / (self.n - 1)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.a == other.a
-            and self.b == other.b
-            and np.array_equal(self.points, other.points)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.n))
 
     def function(self, values) -> "GridFunction":
         """Wrap raw values as a GridFunction on this grid."""
@@ -131,36 +143,8 @@ class GridSpec:
 
 
 def make_grid(a: float, b: float, n: int) -> GridSpec:
-    """Build a uniform grid on [a, b] with trapezoid quadrature weights.
-
-    End weights are h/2, interior weights h, with h = (b - a)/(n - 1), so
-    the weights sum to b - a exactly up to roundoff.
-
-    Raises
-    ------
-    InvalidSupport
-        If a >= b, or a, b or b - a is not finite.
-    GridTooSmall
-        If n < 16.
-    GridTooLarge
-        If n > 4096.
-    """
-    a = float(a)
-    b = float(b)
-    n = int(n)
-    if not (a < b):
-        raise InvalidSupport(f"need a < b, got a={a}, b={b}")
-    if not np.isfinite(b - a):
-        raise InvalidSupport(f"need finite a, b and b - a, got a={a}, b={b}")
-    if n < MIN_GRID_SIZE:
-        raise GridTooSmall(f"need n >= {MIN_GRID_SIZE}, got n={n}")
-    if n > MAX_GRID_SIZE:
-        raise GridTooLarge(f"need n <= {MAX_GRID_SIZE}, got n={n}")
-    points = np.linspace(a, b, n)
-    h = (b - a) / (n - 1)
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    return GridSpec(a=a, b=b, n=n, points=points, weights=weights)
+    """Build the uniform grid on [a, b] with n points: `GridSpec(a, b, n)`."""
+    return GridSpec(a, b, n)
 
 
 def _require_same_grid(*objs) -> GridSpec:
@@ -377,6 +361,15 @@ def _eigenfunctions(vecs: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetric_kernel(K: OperatorRep) -> np.ndarray:
+    """The operator's kernel, checked symmetric within 1e-10 (relative)."""
+    kernel = K.kernel
+    scale = float(np.max(np.abs(kernel))) if kernel.size else 0.0
+    if float(np.max(np.abs(kernel - kernel.T))) > 1e-10 * (1.0 + scale):
+        raise NotSymmetric("kernel is not symmetric within tolerance")
+    return kernel
+
+
 def eigh_operator(K: OperatorRep) -> EigenSystem:
     """Spectral decomposition of a symmetric PSD operator.
 
@@ -394,10 +387,7 @@ def eigh_operator(K: OperatorRep) -> EigenSystem:
         If an eigenvalue falls below -1e-12 relative to the largest magnitude.
     """
     grid = K.grid
-    kernel = K.kernel
-    scale = float(np.max(np.abs(kernel))) if kernel.size else 0.0
-    if float(np.max(np.abs(kernel - kernel.T))) > 1e-10 * (1.0 + scale):
-        raise NotSymmetric("kernel is not symmetric within tolerance")
+    kernel = _symmetric_kernel(K)
     sqrt_w = np.sqrt(grid.weights)
     sym = sqrt_w[:, None] * kernel * sqrt_w[None, :]
     sym = 0.5 * (sym + sym.T)

@@ -43,6 +43,7 @@ from .grid import (
     eigh_operator,
     norm,
     _check_density_values,
+    _readonly,
     _require_same_grid,
     _weighted_factors,
 )
@@ -81,39 +82,44 @@ _STATE_BLOCK = 64
 class FarGenerator:
     """Data-generating process for density panels.
 
-    Noise comes from `residual_pool` (drawn i.i.d. with replacement after
-    centering) when present, otherwise from a mean-zero Gaussian with
-    covariance `noise_covariance`.
+    Its `grid` is the transition's, which the mean and the noise share. Noise
+    comes from `residual_pool`, a read-only (size, n) array of residuals drawn
+    i.i.d. with replacement after centering, when present, otherwise from a
+    mean-zero Gaussian with covariance `noise_covariance`.
     """
 
-    grid: GridSpec
     transition: OperatorRep
     mean_density: GridFunction
-    residual_pool: tuple | None = None
+    residual_pool: np.ndarray | None = None
     noise_covariance: OperatorRep | None = None
 
     def __post_init__(self):
-        _require_same_grid(self.transition, self.mean_density)
+        grid = _require_same_grid(self.transition, self.mean_density)
         if self.residual_pool is None and self.noise_covariance is None:
             raise ValueError("generator needs a residual pool or a noise covariance")
         if self.residual_pool is not None:
-            pool = tuple(self.residual_pool)
-            if not pool:
-                raise ValueError("residual pool must be nonempty")
-            _require_same_grid(self.transition, *pool)
-            object.__setattr__(self, "residual_pool", pool)
+            pool = np.asarray(self.residual_pool, dtype=np.float64)
+            if (pool.ndim != 2 or pool.shape[1] != grid.n or not len(pool)
+                    or not np.all(np.isfinite(pool))):
+                raise ValueError(f"residual pool must be a nonempty, finite (size, "
+                                 f"{grid.n}) array, got shape {pool.shape}")
+            object.__setattr__(self, "residual_pool",
+                               _readonly(pool) if pool.flags.writeable else pool)
         if self.noise_covariance is not None:
             _require_same_grid(self.transition, self.noise_covariance)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.transition.grid
 
     @classmethod
     def from_model(cls, model: FarModel) -> "FarGenerator":
         """Generator that mimics a fitted model: its operator, mean, and
         residual pool."""
         return cls(
-            grid=model.grid,
             transition=model.A_hat,
             mean_density=model.mean_density,
-            residual_pool=model.residuals,
+            residual_pool=model.resid,
         )
 
     def noise_sampler(self):
@@ -138,8 +144,7 @@ class FarGenerator:
 
     @cached_property
     def _centred_pool(self) -> np.ndarray:
-        pool = np.stack([r.values for r in self.residual_pool])
-        pool -= pool.mean(axis=0)
+        pool = self.residual_pool - self.residual_pool.mean(axis=0)
         pool.setflags(write=False)
         return pool
 
@@ -214,7 +219,6 @@ def make_cosine_generator(
     for sd, phi in zip(noise_sds, modes):
         s_kernel += sd * sd * np.outer(phi, phi)
     return FarGenerator(
-        grid=grid,
         transition=OperatorRep._factored(grid, modes.T * strengths, modes, 1),
         mean_density=mean if mean is not None else default_mean_density(grid),
         noise_covariance=OperatorRep(grid, s_kernel),

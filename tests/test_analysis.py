@@ -16,12 +16,13 @@ from densfar.analysis import (
     tail_indicator,
     variance_decomposition,
 )
-from densfar.errors import DegenerateMetric, ThresholdOutOfSupport, ZeroVariance
+from densfar.errors import DegenerateMetric, NotSymmetric, ThresholdOutOfSupport, ZeroVariance
 from densfar.estimation import fit
 from densfar.grid import (
     GridFunction,
     OperatorRep,
     apply_operator,
+    eigh_operator,
     inner,
     make_grid,
     norm,
@@ -416,6 +417,21 @@ def test_moment_basis_degenerates_where_gram_schmidt_does(variances, degenerate_
             _mgs_moment_basis(Q, grid, kmax)
         assert _masked(str(got.value)) == _masked(str(ref.value))
         assert f"degree-{degenerate_at} direction" in str(got.value)
+
+
+def test_moment_basis_rejects_a_non_symmetric_operator():
+    # P_hat and A_hat are factored as (left, right, d) with left != right^T;
+    # neither is symmetric, factored or held as its kernel, so both are
+    # rejected as eigh_operator rejects them, while Q_hat still gives a basis
+    model = _fitted_model(3)
+    basis = moment_basis(model.Q_hat, model.grid, 3)
+    assert basis.grid is model.Q_hat.grid and basis.kmax == len(basis.values) == 3
+    for op in (model.P_hat, model.A_hat):
+        for held in (op, OperatorRep(model.grid, op.kernel)):
+            with pytest.raises(NotSymmetric):
+                eigh_operator(held)
+            with pytest.raises(NotSymmetric):
+                moment_basis(held, model.grid, 3)
 
 
 # -- r_squared ---------------------------------------------------------------------------

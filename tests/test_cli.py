@@ -463,6 +463,12 @@ def _study(tmp_path, **edits):
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "study.csv")]
 
 
+def _noise_study(tmp_path, obj, noise):
+    # a study on the saved model whose noise is neither residuals nor gaussian
+    model = _analyze_model(tmp_path, obj)[3]
+    return _study(tmp_path, generator={"model": model, "noise": noise})
+
+
 def _huge_grid_study(tmp_path):
     config = {
         "seed": 5, "iterations": 1, "T_values": [20], "N_values": [80],
@@ -508,6 +514,8 @@ BAD_INPUTS = {
     "study_N_huge": lambda tmp, obj: _study(tmp, N_values=[10**10]),
     "study_T_times_N_huge": lambda tmp, obj: _study(tmp, T_values=[10_000], N_values=[1_000_000]),
     "study_iterations_huge": lambda tmp, obj: _study(tmp, iterations=10**9),
+    "study_noise_capitalised": lambda tmp, obj: _noise_study(tmp, obj, "Gaussian"),
+    "study_noise_misspelt": lambda tmp, obj: _noise_study(tmp, obj, "gausian"),
     "sample_n_huge": lambda tmp, obj: _sample(tmp, _density(), n=10**10),
     "estimate_support_overflows": lambda tmp, obj: _estimate_on_support(tmp, "-1e308", "1e308"),
     "estimate_support_infinite": lambda tmp, obj: _estimate_on_support(tmp, "-inf", "inf"),
@@ -625,6 +633,12 @@ def test_usage_error_is_one_line(tmp_path, panel_csv, bin_model, capsys, case):
     capsys.readouterr()
     _assert_one_error_line(capsys, main(argv), argv)
     assert not (tmp_path / "out").exists() and not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("noise", ["residuals", "gaussian"])
+def test_study_on_a_model_takes_either_noise(tmp_path, bin_model, noise):
+    argv = _study(tmp_path, generator={"model": str(bin_model), "noise": noise})
+    assert main(argv) == 0 and (tmp_path / "study.csv").exists()
 
 
 def test_help_prints_usage_and_exits_zero(capsys):

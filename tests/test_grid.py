@@ -14,6 +14,7 @@ from densfar.errors import (
 )
 from densfar.grid import (
     GridFunction,
+    GridSpec,
     OperatorRep,
     adjoint,
     apply_operator,
@@ -56,28 +57,45 @@ def test_make_grid_narrow_symmetric_support():
 
 
 def test_make_grid_preconditions():
-    with pytest.raises(GridTooSmall):
-        make_grid(0.0, 1.0, 2)
-    with pytest.raises(GridTooSmall):
-        make_grid(0.0, 1.0, 15)
-    with pytest.raises(InvalidSupport):
-        make_grid(1.0, 0.0, 64)
-    with pytest.raises(InvalidSupport):
-        make_grid(1.0, 1.0, 64)
+    for build in (make_grid, GridSpec):
+        with pytest.raises(GridTooSmall):
+            build(0.0, 1.0, 2)
+        with pytest.raises(GridTooSmall):
+            build(0.0, 1.0, 15)
+        with pytest.raises(InvalidSupport):
+            build(1.0, 0.0, 64)
+        with pytest.raises(InvalidSupport):
+            build(1.0, 1.0, 64)
 
 
 @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-np.inf, np.inf), (0.0, np.inf),
                                   (-np.inf, 0.0)])
 def test_make_grid_rejects_nonfinite_support(a, b):
     # a < b holds, but b - a (and with it every weight) is not finite
-    with pytest.raises(InvalidSupport, match="finite"):
-        make_grid(a, b, 64)
+    for build in (make_grid, GridSpec):
+        with pytest.raises(InvalidSupport, match="finite"):
+            build(a, b, 64)
 
 
 def test_make_grid_size_cap():
-    assert make_grid(0.0, 1.0, 4096).n == 4096
-    with pytest.raises(GridTooLarge):
-        make_grid(0.0, 1.0, 4097)
+    for build in (make_grid, GridSpec):
+        assert build(0.0, 1.0, 4096).n == 4096
+        with pytest.raises(GridTooLarge):
+            build(0.0, 1.0, 4097)
+
+
+def test_grid_is_defined_by_support_and_size():
+    # points and weights are derived from (a, b, n), read-only, and not
+    # constructor arguments, so they cannot disagree with the support
+    g1, g2 = make_grid(0.0, 1.0, 64), GridSpec(0.0, 1.0, 64)
+    assert g1 == g2 and hash(g1) == hash(g2)
+    assert g1 != make_grid(0.0, 2.0, 64) and g1 != make_grid(0.0, 1.0, 65)
+    assert np.array_equal(g1.points, np.linspace(0.0, 1.0, 64))
+    for arr in (g1.points, g1.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    with pytest.raises(TypeError):
+        GridSpec(0.0, 1.0, 64, points=np.linspace(0.0, 2.0, 64), weights=np.ones(64))
 
 
 # -- inner / projection ----------------------------------------------------------

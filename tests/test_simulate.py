@@ -10,6 +10,7 @@ from densfar.errors import DegenerateDensity, UnstableGenerator
 from densfar.estimation import fit
 from densfar.grid import GridFunction, OperatorRep, inner, make_grid, norm
 import densfar.simulate as simulate_module
+from densfar._threads import worker_count
 from densfar.simulate import (
     FarGenerator,
     StudyConfig,
@@ -196,15 +197,40 @@ def test_simulate_far_frozen_dynamics():
     grid = make_grid(0.0, 1.0, 64)
     gen0 = make_cosine_generator(grid, strengths=(0.5,), noise_sds=(0.1,))
     frozen = FarGenerator(
-        grid=grid,
         transition=gen0.transition,
         mean_density=gen0.mean_density,
-        residual_pool=(grid.constant(0.0),),
+        residual_pool=np.zeros((1, grid.n)),
     )
     panel = simulate_far(frozen, 10, seed=3, burn_in=20)
     assert len(panel) == 11
     for f in panel.densities:
         assert np.allclose(f.values, gen0.mean_density.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("pool, match", [
+    (np.zeros((0, 64)), "nonempty"),
+    (np.zeros(64), "shape"),
+    (np.zeros((3, 65)), "shape"),
+    (np.full((2, 64), np.nan), "finite"),
+], ids=["empty", "one_row_1d", "wrong_n", "nonfinite"])
+def test_generator_rejects_a_bad_residual_pool(pool, match):
+    gen0 = make_cosine_generator(make_grid(0.0, 1.0, 64), strengths=(0.5,), noise_sds=(0.1,))
+    with pytest.raises(ValueError, match=match):
+        FarGenerator(transition=gen0.transition, mean_density=gen0.mean_density,
+                     residual_pool=pool)
+
+
+def test_generator_grid_is_its_transitions_and_pool_is_read_only():
+    model = _fitted_model()
+    gen = FarGenerator.from_model(model)
+    assert gen.grid is gen.transition.grid
+    assert gen.residual_pool is model.resid
+    pool = np.ones((2, model.grid.n))
+    own = FarGenerator(transition=model.A_hat, mean_density=model.mean_density,
+                       residual_pool=pool)
+    assert not own.residual_pool.flags.writeable
+    pool[0, 0] = 5.0  # the generator holds its own copy
+    assert own.residual_pool[0, 0] == 1.0
 
 
 def test_simulate_far_deterministic():
@@ -259,7 +285,7 @@ def _reference_simulate(generator, T, seed, burn_in):
     rng = np.random.default_rng(seed)
     grid = generator.grid
     if generator.residual_pool is not None:
-        pool = np.stack([r.values for r in generator.residual_pool])
+        pool = generator.residual_pool
         pool = pool - pool.mean(axis=0)
 
         def draw():
@@ -295,7 +321,6 @@ def _gaussian_model_generator():
     model = _fitted_model()
     resid = np.stack([e.values for e in model.residuals])
     return FarGenerator(
-        grid=model.grid,
         transition=model.A_hat,
         mean_density=model.mean_density,
         noise_covariance=OperatorRep(model.grid, resid.T @ resid / len(resid)),
@@ -306,10 +331,9 @@ def _kernel_only_generator():
     # the fitted model's transition held only as its dense kernel
     model = _fitted_model()
     return FarGenerator(
-        grid=model.grid,
         transition=OperatorRep(model.grid, model.A_hat.kernel),
         mean_density=model.mean_density,
-        residual_pool=model.residuals,
+        residual_pool=model.resid,
     )
 
 
@@ -317,7 +341,6 @@ def _fitted_gaussian_generator():
     # the fitted model with Gaussian noise of its factored Sigma_hat
     model = _fitted_model()
     return FarGenerator(
-        grid=model.grid,
         transition=model.A_hat,
         mean_density=model.mean_density,
         noise_covariance=model.Sigma_hat,
@@ -434,16 +457,25 @@ def test_run_study_reproducible():
     assert r1.dropped == r2.dropped
 
 
+def test_run_study_on_a_thread_pool_matches_serial(monkeypatch):
+    serial = run_study(_small_config(iterations=4))
+    monkeypatch.setenv("FAR_THREADS", "2")
+    assert worker_count() == 2
+    pooled = run_study(_small_config(iterations=4))
+    assert pooled.cells == serial.cells
+    assert pooled.stderrs == serial.stderrs
+    assert pooled.dropped == serial.dropped
+
+
 def test_run_study_noiseless_limit_tracks_kde_error():
     # with zero dynamics noise the only error source is density estimation,
     # so the model forecast differs from the KDE-average benchmark by little
     grid = make_grid(0.0, 1.0, 64)
     gen0 = make_cosine_generator(grid, strengths=(0.5,), noise_sds=(0.1,))
     frozen = FarGenerator(
-        grid=grid,
         transition=gen0.transition,
         mean_density=gen0.mean_density,
-        residual_pool=(grid.constant(0.0),),
+        residual_pool=np.zeros((1, grid.n)),
     )
     config = StudyConfig(
         generator=frozen,
