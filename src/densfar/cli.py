@@ -17,6 +17,7 @@ the grid size, --functional specs) run in the command body.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -376,9 +377,8 @@ def _cmd_backtest(args) -> int:
 # -- simulate --------------------------------------------------------------------
 
 def _load_study_config(path) -> StudyConfig:
-    text_mode = os.fspath(path).endswith(".toml")
     try:
-        if text_mode:
+        if os.fspath(path).endswith(".toml"):
             try:
                 import tomllib
             except ModuleNotFoundError:
@@ -390,47 +390,33 @@ def _load_study_config(path) -> StudyConfig:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-    except OSError as exc:
-        raise _ValidationFailure(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise _ValidationFailure(f"{path}: invalid config: {exc}") from exc
-
-    try:
-        gen_spec = obj["generator"]
-        if "model" in gen_spec:
-            noise = gen_spec.get("noise", "residuals")
+        # StudyConfig's fields, whose defaults stand for the keys left out
+        dfio._closed(path, obj, [f.name for f in dataclasses.fields(StudyConfig)], "the config")
+        spec = obj["generator"]
+        if not isinstance(spec, dict) or ("model" in spec) == ("synthetic" in spec):
+            raise ValueError("generator must hold exactly one of 'model' and 'synthetic'")
+        if "model" in spec:
+            dfio._closed(path, spec, ("model", "noise"), "a model generator")
+            noise = spec.get("noise", "residuals")
             if noise not in ("residuals", "gaussian"):
                 raise ValueError(f"noise must be 'residuals' or 'gaussian', got {noise!r}")
-            model = _validated(dfio.load_model, gen_spec["model"])
-            if noise == "gaussian":
-                generator = FarGenerator(
-                    transition=model.A_hat,
-                    mean_density=model.mean_density,
-                    noise_covariance=model.Sigma_hat,
-                )
-            else:
-                generator = FarGenerator.from_model(model)
-        elif "synthetic" in gen_spec:
-            syn = gen_spec["synthetic"]
+            model = _validated(dfio.load_model, spec["model"])
+            generator = FarGenerator.from_model(model)
+            if noise == "gaussian":  # the fitted noise covariance in place of the pool
+                generator = dataclasses.replace(generator, residual_pool=None,
+                                                noise_covariance=model.Sigma_hat)
+        else:
+            dfio._closed(path, spec, ("synthetic",), "a synthetic generator")
+            syn = dfio._closed(path, spec["synthetic"],
+                               ("support", "strengths", "noise_sds", "grid_n"), "generator.synthetic")
             a, b = syn["support"]
             grid = _validated(make_grid, a, b, syn.get("grid_n", 128))
             generator = make_cosine_generator(
                 grid, syn["strengths"], syn["noise_sds"]
             )
-        else:
-            raise _ValidationFailure(
-                "generator must contain a 'model' path or a 'synthetic' block"
-            )
-        return StudyConfig(
-            generator=generator,
-            T_values=obj["T_values"],
-            N_values=obj["N_values"],
-            iterations=obj["iterations"],
-            seed=obj["seed"],
-            burn_in=obj.get("burn_in"),
-            K=obj.get("K", 4),
-            kernel=obj.get("kernel", "normal"),
-        )
+        return StudyConfig(**{**obj, "generator": generator})
+    except OSError as exc:
+        raise _ValidationFailure(f"cannot read {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise _ValidationFailure(f"{path}: invalid config: {exc}") from exc
 

@@ -26,11 +26,11 @@ matrix is the n-by-n X^T X), and A and the residuals follow from the
     A = (1/T) W_1^T C_K Lambda_K^{-1} V_K^T,   e = W_1 - (1/T) C_K Lambda_K^{-1} C_K^T W_1
 
 where W_0 and W_1 drop the last and the first period. :func:`fit_demeaned`
-does this from (grid, mean density, W, K), the state a model file stores, so
+does this from (mean density, W, K), the state a model file stores, so
 fitting and loading share one code path. The fitted operators keep these
 factors, all views of arrays the model holds: A = (B, V_K^T, T) with
-B = W_1^T C_K Lambda_K^{-1}, Sigma = (e^T, e, T), Q = (W^T, W, T) and
-P = (W_1^T, W_0, T); no n-by-n kernel exists until a caller reads one.
+B = W_1^T C_K Lambda_K^{-1}, Sigma = (e^T, e, T) and Q = (W^T, W, T); no
+n-by-n kernel exists until a caller reads one.
 
 A refit reads only the K leading eigenpairs. Given a warm start, such as
 the leading K + p eigenfunctions of a nearby panel (a bootstrap refit gets
@@ -111,8 +111,6 @@ class FarModel:
         Autoregressive operator and residual noise covariance.
     resid : ndarray, shape (T-1, n)
         Fitted residuals e_2..e_T, read-only.
-    residuals : tuple of GridFunction
-        GridFunction views of the rows of `resid`, built on first access.
     """
 
     mean_density: GridFunction
@@ -133,20 +131,10 @@ class FarModel:
         return self.mean_density.grid
 
     @cached_property
-    def residuals(self) -> tuple:
-        return tuple(GridFunction._wrap(self.grid, row) for row in self.resid)
-
-    @cached_property
     def Q_hat(self) -> OperatorRep:
         """Covariance operator (1/T) sum_t w_t (x) w_t."""
         W = self.demeaned
         return OperatorRep._factored(self.grid, W.T, W, len(W))
-
-    @cached_property
-    def P_hat(self) -> OperatorRep:
-        """Lag-1 cross-covariance (1/T) sum_t w_t (x) w_{t-1}."""
-        W = self.demeaned
-        return OperatorRep._factored(self.grid, W[1:].T, W[:-1], len(W))
 
     @property
     def sample_size(self) -> int:
@@ -251,13 +239,14 @@ def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None, *,
         K exceeds the usable rank of the estimated covariance.
     """
     f_bar, W = _snapshots(panel, None if out is None else out[0])
-    return fit_demeaned(panel.grid, f_bar, W, K, start, out=None if out is None else out[1:])
+    return fit_demeaned(f_bar, W, K, start, out=None if out is None else out[1:])
 
 
-def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
-                 K: int, start: np.ndarray | None = None, *,
+def fit_demeaned(mean_density: GridFunction, W: np.ndarray, K: int,
+                 start: np.ndarray | None = None, *,
                  out: tuple | None = None) -> FarModel:
-    """Fit at truncation K from the read-only demeaned (T, n) panel W.
+    """Fit at truncation K from the read-only demeaned (T, n) panel W on the
+    grid of `mean_density`.
 
     Every :class:`FarModel` is built here: :func:`fit` comes with the
     snapshots of a density panel, a model loader with the stored ones.
@@ -282,6 +271,7 @@ def fit_demeaned(grid: GridSpec, mean_density: GridFunction, W: np.ndarray,
         raise TooFewPeriods(f"fit needs >= 5 periods, got {T}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
+    grid = mean_density.grid
     X, E = (None, None) if out is None else out
     eigen = snapshot_spectrum(grid, W, K, start, out=X)
     _check_rank(eigen, K)

@@ -22,7 +22,8 @@ the eigenpairs, operators and residuals through
 :func:`densfar.estimation.fit_demeaned`, the same core as `fit`. Version-1
 model files, which stored every operator, are rejected. Grid-function and
 operator files stay at version 1. A malformed model, grid-function or
-operator file raises :class:`FormatError`.
+operator file raises :class:`FormatError`, and so does a JSON one with a
+field that its loader does not read.
 """
 
 from __future__ import annotations
@@ -286,8 +287,24 @@ def _save(path, mode, fmt: tuple, grid: GridSpec, fields: dict) -> None:
     _atomic_write(path, b"".join(parts))
 
 
+def _closed(path, obj, known, block: str) -> dict:
+    """`obj` when it is an object whose keys all lie in `known`; otherwise a
+    FormatError naming `block`, the first unknown key and a close match."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: {block} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in known:
+            import difflib  # only on this error path, so start-up does not load it
+            close = difflib.get_close_matches(str(key), list(known), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise FormatError(f"{path}: unknown key {key!r} in {block}{hint}")
+    return obj
+
+
 def _reader(path, mode, fmt: tuple):
     """A reader of the file's fields, with its format and version checked."""
+    # an int path would make open() read and close that file descriptor
+    path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -370,14 +387,18 @@ class _JsonReader:
             raise FormatError(f"{path}: not a {kind} file")
         if obj.get("version") != version:
             raise FormatError(
-                f"{path}: unsupported {kind} version {obj.get('version')}, "
+                f"{path}: unsupported {kind} version {obj.get('version')!r}, "
                 f"expected {version}"
             )
         self.path = path
         self.obj = obj
         self.size = len(data)
+        self.kind = kind
+        self.read = ["format", "version"]  # the top-level fields done() accepts
 
     def _field(self, obj, key: str):
+        if obj is self.obj:
+            self.read.append(key)
         try:
             return obj[key]
         except (KeyError, TypeError):
@@ -386,6 +407,7 @@ class _JsonReader:
     def grid(self) -> GridSpec:
         header = self._field(self.obj, "grid")
         a, b, n = (self._field(header, key) for key in ("a", "b", "n"))
+        _closed(self.path, header, ("a", "b", "n"), "grid")
         return _make_grid(self.path, a, b, n, self.size)
 
     def count(self, key: str) -> int:
@@ -404,7 +426,7 @@ class _JsonReader:
         return out
 
     def done(self) -> None:
-        pass
+        _closed(self.path, self.obj, self.read, f"the {self.kind} file")
 
 
 def save_grid_function(f: GridFunction, path, mode: str | None = None) -> None:
@@ -467,7 +489,7 @@ def load_model(path, mode: str | None = None) -> FarModel:
     W = src.array("demeaned", (src.count("T"), grid.n))
     src.done()
     try:
-        return fit_demeaned(grid, GridFunction(grid, mean), W, K)
+        return fit_demeaned(GridFunction(grid, mean), W, K)
     except (DensfarError, ValueError) as exc:
         raise FormatError(f"{path}: cannot refit the stored panel: {exc}") from None
 

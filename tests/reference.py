@@ -4,7 +4,9 @@ Each function here builds and decomposes an n-by-n kernel in the most direct
 way: the estimator one step at a time (mean, demeaning, covariance and lag-1
 cross-covariance operators, spectrum, regularized inverse, operator estimate,
 residuals, noise covariance) and the singular system of an operator from the
-dense SVD of W^{1/2} kernel W^{1/2}. The package computes the same objects
+dense SVD of W^{1/2} kernel W^{1/2}. `model_P_hat` and `model_residuals` read
+a fitted model's lag-1 cross-covariance and residual functions, which no
+package code needs. The package computes the same objects
 from the T-by-n panel and the operators' factors; agreement tests compare the
 two. `principal_components`, `estimate_operator` and `residuals` are the
 package's own (the benchmark's tracer needs `densfar.estimation` to bind the
@@ -42,6 +44,8 @@ __all__ = [
     "demean",
     "estimate_operator",
     "lag1_cross_covariance",
+    "model_P_hat",
+    "model_residuals",
     "noise_covariance",
     "principal_components",
     "regularized_inverse",
@@ -150,3 +154,15 @@ def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:
     d = len(resid) + 1 if divisor is None else int(divisor)
     mat = np.stack([r.values for r in resid])
     return OperatorRep(grid, mat.T @ mat / d)
+
+
+def model_P_hat(model) -> OperatorRep:
+    """A fitted model's lag-1 cross-covariance (1/T) sum_t w_t (x) w_{t-1},
+    factored as (W_1^T, W_0, T) from its demeaned panel."""
+    W = model.demeaned
+    return OperatorRep._factored(model.grid, W[1:].T, W[:-1], len(W))
+
+
+def model_residuals(model) -> tuple:
+    """GridFunction views of the rows of a fitted model's `resid`."""
+    return tuple(GridFunction._wrap(model.grid, row) for row in model.resid)

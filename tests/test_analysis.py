@@ -38,7 +38,7 @@ from conftest import (
     population_construction,
     uniform_density,
 )
-from reference import svd_operator
+from reference import model_P_hat, svd_operator
 
 
 def _identity_operator(grid) -> OperatorRep:
@@ -426,7 +426,7 @@ def test_moment_basis_rejects_a_non_symmetric_operator():
     model = _fitted_model(3)
     basis = moment_basis(model.Q_hat, model.grid, 3)
     assert basis.grid is model.Q_hat.grid and basis.kmax == len(basis.values) == 3
-    for op in (model.P_hat, model.A_hat):
+    for op in (model_P_hat(model), model.A_hat):
         for held in (op, OperatorRep(model.grid, op.kernel)):
             with pytest.raises(NotSymmetric):
                 eigh_operator(held)

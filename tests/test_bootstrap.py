@@ -26,6 +26,8 @@ from densfar.grid import (
 from densfar.analysis import moment_functional
 from densfar.simulate import make_cosine_generator, simulate_far
 
+from reference import model_residuals
+
 
 def _model(T=60, seed=0, n=48):
     grid = make_grid(0.0, 1.0, n)
@@ -181,7 +183,7 @@ def test_regeneration_matches_dense_recursion(monkeypatch, T, n, K):
         grid, strengths=(0.8, 0.6, 0.4), noise_sds=(0.02, 0.015, 0.01)
     )
     model = fit(simulate_far(gen, T - 1, seed=T, burn_in=60), K)
-    pool = np.stack([r.values for r in model.residuals])
+    pool = np.stack([r.values for r in model_residuals(model)])
     pool = pool - pool.mean(axis=0)
     _, _, panels = _regenerated(monkeypatch, model, 100, 3)
     for b in (0, 1, 99):

@@ -481,6 +481,16 @@ def _huge_grid_study(tmp_path):
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "study.csv")]
 
 
+def _edited_study(tmp_path, edit):
+    # the valid config of _study, changed in place by edit(config)
+    argv = _study(tmp_path)
+    path = Path(argv[2])
+    config = json.loads(path.read_text())
+    edit(config)
+    path.write_text(json.dumps(config))
+    return argv
+
+
 BAD_INPUTS = {
     "model_v1": _v1_model,
     "model_k99": lambda tmp, obj: _analyze_model(tmp, {**obj, "K": 99}),
@@ -519,6 +529,18 @@ BAD_INPUTS = {
     "sample_n_huge": lambda tmp, obj: _sample(tmp, _density(), n=10**10),
     "estimate_support_overflows": lambda tmp, obj: _estimate_on_support(tmp, "-1e308", "1e308"),
     "estimate_support_infinite": lambda tmp, obj: _estimate_on_support(tmp, "-inf", "inf"),
+    "study_kernel_misspelt": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c.update(kernal=c.pop("kernel"))),
+    "study_burn_in_misspelt": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c.update(burnin=c.pop("burn_in"))),
+    "study_noise_in_synthetic": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"]["synthetic"].update(noise="gausian")),
+    "study_noise_beside_synthetic": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"].update(noise="gausian")),
+    "study_model_and_synthetic": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"].update(model=_analyze_model(tmp, obj)[3])),
+    "model_extra_field": lambda tmp, obj: _analyze_model(tmp, {**obj, "extra": 1}),
+    "density_extra_field": lambda tmp, obj: _sample(tmp, _density(extra=1)),
 }
 
 
@@ -530,6 +552,25 @@ def test_bad_input_exits_one(tmp_path, json_model, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# what the error line of each unknown or misplaced key says
+UNKNOWN_KEY_MESSAGES = {
+    "study_kernel_misspelt": "unknown key 'kernal' in the config; did you mean 'kernel'?",
+    "study_burn_in_misspelt": "unknown key 'burnin' in the config; did you mean 'burn_in'?",
+    "study_noise_in_synthetic": "unknown key 'noise' in generator.synthetic",
+    "study_noise_beside_synthetic": "unknown key 'noise' in a synthetic generator",
+    "study_model_and_synthetic": "exactly one of 'model' and 'synthetic'",
+    "model_extra_field": "unknown key 'extra' in the far-model file",
+    "density_extra_field": "unknown key 'extra' in the grid-function file",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_MESSAGES))
+def test_unknown_key_error_names_the_key_and_its_block(tmp_path, json_model, capsys, case):
+    capsys.readouterr()
+    assert main(BAD_INPUTS[case](tmp_path, json_model)) == 1
+    assert UNKNOWN_KEY_MESSAGES[case] in capsys.readouterr().err
 
 
 def test_grid_n_checked_before_the_csv_is_read(tmp_path, capsys):
@@ -596,6 +637,61 @@ def test_corrupted_csv_ends_in_one_error_line(tmp_path, capsys):
         assert "Traceback" not in err
         assert (codes[-1], err) == (0, "") or (
             codes[-1] == 1 and err.startswith("error: ") and err.count("\n") == 1)
+    assert 0 in codes and 1 in codes
+
+
+def _key_mutations(obj, inner, rng):
+    """Single-key mutations of a JSON object with two blocks of leaf keys, its
+    top level and the block at the key path `inner`: each leaf key dropped,
+    renamed at edit distance 1, moved to the other block, or given a value of
+    another type. Yields (kind, mutated copy)."""
+    wrong = {int: str, float: str, str: len, list: str}
+    for here, there in (((), inner), (inner, ())):
+        for key, value in _block(obj, here).items():
+            if isinstance(value, dict):
+                continue
+            for kind in ("drop", "rename", "move", "type"):
+                out = json.loads(json.dumps(obj))
+                block = _block(out, here)
+                del block[key]
+                if kind == "rename":
+                    i = int(rng.integers(0, len(key)))
+                    letter = next(c for c in rng.permutation(list("xqzjw")) if c not in key)
+                    block[key[:i] + letter + key[i + 1:]] = value
+                elif kind == "move":
+                    _block(out, there)[key] = value
+                elif kind == "type":
+                    block[key] = wrong[type(value)](value)
+                yield kind, out
+
+
+def _block(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def test_single_key_mutations_end_in_success_or_one_error_line(tmp_path, json_model, capsys):
+    # derandomized; a renamed or moved key is never silently ignored
+    rng = np.random.default_rng(3)
+    study = _study(tmp_path)
+
+    def write_study(config):
+        Path(study[2]).write_text(json.dumps(config))
+        return study
+
+    cases = [(write_study, json.loads(Path(study[2]).read_text()), ("generator", "synthetic")),
+             (lambda model: _analyze_model(tmp_path, model), json_model, ("grid",))]
+    codes = []
+    for write, valid, inner in cases:
+        for kind, obj in _key_mutations(valid, inner, rng):
+            capsys.readouterr()
+            code = main(write(obj))
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (
+                code == 1 and err.startswith("error: ") and err.count("\n") == 1), (kind, obj, err)
+            assert code == 1 or kind in ("drop", "type"), (kind, obj)
+            codes.append(code)
     assert 0 in codes and 1 in codes
 
 

@@ -41,6 +41,8 @@ from reference import (
     demean,
     estimate_operator,
     lag1_cross_covariance,
+    model_P_hat,
+    model_residuals,
     noise_covariance,
     principal_components,
     regularized_inverse,
@@ -340,14 +342,14 @@ def test_fit_simulated_panel():
     model = fit(panel, 4)
     assert model.K == 4
     assert model.sample_size == 200
-    assert len(model.residuals) == 199
+    assert len(model_residuals(model)) == 199
     # Sigma PSD and symmetric
     s = model.Sigma_hat.kernel
     assert np.abs(s - s.T).max() < 1e-12 * (1 + np.abs(s).max())
     eigvals = np.linalg.eigvalsh(np.sqrt(panel.grid.weights)[:, None] * s * np.sqrt(panel.grid.weights)[None, :])
     assert eigvals.min() > -1e-12 * max(eigvals.max(), 1e-30)
     one = panel.grid.constant(1.0)
-    for r in model.residuals:
+    for r in model_residuals(model):
         assert abs(inner(one, r)) < 1e-8
 
 
@@ -356,7 +358,7 @@ def test_fit_residuals_are_one_readonly_array():
     model = fit(panel, 3)
     assert model.resid.shape == (39, panel.grid.n)
     assert not model.resid.flags.writeable
-    for row, r in zip(model.resid, model.residuals):
+    for row, r in zip(model.resid, model_residuals(model)):
         assert np.array_equal(row, r.values)
     # e_t = w_t - A w_{t-1}, with A applied through quadrature
     W = model.demeaned
@@ -408,10 +410,10 @@ def test_fit_matches_dense_reference(T, n):
     Q, P, eig, A, resid, Sigma = _dense_reference(panel, K)
     model = fit(panel, K)
     assert np.array_equal(model.Q_hat.kernel, Q.kernel)
-    assert np.array_equal(model.P_hat.kernel, P.kernel)
+    assert np.array_equal(model_P_hat(model).kernel, P.kernel)
     assert _rel(model.A_hat.kernel, A.kernel) < 1e-12
     assert _rel(model.Sigma_hat.kernel, Sigma.kernel) < 1e-12
-    got_res = np.stack([r.values for r in model.residuals])
+    got_res = np.stack([r.values for r in model_residuals(model)])
     assert _rel(got_res, np.stack([r.values for r in resid])) < 1e-12
     assert len(model.eigen) == min(T, n)
     assert _rel(model.eigen.eigenvalues[:K], eig.eigenvalues[:K]) < 1e-12
@@ -540,9 +542,9 @@ def test_noiseless_identity_reproduces_operator():
 def test_residual_centering_scale():
     panel, _ = _simulated_panel(T=300, seed=27)
     model = fit(panel, 4)
-    mean_res = np.mean([r.values for r in model.residuals], axis=0)
+    mean_res = np.mean([r.values for r in model_residuals(model)], axis=0)
     mean_norm = norm(GridFunction(panel.grid, mean_res))
-    bound = 5.0 * np.sqrt(np.abs(model.Sigma_hat.kernel).max()) / np.sqrt(len(model.residuals))
+    bound = 5.0 * np.sqrt(np.abs(model.Sigma_hat.kernel).max()) / np.sqrt(len(model_residuals(model)))
     assert mean_norm <= bound
 
 
@@ -603,7 +605,7 @@ def test_fitted_operators_act_like_their_dense_kernels(seed, T, n, K):
     model = fit(panel, K)
     v = GridFunction(grid, np.random.default_rng(seed).standard_normal(n))
     wv = float(np.abs(grid.weights * v.values).sum())
-    for op in (model.A_hat, model.Sigma_hat, model.Q_hat, model.P_hat):
+    for op in (model.A_hat, model.Sigma_hat, model.Q_hat, model_P_hat(model)):
         dense = OperatorRep(grid, op.kernel)
         # errors relative to max|kernel| * sum|w v|, a bound on every entry of K v
         scale = float(np.abs(dense.kernel).max()) * wv

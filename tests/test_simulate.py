@@ -25,6 +25,7 @@ from densfar.simulate import (
 )
 
 from conftest import triangular_density, uniform_density
+from reference import model_residuals
 
 
 # -- acceptance sampling --------------------------------------------------------
@@ -319,7 +320,7 @@ def _fitted_model():
 def _gaussian_model_generator():
     # the fitted model with Gaussian noise of its residual covariance
     model = _fitted_model()
-    resid = np.stack([e.values for e in model.residuals])
+    resid = np.stack([e.values for e in model_residuals(model)])
     return FarGenerator(
         transition=model.A_hat,
         mean_density=model.mean_density,
