@@ -192,7 +192,7 @@ def _cmd_estimate(args) -> int:
     else:
         K = select_K_cv(panel, args.K_candidates, args.n_validation)
     model = fit(panel, K)
-    dfio.save_model(model, args.out, args.format)
+    dfio.save_model(model, args.out)
     scree_path = args.scree or f"{args.out}.scree.csv"
     top = min(10, len(model.eigen))
     dfio.write_csv(
@@ -468,8 +468,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--n-validation", type=_N_VALIDATION, default=5)
     p.add_argument("--out", required=True, type=_output_path("--out"),
-                   help="model file (.json for text mode)")
-    p.add_argument("--format", choices=["json", "binary"], default=None)
+                   help="model file: JSON if the name ends in .json, else binary")
     p.add_argument("--scree", default=None, type=_output_path("--scree"), help="scree CSV path")
     p.set_defaults(func=_cmd_estimate)
 

@@ -61,10 +61,6 @@ class BandwidthNonpositive(DensfarError):
 
 # -- model estimation ---------------------------------------------------------
 
-class EmptyPanel(DensfarError):
-    """Operation requires a nonempty density panel."""
-
-
 class TooFewPeriods(DensfarError):
     """Time dimension too short for the requested operation."""
 

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyPanel, RankDeficient, TooFewPeriods
+from .errors import RankDeficient, TooFewPeriods
 from .grid import (
     EigenSystem,
     GridFunction,
@@ -154,8 +154,6 @@ class FarModel:
 
 def mean_density(panel: DensityPanel) -> GridFunction:
     """Pointwise average of the panel densities."""
-    if len(panel) == 0:
-        raise EmptyPanel("cannot average an empty panel")
     return GridFunction(panel.grid, panel.values.mean(axis=0))
 
 

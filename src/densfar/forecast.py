@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DegenerateForecast,
-    EmptyPanel,
     NoFeasibleK,
     TooFewPeriods,
     ZeroVariance,
@@ -196,15 +195,11 @@ def feature_interval(
 
 def predictor_ave(panel: DensityPanel) -> GridFunction:
     """Benchmark predictor: the time average of the panel densities."""
-    if len(panel) == 0:
-        raise EmptyPanel("AVE predictor needs a nonempty panel")
     return mean_density(panel)
 
 
 def predictor_last(panel: DensityPanel) -> GridFunction:
     """Benchmark predictor: the density of the last period."""
-    if len(panel) == 0:
-        raise EmptyPanel("LAST predictor needs a nonempty panel")
     return GridFunction._wrap(panel.grid, panel.values[-1])
 
 

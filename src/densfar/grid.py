@@ -16,6 +16,8 @@ so eigenfunctions come out orthonormal in L2, not in the Euclidean sense.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -94,6 +96,9 @@ class GridSpec:
 
     Raises
     ------
+    TypeError
+        If a or b is not a real number (a string or bool is not), or n is
+        not an integer.
     InvalidSupport
         If a >= b, or a, b or b - a is not finite.
     GridTooSmall
@@ -109,7 +114,14 @@ class GridSpec:
     weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        a, b, n = float(self.a), float(self.b), int(self.n)
+        for bound in (self.a, self.b):
+            if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
+                raise TypeError(f"grid bounds must be real numbers, got {bound!r}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise TypeError(f"grid size must be an integer, got {self.n!r}") from None
+        a, b = float(self.a), float(self.b)
         if not (a < b):
             raise InvalidSupport(f"need a < b, got a={a}, b={b}")
         if not np.isfinite(b - a):

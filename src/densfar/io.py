@@ -12,9 +12,12 @@ messages and line numbers.
 Binary files are little-endian IEEE-754 doubles behind a magic tag and a
 grid header (a, b, n); binary round-trips are bit-exact. JSON files carry
 the same payload as nested arrays; Python serializes floats by shortest
-round-trip representation, so JSON round-trips are exact as well. All text
-output is written with 17 significant digits and files are written to a
-temporary name and atomically renamed.
+round-trip representation, so JSON round-trips are exact as well. A model,
+grid-function or operator file is written as JSON when its name ends in
+`.json` and as binary otherwise, and is read by its bytes, not its name:
+a file whose first non-whitespace byte is `{` is JSON, any other binary.
+All text output is written with 17 significant digits and files are
+written to a temporary name and atomically renamed.
 
 A model file (version 2) stores only what the fit is computed from: the
 grid, the mean density, K, T and the (T, n) demeaned panel. Loading refits
@@ -261,17 +264,9 @@ _OPER = ("operator", b"FAROPER1", 1)
 _MODEL = ("far-model", b"FARMODL1", 2)
 
 
-def _mode_for(path, mode: str | None) -> str:
-    if mode is not None:
-        if mode not in ("json", "binary"):
-            raise ValueError(f"mode must be json or binary, got {mode!r}")
-        return mode
-    return "json" if os.fspath(path).endswith(".json") else "binary"
-
-
-def _save(path, mode, fmt: tuple, grid: GridSpec, fields: dict) -> None:
+def _save(path, fmt: tuple, grid: GridSpec, fields: dict) -> None:
     kind, magic, version = fmt
-    if _mode_for(path, mode) == "json":
+    if os.fspath(path).endswith(".json"):
         payload = {"format": kind, "version": version,
                    "grid": {"a": grid.a, "b": grid.b, "n": grid.n}}
         for key, value in fields.items():
@@ -301,7 +296,7 @@ def _closed(path, obj, known, block: str) -> dict:
     return obj
 
 
-def _reader(path, mode, fmt: tuple):
+def _reader(path, fmt: tuple):
     """A reader of the file's fields, with its format and version checked."""
     # an int path would make open() read and close that file descriptor
     path = os.fspath(path)
@@ -310,17 +305,19 @@ def _reader(path, mode, fmt: tuple):
             data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if _mode_for(path, mode) == "json":
+    # every JSON artifact is an object; any other file must start with its magic tag
+    if data.lstrip()[:1] == b"{":
         return _JsonReader(path, data, fmt)
     return _BinReader(path, data, fmt)
 
 
 def _make_grid(path, a, b, n, size: int) -> GridSpec:
     try:
+        grid = make_grid(a, b, n)
         # every file holds at least n values, so a larger n is corrupt
-        if int(n) > size:
+        if grid.n > size:
             raise ValueError(f"n={n} exceeds the file size")
-        return make_grid(a, b, n)
+        return grid
     except (TypeError, ValueError, OverflowError, DensfarError) as exc:
         raise FormatError(f"{path}: bad grid header: {exc}") from None
 
@@ -383,7 +380,7 @@ class _JsonReader:
             obj = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or obj.get("format") != kind:
+        if obj.get("format") != kind:
             raise FormatError(f"{path}: not a {kind} file")
         if obj.get("version") != version:
             raise FormatError(
@@ -429,43 +426,40 @@ class _JsonReader:
         _closed(self.path, self.obj, self.read, f"the {self.kind} file")
 
 
-def save_grid_function(f: GridFunction, path, mode: str | None = None) -> None:
-    """Write a grid function (e.g. a density) in JSON or binary form.
-
-    Mode defaults by extension: `.json` is text, anything else binary.
-    """
-    _save(path, mode, _FUNC, f.grid, {"values": f.values})
+def save_grid_function(f: GridFunction, path) -> None:
+    """Write a grid function (e.g. a density), as JSON to a `.json` name, else binary."""
+    _save(path, _FUNC, f.grid, {"values": f.values})
 
 
-def load_grid_function(path, mode: str | None = None) -> GridFunction:
-    src = _reader(path, mode, _FUNC)
+def load_grid_function(path) -> GridFunction:
+    src = _reader(path, _FUNC)
     grid = src.grid()
     values = src.array("values", (grid.n,))
     src.done()
     return GridFunction(grid, values)
 
 
-def save_operator(K: OperatorRep, path, mode: str | None = None) -> None:
-    """Write an operator kernel in JSON or binary form."""
-    _save(path, mode, _OPER, K.grid, {"kernel": K.kernel})
+def save_operator(K: OperatorRep, path) -> None:
+    """Write an operator kernel, as JSON to a `.json` name, else binary."""
+    _save(path, _OPER, K.grid, {"kernel": K.kernel})
 
 
-def load_operator(path, mode: str | None = None) -> OperatorRep:
-    src = _reader(path, mode, _OPER)
+def load_operator(path) -> OperatorRep:
+    src = _reader(path, _OPER)
     grid = src.grid()
     kernel = src.array("kernel", (grid.n, grid.n))
     src.done()
     return OperatorRep(grid, kernel)
 
 
-def save_model(model: FarModel, path, mode: str | None = None) -> None:
-    """Persist what a fitted model is computed from (JSON or binary).
+def save_model(model: FarModel, path) -> None:
+    """Persist what a fitted model is computed from (JSON to a `.json` name, else binary).
 
     The file carries the grid header, the mean density, K, T and the (T, n)
     demeaned panel; :func:`load_model` refits everything else from them.
     """
     W = model.demeaned
-    _save(path, mode, _MODEL, model.grid, {
+    _save(path, _MODEL, model.grid, {
         "mean_density": model.mean_density.values,
         "K": model.K,
         "T": len(W),
@@ -473,7 +467,7 @@ def save_model(model: FarModel, path, mode: str | None = None) -> None:
     })
 
 
-def load_model(path, mode: str | None = None) -> FarModel:
+def load_model(path) -> FarModel:
     """Load a model written by :func:`save_model` and refit it at its K.
 
     Raises
@@ -482,7 +476,7 @@ def load_model(path, mode: str | None = None) -> FarModel:
         Not a version-2 model file, a missing field, a wrong shape, a
         non-finite value, or a K outside 1..usable rank of the panel.
     """
-    src = _reader(path, mode, _MODEL)
+    src = _reader(path, _MODEL)
     grid = src.grid()
     mean = src.array("mean_density", (grid.n,))
     K = src.count("K")

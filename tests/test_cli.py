@@ -107,7 +107,7 @@ def test_forecast_and_analyze(tmp_path, panel_csv):
     model_path = tmp_path / "model.json"
     assert main(
         ["estimate", "--input", str(panel_csv), "--grid-n", "64",
-         "--K", "2", "--out", str(model_path), "--format", "json"]
+         "--K", "2", "--out", str(model_path)]
     ) == 0
 
     fc_dir = tmp_path / "fc"
@@ -355,6 +355,49 @@ def test_runtime_error_exits_two(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("written, renamed", [("json", "bin"), ("bin", "json")])
+def test_model_is_read_by_its_bytes_not_its_name(tmp_path, panel_csv, written, renamed):
+    # a JSON model under a .bin name, or a binary one under a .json name,
+    # runs as the same file under its own name and writes the same bytes
+    own = tmp_path / f"model.{written}"
+    assert main(["estimate", "--input", str(panel_csv), "--grid-n", "64",
+                 "--K", "2", "--out", str(own)]) == 0
+    other = tmp_path / f"other.{renamed}"
+    other.write_bytes(own.read_bytes())
+    outputs = []
+    for path in (own, other):
+        out = tmp_path / f"out_{path.suffix[1:]}"
+        assert main(["forecast", "--model", str(path), "--input", str(panel_csv),
+                     "--out-dir", str(out / "fc")]) == 0
+        assert main(["analyze", "irf", "--model", str(path), "--out-dir", str(out / "irf")]) == 0
+        outputs.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()})
+    assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
+
+
+def test_estimate_has_no_format_flag(tmp_path, panel_csv, capsys):
+    # a file's name alone sets the format it is written in
+    out = tmp_path / "model.bin"
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(panel_csv), "--grid-n", "64", "--K", "2",
+                 "--out", str(out), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--format" in err
+    assert not out.exists()
+
+
+def test_json_density_under_a_bin_name_samples(tmp_path):
+    grid = make_grid(0.0, 1.0, 64)
+    save_grid_function(triangular_density(grid), tmp_path / "d.json")
+    (tmp_path / "d.bin").write_bytes((tmp_path / "d.json").read_bytes())
+    draws = []
+    for name in ("d.json", "d.bin"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["sample", "--density", str(tmp_path / name), "--n", "50",
+                     "--seed", "2", "--out", str(out)]) == 0
+        draws.append(out.read_bytes())
+    assert draws[0] == draws[1]
+
+
 @pytest.fixture(scope="module")
 def json_model(tmp_path_factory, panel_csv):
     path = tmp_path_factory.mktemp("model") / "model.json"
@@ -541,6 +584,22 @@ BAD_INPUTS = {
         tmp, lambda c: c["generator"].update(model=_analyze_model(tmp, obj)[3])),
     "model_extra_field": lambda tmp, obj: _analyze_model(tmp, {**obj, "extra": 1}),
     "density_extra_field": lambda tmp, obj: _sample(tmp, _density(extra=1)),
+    "study_grid_n_float": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"]["synthetic"].update(grid_n=32.7)),
+    "study_grid_n_string": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"]["synthetic"].update(grid_n="32")),
+    "study_support_strings": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"]["synthetic"].update(support=["0", "1"])),
+    "model_grid_n_string": lambda tmp, obj: _analyze_model(
+        tmp, {**obj, "grid": {**obj["grid"], "n": "64"}}),
+    "model_grid_n_float": lambda tmp, obj: _analyze_model(
+        tmp, {**obj, "grid": {**obj["grid"], "n": 64.0}}),
+    "model_grid_a_string": lambda tmp, obj: _analyze_model(
+        tmp, {**obj, "grid": {**obj["grid"], "a": str(obj["grid"]["a"])}}),
+    "density_grid_n_string": lambda tmp, obj: _sample(
+        tmp, _density(grid={"a": 0.0, "b": 1.0, "n": "64"})),
+    "density_grid_a_string": lambda tmp, obj: _sample(
+        tmp, _density(grid={"a": "0.0", "b": 1.0, "n": 64})),
 }
 
 
@@ -571,6 +630,34 @@ def test_unknown_key_error_names_the_key_and_its_block(tmp_path, json_model, cap
     capsys.readouterr()
     assert main(BAD_INPUTS[case](tmp_path, json_model)) == 1
     assert UNKNOWN_KEY_MESSAGES[case] in capsys.readouterr().err
+
+
+def test_study_on_a_json_model_under_a_bin_name(tmp_path, json_model):
+    studies = []
+    for name in ("model.json", "model.bin"):
+        run = tmp_path / name.replace(".", "_")
+        run.mkdir()
+        (run / name).write_text(json.dumps(json_model))
+        assert main(_study(run, generator={"model": str(run / name)})) == 0
+        studies.append((run / "study.csv").read_bytes())
+    assert studies[0] == studies[1]
+
+
+# the wrong-type value each grid error line shows
+WRONG_TYPE_MESSAGES = {
+    "study_grid_n_float": "grid size must be an integer, got 32.7",
+    "study_grid_n_string": "grid size must be an integer, got '32'",
+    "study_support_strings": "grid bounds must be real numbers, got '0'",
+    "model_grid_n_string": "bad grid header: grid size must be an integer, got '64'",
+    "density_grid_a_string": "bad grid header: grid bounds must be real numbers, got '0.0'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_MESSAGES))
+def test_wrong_type_grid_error_shows_the_value(tmp_path, json_model, capsys, case):
+    capsys.readouterr()
+    assert main(BAD_INPUTS[case](tmp_path, json_model)) == 1
+    assert WRONG_TYPE_MESSAGES[case] in capsys.readouterr().err
 
 
 def test_grid_n_checked_before_the_csv_is_read(tmp_path, capsys):
@@ -672,7 +759,8 @@ def _block(obj, path):
 
 
 def test_single_key_mutations_end_in_success_or_one_error_line(tmp_path, json_model, capsys):
-    # derandomized; a renamed or moved key is never silently ignored
+    # derandomized; a renamed or moved key is never silently ignored, and a
+    # value of the wrong type is never converted
     rng = np.random.default_rng(3)
     study = _study(tmp_path)
 
@@ -690,7 +778,7 @@ def test_single_key_mutations_end_in_success_or_one_error_line(tmp_path, json_mo
             err = capsys.readouterr().err
             assert (code, err) == (0, "") or (
                 code == 1 and err.startswith("error: ") and err.count("\n") == 1), (kind, obj, err)
-            assert code == 1 or kind in ("drop", "type"), (kind, obj)
+            assert code == 1 or kind == "drop", (kind, obj)
             codes.append(code)
     assert 0 in codes and 1 in codes
 

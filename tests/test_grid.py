@@ -77,6 +77,17 @@ def test_make_grid_rejects_nonfinite_support(a, b):
             build(a, b, 64)
 
 
+@pytest.mark.parametrize("a, b, n, shown", [
+    (0.0, 1.0, 32.7, "32.7"), (0.0, 1.0, 64.0, "64.0"), (0.0, 1.0, "64", "'64'"),
+    ("0", 1.0, 64, "'0'"), (0.0, b"1", 64, "b'1'"), (False, 1.0, 64, "False")])
+def test_make_grid_rejects_wrong_types(a, b, n, shown):
+    # no bound or size is converted: 32.7 is not a 32-point grid
+    for build in (make_grid, GridSpec):
+        with pytest.raises(TypeError) as err:
+            build(a, b, n)
+        assert str(err.value).endswith(f"got {shown}")
+
+
 def test_make_grid_size_cap():
     for build in (make_grid, GridSpec):
         assert build(0.0, 1.0, 4096).n == 4096

@@ -257,10 +257,10 @@ def test_c_path_agrees_with_csv_loop(tmp_path, header, rows, hazard, end, final)
 def test_grid_function_roundtrip(tmp_path):
     grid = make_grid(-1.0, 1.0, 64)
     f = grid.function(np.sin(grid.points))
-    for name, mode in (("f.bin", "binary"), ("f.json", "json")):
+    for name in ("f.bin", "f.json"):
         path = tmp_path / name
-        save_grid_function(f, path, mode)
-        back = load_grid_function(path, mode)
+        save_grid_function(f, path)
+        back = load_grid_function(path)
         assert back.grid == grid
         assert np.array_equal(back.values, f.values)
 
@@ -283,8 +283,8 @@ def test_operator_roundtrip(tmp_path):
 def test_model_binary_roundtrip_bit_exact(tmp_path):
     model = _model()
     path = tmp_path / "model.bin"
-    save_model(model, path, "binary")
-    back = load_model(path, "binary")
+    save_model(model, path)
+    back = load_model(path)
     assert back.grid == model.grid
     assert back.K == model.K and back.sample_size == model.sample_size
     assert np.array_equal(back.mean_density.values, model.mean_density.values)
@@ -301,7 +301,7 @@ def test_model_binary_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.w_last.values, model.w_last.values)
     # and the file itself is byte-stable across saves
     path2 = tmp_path / "model2.bin"
-    save_model(back, path2, "binary")
+    save_model(back, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -328,8 +328,8 @@ def test_loaded_model_forecasts_bit_for_bit(tmp_path, n, T, K, seed, mode):
                                 noise_sds=(0.02, 0.015, 0.01))
     model = fit(simulate_far(gen, T - 1, seed=seed, burn_in=40), K)
     path = tmp_path / f"model.{'json' if mode == 'json' else 'bin'}"
-    save_model(model, path, mode)
-    back = load_model(path, mode)
+    save_model(model, path)
+    back = load_model(path)
     for got, want in zip(make_forecast(back, model.w_last, 3),
                          make_forecast(model, model.w_last, 3)):
         assert np.array_equal(got.w_forecast.values, want.w_forecast.values)
@@ -340,13 +340,13 @@ def test_loaded_model_forecasts_bit_for_bit(tmp_path, n, T, K, seed, mode):
 def test_model_truncated_file(tmp_path, cut):
     model = _model(seed=2)
     path = tmp_path / "model.bin"
-    save_model(model, path, "binary")
+    save_model(model, path)
     data = path.read_bytes()
     keep = len(data) // 2 if cut == "half" else len(data) - 8
     broken = tmp_path / "broken.bin"
     broken.write_bytes(data[:keep])
     with pytest.raises(FormatError) as err:
-        load_model(broken, "binary")
+        load_model(broken)
     assert err.value.offset is not None
     # both cuts fall in the demeaned panel, the file's last field
     need = 8 * model.demeaned.size
@@ -369,7 +369,57 @@ def test_model_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
     with pytest.raises(FormatError):
-        load_model(path, "binary")
+        load_model(path)
+
+
+def test_files_are_read_by_their_bytes_not_their_name(tmp_path):
+    from densfar.grid import OperatorRep
+
+    model = _model(seed=5)
+    cases = ((save_model, load_model, model, lambda m: m.A_hat.kernel),
+             (save_grid_function, load_grid_function, model.mean_density, lambda f: f.values),
+             (save_operator, load_operator, OperatorRep(model.grid, model.Q_hat.kernel),
+              lambda K: K.kernel))
+    for save, load, obj, payload in cases:
+        for written, renamed in (("json", "bin"), ("bin", "json")):
+            own, other = tmp_path / f"own.{written}", tmp_path / f"other.{renamed}"
+            save(obj, own)
+            other.write_bytes(own.read_bytes())
+            back = load(other)
+            assert back.grid == obj.grid
+            assert np.array_equal(payload(back), payload(load(own)))
+
+
+def test_json_model_with_leading_whitespace_loads(tmp_path):
+    model = _model(seed=6)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_bytes(b" \n\t\r\n" + path.read_bytes())
+    assert np.array_equal(load_model(path).A_hat.kernel, model.A_hat.kernel)
+
+
+def test_truncated_json_model_under_a_bin_name(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_model(seed=7), path)
+    broken = tmp_path / "model.bin"
+    broken.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    with pytest.raises(FormatError, match="invalid JSON") as err:
+        load_model(broken)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("edit, shown", [({"n": "32"}, "'32'"), ({"n": 32.0}, "32.0"),
+                                         ({"a": "0.0"}, "'0.0'"), ({"b": True}, "True")])
+def test_grid_header_of_the_wrong_type(tmp_path, edit, shown):
+    # a grid header's n must be an integer and a, b real numbers, not converted
+    path = tmp_path / "model.json"
+    save_model(_model(seed=8), path)
+    obj = json.loads(path.read_text())
+    obj["grid"].update(edit)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="bad grid header") as err:
+        load_model(path)
+    assert shown in str(err.value)
 
 
 # -- tables ------------------------------------------------------------------------------
