@@ -1,41 +1,126 @@
-"""Worker-thread helper shared by the bootstrap and the Monte Carlo study loops.
+"""Worker-process pool shared by the bootstrap and the Monte Carlo study loops.
 
 Work items are pure functions of their index with per-index random streams,
-so results are identical whether executed serially or on a pool. The
-FAR_THREADS environment variable sets the pool size; unset or 1 means serial.
-A pool pays off on spare cores: at n=512 and T=212 on 2 vCPUs and one BLAS
-thread, FAR_THREADS=2 cut `analyze vardecomp --bootstrap 100`, whose refits solve
-only their K leading eigenpairs in reused buffers, from 1.00 s to 0.81 s wall
-(medians of 8 alternating runs each), for 0.09 s more CPU time. The Monte
-Carlo study does not pay: on the benchmark's seed-5 study config (grid 128,
-30 iterations per cell) FAR_THREADS=2 took `simulate` from 3.21 s
-(2.97-3.25 s) to 4.69 s (4.62-4.76 s) wall, from 3.16 to 5.77 s CPU and
-from 41.3 to 44.7 MB peak RSS (medians of 4 alternating runs). Its iterations
-run numpy calls on small arrays, so two threads mostly wait on each other.
+so results are identical at any pool size. With w workers, `parallel_map`
+forks w - 1 children: child k runs items[k::w] and pickles its results, or
+the exception that stopped it, into its own pipe; the parent runs
+items[0::w], then reads every pipe and reaps every child before it returns
+or raises. Forking, unlike spawning, lets an item be a closure over the
+caller's state (a bootstrap's model, a study's generator); only results
+are pickled.
+
+The pool size is FAR_THREADS when set, else the available CPUs divided by
+the BLAS thread count that OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
+OMP_NUM_THREADS sets (none set: BLAS takes every core, so serial), capped
+at the CPUs and the items. The map runs serially inside a worker, off
+Linux, and while another Python thread is alive, since a fork copies no
+thread but every lock one holds. With one BLAS thread on 2 vCPUs, two
+workers cut `analyze tails --bootstrap 300` from 2.86-2.94 to 1.61-1.88 s
+and the benchmark's study by about a third, for up to 20% more CPU time.
+With BLAS unpinned, FAR_THREADS=2 oversubscribes: the same `tails` took
+4.0-8.6 s under OPENBLAS_NUM_THREADS=2, against 2.2-3.7 s serially.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import sys
+import threading
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+# set while a pooled map runs, in the parent and (by the fork) in its children
+_pooled = False
 
 
 def worker_count() -> int:
-    env = os.environ.get("FAR_THREADS")
-    if env is None:
-        return 1
+    """Pool size from FAR_THREADS, or from the CPUs left by BLAS threads."""
     try:
-        n = int(env)
-    except ValueError as exc:
-        raise ValueError(f"FAR_THREADS must be an integer, got {env!r}") from exc
-    return max(1, n)
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    env = os.environ.get("FAR_THREADS")
+    if env is not None:
+        try:
+            n = int(env)
+        except ValueError as exc:
+            raise ValueError(f"FAR_THREADS must be an integer, got {env!r}") from exc
+        return max(1, min(n, cpus))
+    for name in _BLAS_VARIABLES:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
 
 
 def parallel_map(fn, items) -> list:
-    """Map fn over items preserving order; threads when FAR_THREADS > 1."""
+    """Map fn over items preserving order, on forked workers (see module)."""
+    global _pooled
     items = list(items)
     workers = min(worker_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
+    if (workers <= 1 or _pooled or not sys.platform.startswith("linux")
+            or threading.active_count() > 1):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    _pooled = True
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork(fn, items[k::workers]))
+        out = [None] * len(items)
+        out[::workers] = [fn(x) for x in items[::workers]]
+    finally:
+        _pooled = False
+        # every child is read and reaped, also when the parent's share raised
+        parts = [_collect(pid, fd) for pid, fd in children]
+    for k, (ok, payload) in enumerate(parts, 1):
+        if not ok:
+            raise payload
+        out[k::workers] = payload
+    return out
+
+
+def _fork(fn, items) -> tuple:
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, [fn(x) for x in items])
+        except BaseException as exc:  # an interrupt too: the parent raises it
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(
+                f"a worker's result could not be pickled: {exc!r}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        # no atexit handlers, no flush of buffers inherited from the parent
+        os._exit(code)
+
+
+def _collect(pid: int, fd: int) -> tuple:
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        return False, RuntimeError(f"worker process {pid} ended with exit code {code}")
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        return False, RuntimeError(f"worker process {pid} sent an unreadable result: {exc!r}")

@@ -24,14 +24,14 @@ read-only by every replication: it solves only the K leading eigenpairs of
 its T-by-T Gram matrix by block subspace iteration, at about a third of the
 cost of a full `eigh`, and falls back to the full `eigh` when those do not
 converge within a few sweeps (see :func:`~densfar.estimation.fit_demeaned`).
-Each worker regenerates and refits into one set of (T, n) buffers, made once
-per call, because the allocator returns freed panel-sized arrays to the
-system and fresh ones are paged in again on every replication.
+Each worker process regenerates and refits into its copy of one set of
+(T, n) buffers, made once per call, because the allocator returns freed
+panel-sized arrays to the system and fresh ones are paged in again on every
+replication.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +170,7 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
              * np.sqrt(grid.weights))
     start.setflags(write=False)
     labels = period_labels(T)
-    # each worker refits into one set of panel buffers for the whole call
-    local = threading.local()
+    S, W, X, E = (np.empty((rows, grid.n)) for rows in (T, T, T, T - 1))
     outcomes = []
     for lo in range(0, B, _BLOCK):
         idx = np.stack([np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
@@ -181,9 +180,6 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
         def replicate(j: int):
             # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t;
             # None when no statistic keeps the replication
-            if not hasattr(local, "buffers"):
-                local.buffers = tuple(np.empty((rows, grid.n)) for rows in (T, T, T, T - 1))
-            S, W, X, E = local.buffers
             S[0] = w_first
             np.matmul(scores[j], L.T, out=S[1:])
             # the pool rows e*_t, gathered into E before it takes the residuals;

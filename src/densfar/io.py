@@ -15,7 +15,8 @@ the same payload as nested arrays; Python serializes floats by shortest
 round-trip representation, so JSON round-trips are exact as well. A model,
 grid-function or operator file is written as JSON when its name ends in
 `.json` and as binary otherwise, and is read by its bytes, not its name:
-a file whose first non-whitespace byte is `{` is JSON, any other binary.
+a file whose first non-whitespace byte, after an optional UTF-8 byte-order
+mark, is `{` is JSON, any other binary.
 All text output is written with 17 significant digits and files are
 written to a temporary name and atomically renamed.
 
@@ -305,8 +306,9 @@ def _reader(path, fmt: tuple):
             data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    # every JSON artifact is an object; any other file must start with its magic tag
-    if data.lstrip()[:1] == b"{":
+    # every JSON artifact is an object, possibly behind a UTF-8 byte-order
+    # mark; any other file must start with its magic tag
+    if data.removeprefix(_BOM).lstrip()[:1] == b"{":
         return _JsonReader(path, data, fmt)
     return _BinReader(path, data, fmt)
 
@@ -377,7 +379,7 @@ class _JsonReader:
     def __init__(self, path, data: bytes, fmt: tuple):
         kind, _, version = fmt
         try:
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(data.decode("utf-8-sig"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
         if obj.get("format") != kind:

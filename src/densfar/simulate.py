@@ -12,6 +12,7 @@ the AVE/LAST benchmarks against the true simulated density.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import median
@@ -76,6 +77,11 @@ _STABILITY_FACTOR = 1e6
 # Rows per block when simulate_far turns scores into states, so that the build
 # needs 64 KB at n = 128 and not a second (m, n) array
 _STATE_BLOCK = 64
+
+# Periods per block when simulate_far steps its scores, and the largest score
+# dimension it steps in blocks, whose Toeplitz matrix then holds 512 KB
+_SCORE_BLOCK = 32
+_BLOCKED_RANK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +200,15 @@ def cosine_modes(grid: GridSpec, m: int) -> list:
     return out
 
 
+def _reals(name: str, values) -> np.ndarray:
+    # real numbers only, as GridSpec takes a and b: no str, bytes or bool
+    values = list(values)
+    for x in values:
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            raise TypeError(f"{name} must be real numbers, got {x!r}")
+    return np.asarray(values, dtype=np.float64)
+
+
 def make_cosine_generator(
     grid: GridSpec,
     strengths,
@@ -207,8 +222,7 @@ def make_cosine_generator(
     orthonormal cosine modes phi_k, so the process reduces to independent
     scalar AR(1) components with known coefficients.
     """
-    strengths = np.asarray(strengths, dtype=np.float64)
-    noise_sds = np.asarray(noise_sds, dtype=np.float64)
+    strengths, noise_sds = _reals("strengths", strengths), _reals("noise_sds", noise_sds)
     if strengths.shape != noise_sds.shape:
         raise ValueError("strengths and noise_sds must have equal length")
     if not np.all(np.isfinite(strengths)):
@@ -358,7 +372,8 @@ def simulate_far(
     converted to a density by adding the mean, clipping, and rescaling.
     Period labels are zero-padded integers starting at 1. The recursion
     runs on the r-dim scores R x_t of the transition's weighted factors,
-    A diag(w) = L R, and x_t = L R x_{t-1} + e_t is built from them.
+    A diag(w) = L R, in blocks of 32 periods when r <= 8, and
+    x_t = L R x_{t-1} + e_t is built from them.
 
     Raises
     ------
@@ -381,11 +396,7 @@ def simulate_far(
     # s_t = (right left) s_{t-1} + right e_t
     scores = np.zeros((m, len(right)))
     np.matmul(states[:-1], right.T, out=scores[1:])
-    step, buf = right @ left, np.empty(len(right))
-    rows = list(scores)
-    for prev, row in zip(rows, rows[1:]):
-        np.dot(step, prev, out=buf)
-        row += buf
+    _step_scores(right @ left, scores)
     # state of period t + 1 = left @ s_t + e_{t+1}, one mat-vec per row in
     # blocks of rows, with the squared weighted norm of each
     sqrt_w = np.sqrt(grid.weights)
@@ -404,6 +415,34 @@ def simulate_far(
         )
     raw = _to_densities(states[burn_in:], generator.mean_density, UnstableGenerator)
     return DensityPanel._wrap(grid, raw, period_labels(T + 1))
+
+
+def _step_scores(step: np.ndarray, scores: np.ndarray) -> None:
+    # s_t = step s_{t-1} + c_t in place, rows t >= 1 of scores holding c_t.
+    # Up to rank _BLOCKED_RANK, a block of B steps from s_lo is one product
+    # each: s_{lo+k} = M^k s_lo + sum_{1<=j<=k} M^{k-j} c_{lo+j}, k = 1..B,
+    # with the (B r, r) stack of M^k and the lower block-Toeplitz (B r, B r)
+    # matrix of M^{k-j}; a larger rank, as of a kernel-only transition, steps
+    # one period at a time
+    r = len(step)
+    if r > _BLOCKED_RANK:
+        buf, rows = np.empty(r), list(scores)
+        for prev, row in zip(rows, rows[1:]):
+            np.dot(step, prev, out=buf)
+            row += buf
+        return
+    powers = np.empty((_SCORE_BLOCK + 1, r, r))
+    powers[0] = np.eye(r)
+    for k in range(1, _SCORE_BLOCK + 1):
+        np.matmul(step, powers[k - 1], out=powers[k])
+    lag = np.subtract.outer(np.arange(_SCORE_BLOCK), np.arange(_SCORE_BLOCK))
+    toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(_SCORE_BLOCK * r, _SCORE_BLOCK * r)
+    lift = powers[1:].reshape(_SCORE_BLOCK * r, r)
+    for lo in range(0, len(scores) - 1, _SCORE_BLOCK):
+        block = scores[lo + 1 : lo + 1 + _SCORE_BLOCK].reshape(-1)
+        size = len(block)
+        block[:] = toeplitz[:size, :size] @ block + lift[:size] @ scores[lo]
 
 
 def _transition_factors(op: OperatorRep) -> tuple:

@@ -78,7 +78,7 @@ def test_band_identical_under_thread_pool(monkeypatch, factory):
     model, _ = _model(seed=7)
     v = moment_functional(2, model.grid)
     stat = factory(v, 2) if factory is vardecomp_statistic else factory(v)
-    monkeypatch.delenv("FAR_THREADS", raising=False)
+    monkeypatch.setenv("FAR_THREADS", "1")
     serial = residual_bootstrap(model, {"s": stat}, B=100, alpha=0.05, seed=1)["s"]
     monkeypatch.setenv("FAR_THREADS", "3")
     pooled = residual_bootstrap(model, {"s": stat}, B=100, alpha=0.05, seed=1)["s"]
@@ -95,7 +95,7 @@ def test_statistic_returning_a_view_into_its_refit(monkeypatch, threads):
     # would overwrite each other's refits.
     model, _ = _model(seed=10)
     if threads is None:
-        monkeypatch.delenv("FAR_THREADS", raising=False)
+        monkeypatch.setenv("FAR_THREADS", "1")
     else:
         monkeypatch.setenv("FAR_THREADS", threads)
     stats = {"last": lambda m: m.demeaned[-1], "resid": lambda m: m.resid[0],
@@ -169,7 +169,7 @@ def _regenerated(monkeypatch, model, B, seed):
         panels.append(panel.values.copy())
         return refit(panel, K, start, out=out)
 
-    monkeypatch.delenv("FAR_THREADS", raising=False)
+    monkeypatch.setenv("FAR_THREADS", "1")
     monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)
     monkeypatch.setattr(bootstrap, "fit", recording_fit)
     band = residual_bootstrap(model, {"zero": lambda m: 0.0}, B=B, alpha=0.05, seed=seed)["zero"]
@@ -244,7 +244,7 @@ def _recording_items(monkeypatch):
         items.extend(out)
         return out
 
-    monkeypatch.delenv("FAR_THREADS", raising=False)
+    monkeypatch.setenv("FAR_THREADS", "1")
     monkeypatch.setattr(bootstrap, "parallel_map", recording_map)
     return items
 

@@ -241,6 +241,7 @@ def test_analyze_bootstrap_refits_once_per_replication(tmp_path, panel_csv, monk
         return refit(panel, K, start, out=out)
 
     monkeypatch.setattr(bootstrap, "fit", counting_fit)
+    monkeypatch.setenv("FAR_THREADS", "1")
     assert main(
         ["analyze", mode, "--model", str(model_path), "--out-dir", str(tmp_path / mode),
          "--kmax", "2", "--bootstrap", "100", "--seed", "3"]
@@ -600,6 +601,10 @@ BAD_INPUTS = {
         tmp, _density(grid={"a": 0.0, "b": 1.0, "n": "64"})),
     "density_grid_a_string": lambda tmp, obj: _sample(
         tmp, _density(grid={"a": "0.0", "b": 1.0, "n": 64})),
+    "study_strengths_strings": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"]["synthetic"].update(strengths=["0.8"], noise_sds=["0.05"])),
+    "study_strengths_bool": lambda tmp, obj: _edited_study(
+        tmp, lambda c: c["generator"]["synthetic"].update(strengths=[True])),
 }
 
 

@@ -398,6 +398,25 @@ def test_json_model_with_leading_whitespace_loads(tmp_path):
     assert np.array_equal(load_model(path).A_hat.kernel, model.A_hat.kernel)
 
 
+def test_json_files_behind_a_utf8_bom_load(tmp_path):
+    # some editors save UTF-8 text with a byte-order mark; the CSV reader
+    # skips it, and so do the model, density and operator readers
+    from densfar.grid import OperatorRep
+
+    model = _model(seed=8)
+    cases = ((save_model, load_model, model, lambda m: m.A_hat.kernel),
+             (save_grid_function, load_grid_function, model.mean_density, lambda f: f.values),
+             (save_operator, load_operator, OperatorRep(model.grid, model.Q_hat.kernel),
+              lambda K: K.kernel))
+    for save, load, obj, payload in cases:
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        save(obj, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back = load(marked)
+        assert back.grid == obj.grid
+        assert np.array_equal(payload(back), payload(load(plain)))
+
+
 def test_truncated_json_model_under_a_bin_name(tmp_path):
     path = tmp_path / "model.json"
     save_model(_model(seed=7), path)

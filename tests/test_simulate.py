@@ -351,6 +351,10 @@ def _fitted_gaussian_generator():
 GENERATORS = {
     "cosine": lambda: make_cosine_generator(
         make_grid(0.0, 1.0, 128), strengths=(0.8, 0.6, 0.45), noise_sds=(0.05, 0.04, 0.03)),
+    # rank 9 steps its scores one period at a time, rank 3 in blocks
+    "cosine_rank_9": lambda: make_cosine_generator(
+        make_grid(0.0, 1.0, 64), strengths=np.linspace(0.85, 0.1, 9),
+        noise_sds=np.linspace(0.05, 0.01, 9)),
     "residual_pool": lambda: FarGenerator.from_model(_fitted_model()),
     "model_gaussian": _gaussian_model_generator,
     "fitted_gaussian": _fitted_gaussian_generator,
@@ -459,6 +463,7 @@ def test_run_study_reproducible():
 
 
 def test_run_study_on_a_thread_pool_matches_serial(monkeypatch):
+    monkeypatch.setenv("FAR_THREADS", "1")
     serial = run_study(_small_config(iterations=4))
     monkeypatch.setenv("FAR_THREADS", "2")
     assert worker_count() == 2
