@@ -1,24 +1,22 @@
 """Worker-process pool shared by the bootstrap and the Monte Carlo study loops.
 
 Work items are pure functions of their index with per-index random streams,
-so results are identical at any pool size. With w workers, `parallel_map`
-forks w - 1 children: child k runs items[k::w] and pickles its results, or
-the exception that stopped it, into its own pipe; the parent runs
-items[0::w], then reads every pipe and reaps every child before it returns
-or raises. Forking, unlike spawning, lets an item be a closure over the
-caller's state (a bootstrap's model, a study's generator); only results
-are pickled.
+so results are identical at any pool size; each loop maps its whole work
+list in one call. With w workers, `parallel_map` forks w - 1 children once:
+child k runs items[k::w] and pickles its results, or the exception that
+stopped it, into its own pipe; the parent runs items[0::w], then reads every
+pipe and reaps every child before it returns or raises. Forking, unlike
+spawning, lets an item be a closure over the caller's state (a bootstrap's
+model, a study's generator); only results are pickled.
 
-The pool size is FAR_THREADS when set, else the available CPUs divided by
-the BLAS thread count that OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
-OMP_NUM_THREADS sets (none set: BLAS takes every core, so serial), capped
-at the CPUs and the items. The map runs serially inside a worker, off
-Linux, and while another Python thread is alive, since a fork copies no
-thread but every lock one holds. With one BLAS thread on 2 vCPUs, two
-workers cut `analyze tails --bootstrap 300` from 2.86-2.94 to 1.61-1.88 s
-and the benchmark's study by about a third, for up to 20% more CPU time.
-With BLAS unpinned, FAR_THREADS=2 oversubscribes: the same `tails` took
-4.0-8.6 s under OPENBLAS_NUM_THREADS=2, against 2.2-3.7 s serially.
+The pool size is the available CPUs divided by the BLAS thread count that
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS sets (none set:
+BLAS takes every core, so serial), capped at the items; `taskset` or the
+BLAS variable caps it. The map runs serially inside a worker, off Linux,
+and while another Python thread is alive, since a fork copies no thread but
+every lock one holds. With one BLAS thread on 2 vCPUs, two workers cut
+`analyze tails --bootstrap 300` from 2.86-2.94 to 1.61-1.88 s and the
+benchmark's study by about a third, for up to 20% more CPU time.
 """
 
 from __future__ import annotations
@@ -35,22 +33,18 @@ _pooled = False
 
 
 def worker_count() -> int:
-    """Pool size from FAR_THREADS, or from the CPUs left by BLAS threads."""
+    """Pool size: the available CPUs left over by the BLAS threads."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    env = os.environ.get("FAR_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"FAR_THREADS must be an integer, got {env!r}") from exc
-        return max(1, min(n, cpus))
     for name in _BLAS_VARIABLES:
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:  # unset, or not an integer
+            continue
+        if threads > 0:
+            return max(1, cpus // threads)
     return 1
 
 

@@ -13,10 +13,11 @@ serial runs agree bit for bit.
 
 Regeneration runs on the factors the fit keeps for A_hat, A_hat diag(weights)
 = L R with L = B / T (n x K) and R = V_K diag(weights) (K x n): the K-dim
-scores s_t = R w*_{t+1} of a block of replications step together, and each
-replication's states w*_{t+1} = L s_t + e*_t take one product before its
-refit. An A_hat held only as a kernel (e.g. one swapped in with
-`dataclasses.replace`) raises ValueError.
+scores s_t = R w*_{t+1} of a block of replications step together in each
+worker process that reaches it, and each replication's states w*_{t+1} =
+L s_t + e*_t take one product before its refit; all B replications go to
+the pool in one map. An A_hat held only as a kernel (e.g. one swapped in
+with `dataclasses.replace`) raises ValueError.
 
 Each refit is warm-started from the original panel's K + p leading
 eigenfunctions (times sqrt(weights)), computed once per call and shared
@@ -33,6 +34,7 @@ replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,38 +173,43 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
     start.setflags(write=False)
     labels = period_labels(T)
     S, W, X, E = (np.empty((rows, grid.n)) for rows in (T, T, T, T - 1))
-    outcomes = []
-    for lo in range(0, B, _BLOCK):
+
+    @lru_cache(maxsize=1)
+    def block(k: int) -> tuple:
+        # the draws and score paths of block k; items reach each process in
+        # ascending order, so a process steps each block once
         idx = np.stack([np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
-                        for b in range(lo, min(lo + _BLOCK, B))])
-        scores = _score_paths(step, s_first, noise, idx)
+                        for b in range(k * _BLOCK, min((k + 1) * _BLOCK, B))])
+        return idx, _score_paths(step, s_first, noise, idx)
 
-        def replicate(j: int):
-            # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t;
-            # None when no statistic keeps the replication
-            S[0] = w_first
-            np.matmul(scores[j], L.T, out=S[1:])
-            # the pool rows e*_t, gathered into E before it takes the residuals;
-            # the indices are in range, and mode="raise" would buffer the output
-            np.take(pool, idx[j], axis=0, out=E, mode="clip")
-            S[1:] += E
+    def replicate(b: int):
+        # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t;
+        # None when no statistic keeps the replication
+        k, j = divmod(b, _BLOCK)
+        idx, scores = block(k)
+        S[0] = w_first
+        np.matmul(scores[j], L.T, out=S[1:])
+        # the pool rows e*_t, gathered into E before it takes the residuals;
+        # the indices are in range, and mode="raise" would buffer the output
+        np.take(pool, idx[j], axis=0, out=E, mode="clip")
+        S[1:] += E
+        try:
+            _to_densities(S, model.mean_density, DegenerateForecast, out=S)
+            # the panel, the refit's demeaned panel and its residuals are
+            # made read-only, so they get views and the buffers stay writeable
+            refit = fit(DensityPanel._wrap(grid, S[:], labels), model.K, start,
+                        out=(W[:], X, E[:]))
+        except DensfarError:
+            return None
+        values = {}
+        for name, stat in statistics.items():
             try:
-                _to_densities(S, model.mean_density, DegenerateForecast, out=S)
-                # the panel, the refit's demeaned panel and its residuals are
-                # made read-only, so they get views and the buffers stay writeable
-                refit = fit(DensityPanel._wrap(grid, S[:], labels), model.K, start,
-                            out=(W[:], X, E[:]))
+                values[name] = np.array(stat(refit), dtype=np.float64, ndmin=1)
             except DensfarError:
-                return None
-            values = {}
-            for name, stat in statistics.items():
-                try:
-                    values[name] = np.array(stat(refit), dtype=np.float64, ndmin=1)
-                except DensfarError:
-                    pass
-            return values or None
+                pass
+        return values or None
 
-        outcomes += parallel_map(replicate, range(len(idx)))
+    outcomes = parallel_map(replicate, range(B))
     bands = {}
     for name, point in points.items():
         kept = [o[name] for o in outcomes if o is not None and name in o]

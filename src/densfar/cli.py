@@ -23,7 +23,6 @@ import os
 import sys
 
 from . import io as dfio
-from ._threads import worker_count
 from .analysis import (
     DEFAULT_KMAX,
     impulse_response,
@@ -444,7 +443,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sample(args) -> int:
     density = _validated(dfio.load_grid_function, args.density)
-    draws = acceptance_sample(density, args.n, args.seed)
+    draws = _validated(acceptance_sample, density, args.n, args.seed)
     dfio.write_csv(args.out, ["value"], [{"value": float(x)} for x in draws])
     print(f"sampled {args.n} draws -> {args.out}")
     return 0
@@ -537,11 +536,6 @@ def cli_dispatch(argv=None) -> int:
     """Run one command; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        # the pool size is read where replications run; check it before any input
-        try:
-            worker_count()
-        except ValueError as exc:
-            raise _ValidationFailure(str(exc)) from None
         return args.func(args)
     except (_ValidationFailure, ParseError, EmptyFile, FormatError, TooFewPeriods) as exc:
         # too few periods is a property of the input file, not of the run

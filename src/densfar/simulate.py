@@ -15,6 +15,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, product
 from statistics import median
 
 import numpy as np
@@ -568,22 +569,24 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Run the Monte Carlo study over every (T, N) cell.
 
     Iterations are independent with random streams derived from the seed
-    and the iteration index, so results do not depend on execution order.
-    Failed iterations are dropped and counted; more than 2% failures in a
-    cell aborts the study.
+    and the iteration index, so results do not depend on execution order;
+    all of them go to the worker pool in one map. Failed iterations are
+    dropped and counted; more than 2% failures in a cell aborts the study,
+    naming the first such cell in order.
     """
-    cells = {}
-    stderrs = {}
-    dropped = {}
+
+    def run_one(item):
+        try:
+            return _study_iteration(config, *item)
+        except DensfarError:
+            return None
+
+    work = product(config.T_values, config.N_values, range(config.iterations))
+    outcomes = iter(parallel_map(run_one, work))
+    cells, stderrs, dropped = {}, {}, {}
     for T in config.T_values:
         for N in config.N_values:
-            def run_one(it, T=T, N=N):
-                try:
-                    return _study_iteration(config, T, N, it)
-                except DensfarError:
-                    return None
-            outcomes = parallel_map(run_one, range(config.iterations))
-            good = [o for o in outcomes if o is not None]
+            good = [o for o in islice(outcomes, config.iterations) if o is not None]
             n_dropped = config.iterations - len(good)
             if n_dropped > _DROP_CEILING * config.iterations:
                 raise TooManyDropped(

@@ -1,9 +1,39 @@
 """Shared fixtures and synthetic builders for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
+from densfar._threads import _BLAS_VARIABLES
 from densfar.grid import GridFunction, GridSpec, OperatorRep, make_grid
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The one way a test picks a worker pool: `forks(cpus, **blas)` patches
+    the available CPUs to `cpus`, sets the given BLAS thread variables and
+    unsets the others (none set: serial), and returns the list of forks made
+    since; more than `cpus` - 1 forks fail the test before the extra process
+    starts."""
+    calls, fork = [], os.fork
+
+    def pool(cpus, **blas):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for name in _BLAS_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas.items():
+            monkeypatch.setenv(name, value)
+
+        def counting_fork():
+            calls.append(None)
+            assert len(calls) < cpus, "more forks than the CPUs allow"
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    return pool
 
 
 @pytest.fixture

@@ -71,23 +71,34 @@ def test_band_monotone_in_alpha():
 @pytest.mark.parametrize(
     "factory", [irf_statistic, r_squared_statistic, vardecomp_statistic]
 )
-def test_band_identical_under_thread_pool(monkeypatch, factory):
+def test_band_identical_under_thread_pool(forks, factory):
     # replication streams derive from (seed, index), so a pool of any size
-    # reproduces the serial result bit for bit; the pooled items of a block
-    # share one precomputed array of score paths
+    # reproduces the serial result bit for bit; each worker steps the score
+    # paths of every block it reaches
     model, _ = _model(seed=7)
     v = moment_functional(2, model.grid)
     stat = factory(v, 2) if factory is vardecomp_statistic else factory(v)
-    monkeypatch.setenv("FAR_THREADS", "1")
+    forks(1)
     serial = residual_bootstrap(model, {"s": stat}, B=100, alpha=0.05, seed=1)["s"]
-    monkeypatch.setenv("FAR_THREADS", "3")
+    forks(3, OPENBLAS_NUM_THREADS="1")
     pooled = residual_bootstrap(model, {"s": stat}, B=100, alpha=0.05, seed=1)["s"]
     assert np.array_equal(serial.lower, pooled.lower)
     assert np.array_equal(serial.upper, pooled.upper)
 
 
+def test_bootstrap_forks_its_workers_once(forks):
+    # all B replications go to the pool in one map, across the blocks of 128
+    # whose score paths step together
+    calls = forks(2, OPENBLAS_NUM_THREADS="1")
+    model, _ = _model(seed=8, n=32)
+    band = residual_bootstrap(model, {"irf": irf_statistic(moment_functional(1, model.grid))},
+                              B=400, alpha=0.05, seed=6)["irf"]
+    assert band.B == 400 and band.n_dropped == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("threads", [None, "2", "4"])
-def test_statistic_returning_a_view_into_its_refit(monkeypatch, threads):
+def test_statistic_returning_a_view_into_its_refit(forks, threads):
     # each worker refits into one set of buffers for the whole call, so a
     # statistic that returns a view into its refit must still give the band
     # of the same statistic returning a copy: each value is copied when kept.
@@ -95,9 +106,9 @@ def test_statistic_returning_a_view_into_its_refit(monkeypatch, threads):
     # would overwrite each other's refits.
     model, _ = _model(seed=10)
     if threads is None:
-        monkeypatch.setenv("FAR_THREADS", "1")
+        forks(1)
     else:
-        monkeypatch.setenv("FAR_THREADS", threads)
+        forks(int(threads), OPENBLAS_NUM_THREADS="1")
     stats = {"last": lambda m: m.demeaned[-1], "resid": lambda m: m.resid[0],
              "last_copy": lambda m: m.demeaned[-1].copy(),
              "resid_copy": lambda m: m.resid[0].copy()}
@@ -154,7 +165,7 @@ def _per_period_regeneration(model, pool, rng):
         return idx, None
 
 
-def _regenerated(monkeypatch, model, B, seed):
+def _regenerated(monkeypatch, forks, model, B, seed):
     # serial bootstrap run that records every block's index draws and every
     # regenerated panel handed to the refit, in replication order
     draws, panels = [], []
@@ -169,7 +180,7 @@ def _regenerated(monkeypatch, model, B, seed):
         panels.append(panel.values.copy())
         return refit(panel, K, start, out=out)
 
-    monkeypatch.setenv("FAR_THREADS", "1")
+    forks(1)
     monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)
     monkeypatch.setattr(bootstrap, "fit", recording_fit)
     band = residual_bootstrap(model, {"zero": lambda m: 0.0}, B=B, alpha=0.05, seed=seed)["zero"]
@@ -177,7 +188,7 @@ def _regenerated(monkeypatch, model, B, seed):
 
 
 @pytest.mark.parametrize("T, n, K", [(60, 48, 2), (40, 64, 3), (150, 32, 3)])
-def test_regeneration_matches_dense_recursion(monkeypatch, T, n, K):
+def test_regeneration_matches_dense_recursion(monkeypatch, forks, T, n, K):
     grid = make_grid(0.0, 1.0, n)
     gen = make_cosine_generator(
         grid, strengths=(0.8, 0.6, 0.4), noise_sds=(0.02, 0.015, 0.01)
@@ -185,14 +196,14 @@ def test_regeneration_matches_dense_recursion(monkeypatch, T, n, K):
     model = fit(simulate_far(gen, T - 1, seed=T, burn_in=60), K)
     pool = np.stack([r.values for r in model_residuals(model)])
     pool = pool - pool.mean(axis=0)
-    _, _, panels = _regenerated(monkeypatch, model, 100, 3)
+    _, _, panels = _regenerated(monkeypatch, forks, model, 100, 3)
     for b in (0, 1, 99):
         ref = _dense_regeneration(model, pool, np.random.default_rng((3, b)))
         assert np.abs(panels[b] - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("block, B", [(7, 100), (128, 130)])
-def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, block, B):
+def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, forks, block, B):
     # blocks of 7 leave a last block of 2 replications; the default block of
     # 128 puts replications 127 and 128 on either side of a boundary
     T, n = 60, 48
@@ -203,7 +214,7 @@ def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, block, B):
     model = fit(simulate_far(gen, T - 1, seed=11, burn_in=60), 3)
     pool = model.resid - model.resid.mean(axis=0)
     monkeypatch.setattr(bootstrap, "_BLOCK", block)
-    band, draws, panels = _regenerated(monkeypatch, model, B, 5)
+    band, draws, panels = _regenerated(monkeypatch, forks, model, B, 5)
     assert band.n_dropped == 0 and len(panels) == B
     for b in range(B):
         idx, ref = _per_period_regeneration(model, pool, np.random.default_rng((5, b)))
@@ -211,7 +222,7 @@ def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, block, B):
         assert np.abs(panels[b] - ref).max() < 1e-12 * np.abs(ref).max()
 
 
-def test_replication_without_mass_is_dropped_as_before(monkeypatch):
+def test_replication_without_mass_is_dropped_as_before(monkeypatch, forks):
     # one pooled residual that wipes out the density: every replication that
     # draws it has a clipped state with no mass and is dropped, and only those
     model, _ = _model(seed=12)
@@ -227,7 +238,7 @@ def test_replication_without_mass_is_dropped_as_before(monkeypatch):
     assert 0 < n_bad < 150
     monkeypatch.setattr(bootstrap, "_DROP_CEILING", 1.0)
     monkeypatch.setattr(bootstrap, "_BLOCK", 16)
-    band, _, panels = _regenerated(monkeypatch, model, 150, 2)
+    band, _, panels = _regenerated(monkeypatch, forks, model, 150, 2)
     assert band.n_dropped == n_bad
     kept = [ref for ref in expected if ref is not None]
     assert len(panels) == len(kept)
@@ -235,7 +246,7 @@ def test_replication_without_mass_is_dropped_as_before(monkeypatch):
         assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
-def _recording_items(monkeypatch):
+def _recording_items(monkeypatch, forks):
     # serial runs whose pool items' results are kept, in replication order
     items, run = [], bootstrap.parallel_map
 
@@ -244,12 +255,12 @@ def _recording_items(monkeypatch):
         items.extend(out)
         return out
 
-    monkeypatch.setenv("FAR_THREADS", "1")
+    forks(1)
     monkeypatch.setattr(bootstrap, "parallel_map", recording_map)
     return items
 
 
-def test_statistic_error_drops_the_replication_for_that_statistic_only(monkeypatch):
+def test_statistic_error_drops_the_replication_for_that_statistic_only(monkeypatch, forks):
     # "flaky" raises ZeroVariance on a fixed set of replications; the irf
     # named after it in the same mapping keeps every replication, and its band
     # is the band of a call that names the irf alone
@@ -265,7 +276,7 @@ def test_statistic_error_drops_the_replication_for_that_statistic_only(monkeypat
         kept.append(m.eigen.eigenvalues[0])
         return m.eigen.eigenvalues[0]
 
-    items = _recording_items(monkeypatch)
+    items = _recording_items(monkeypatch, forks)
     bands = residual_bootstrap(model, {"flaky": flaky, "irf": irf}, B=100, alpha=0.1, seed=6)
     assert list(bands) == ["flaky", "irf"]
     assert bands["flaky"].n_dropped == len(bad) and bands["irf"].n_dropped == 0
@@ -281,7 +292,7 @@ def test_statistic_error_drops_the_replication_for_that_statistic_only(monkeypat
     assert sum(item is None for item in items) == len(bad)
 
 
-def test_replication_without_mass_is_dropped_for_every_statistic(monkeypatch):
+def test_replication_without_mass_is_dropped_for_every_statistic(monkeypatch, forks):
     # the poisoned pool of the test above: a replication whose regenerated
     # state has no mass is dropped for both statistics, and its pool item is
     # None, as it is for a single statistic
@@ -296,7 +307,7 @@ def test_replication_without_mass_is_dropped_for_every_statistic(monkeypatch):
     )
     assert 0 < n_bad < 150
     monkeypatch.setattr(bootstrap, "_DROP_CEILING", 1.0)
-    items = _recording_items(monkeypatch)
+    items = _recording_items(monkeypatch, forks)
     stats = {"irf": irf_statistic(moment_functional(1, model.grid)), "zero": lambda m: 0.0}
     bands = residual_bootstrap(model, stats, B=150, alpha=0.05, seed=2)
     assert [band.n_dropped for band in bands.values()] == [n_bad, n_bad]

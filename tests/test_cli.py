@@ -226,7 +226,7 @@ def test_tails_bootstrap_records_every_drop_count(tmp_path, panel_csv):
 
 @pytest.mark.parametrize("mode", ["tails", "vardecomp"])
 def test_analyze_bootstrap_refits_once_per_replication(tmp_path, panel_csv, monkeypatch,
-                                                        mode):
+                                                        forks, mode):
     # one set of B refits serves every table: tails writes four band tables
     # and the default vardecomp two, but each replication is refitted once
     model_path = tmp_path / "model.bin"
@@ -241,7 +241,7 @@ def test_analyze_bootstrap_refits_once_per_replication(tmp_path, panel_csv, monk
         return refit(panel, K, start, out=out)
 
     monkeypatch.setattr(bootstrap, "fit", counting_fit)
-    monkeypatch.setenv("FAR_THREADS", "1")
+    forks(1)
     assert main(
         ["analyze", mode, "--model", str(model_path), "--out-dir", str(tmp_path / mode),
          "--kmax", "2", "--bootstrap", "100", "--seed", "3"]
@@ -546,6 +546,8 @@ BAD_INPUTS = {
     "density_no_grid": lambda tmp, obj: _sample(tmp, _density(grid=None)),
     "density_short_values": lambda tmp, obj: _sample(
         tmp, _density(values=[1.0] * 5)),
+    "density_negative": lambda tmp, obj: _sample(tmp, _density(values=[1.0] * 63 + [-0.5])),
+    "density_zero": lambda tmp, obj: _sample(tmp, _density(values=[0.0] * 64)),
     "csv_not_utf8": lambda tmp, obj: _non_utf8_csv(tmp),
     "csv_field_over_limit": lambda tmp, obj: _csv_estimate(
         tmp, b"period,value\n1,0.5\n1," + b"9" * 200_000 + b"\n"),
@@ -896,23 +898,6 @@ def test_horizon_above_the_cap_exits_one(tmp_path, panel_csv, bin_model, capsys)
     assert main(argv[:-1] + ["1000"]) == 0
     meta = json.loads((tmp_path / "fc" / "forecast_meta.json").read_text())
     assert meta["horizon"] == 1000
-
-
-@pytest.mark.parametrize("value", ["abc", "", "1.5"])
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
-def test_bad_FAR_THREADS_exits_one_before_reading_input(tmp_path, bin_model, monkeypatch,
-                                                        capsys, command, value):
-    reads = []
-    monkeypatch.setattr(cli.dfio, "load_model", lambda *a: reads.append(a))
-    monkeypatch.setattr(cli, "_load_study_config", lambda *a: reads.append(a))
-    monkeypatch.setenv("FAR_THREADS", value)
-    argv = (["analyze", "vardecomp", "--model", str(bin_model), "--out-dir",
-             str(tmp_path / "out"), "--bootstrap", "100"]
-            if command == "analyze" else _study(tmp_path))
-    capsys.readouterr()
-    _assert_one_error_line(capsys, main(argv), argv)
-    assert reads == []
-    assert not (tmp_path / "out").exists() and not (tmp_path / "study.csv").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("estimate", "--out"), ("estimate", "--scree"),

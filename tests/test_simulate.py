@@ -1,12 +1,13 @@
 """Simulation machinery: rejection sampling, panel generation, study harness."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from densfar.errors import DegenerateDensity, UnstableGenerator
+from densfar.errors import DegenerateDensity, TooManyDropped, UnstableGenerator
 from densfar.estimation import fit
 from densfar.grid import GridFunction, OperatorRep, inner, make_grid, norm
 import densfar.simulate as simulate_module
@@ -462,15 +463,42 @@ def test_run_study_reproducible():
     assert r1.dropped == r2.dropped
 
 
-def test_run_study_on_a_thread_pool_matches_serial(monkeypatch):
-    monkeypatch.setenv("FAR_THREADS", "1")
+def test_run_study_on_a_thread_pool_matches_serial(forks):
+    forks(1)
     serial = run_study(_small_config(iterations=4))
-    monkeypatch.setenv("FAR_THREADS", "2")
+    forks(2, OPENBLAS_NUM_THREADS="1")
     assert worker_count() == 2
     pooled = run_study(_small_config(iterations=4))
     assert pooled.cells == serial.cells
     assert pooled.stderrs == serial.stderrs
     assert pooled.dropped == serial.dropped
+
+
+def test_run_study_forks_its_workers_once(forks):
+    # every (T, N, iteration) of the 2 x 2 cells goes to the pool in one map
+    calls = forks(2, OPENBLAS_NUM_THREADS="1")
+    config = dataclasses.replace(_small_config(iterations=2), T_values=(20, 30),
+                                 N_values=(50, 100))
+    result = run_study(config)
+    assert result.dropped == {(T, N): 0 for T in (20, 30) for N in (50, 100)}
+    assert len(calls) == 1
+
+
+def test_run_study_names_the_first_cell_over_the_drop_ceiling(monkeypatch, forks):
+    # the ceiling is checked once every cell has run, in cell order
+    forks(2, OPENBLAS_NUM_THREADS="1")
+    iteration = simulate_module._study_iteration
+
+    def poisoned(config, T, N, it):
+        if (T, N) in {(20, 50), (30, 100)}:
+            raise DegenerateDensity(f"iteration {it} of cell ({T}, {N})")
+        return iteration(config, T, N, it)
+
+    monkeypatch.setattr(simulate_module, "_study_iteration", poisoned)
+    config = dataclasses.replace(_small_config(iterations=2), T_values=(20, 30),
+                                 N_values=(50, 100))
+    with pytest.raises(TooManyDropped, match=r"^cell \(T=20, N=50\): 2/2 iterations failed$"):
+        run_study(config)
 
 
 def test_run_study_noiseless_limit_tracks_kde_error():

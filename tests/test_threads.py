@@ -9,36 +9,6 @@ from densfar import _threads
 from densfar._threads import parallel_map, worker_count
 from densfar.errors import ZeroVariance
 
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pin the pool to `cpus` CPUs and count the forks; more than `cpus` - 1
-    forks fail the test before the extra process starts."""
-    calls, fork = [], os.fork
-
-    def pool(cpus, far_threads=None, **blas):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        for name in BLAS_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in blas.items():
-            monkeypatch.setenv(name, value)
-        if far_threads is None:
-            monkeypatch.delenv("FAR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FAR_THREADS", far_threads)
-
-        def counting_fork():
-            calls.append(None)
-            assert len(calls) < cpus, "more forks than the CPUs allow"
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return calls
-
-    return pool
-
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
@@ -46,7 +16,7 @@ def _no_child_left():
 
 
 def test_items_come_back_in_order(forks):
-    calls = forks(3, "3")
+    calls = forks(3, OPENBLAS_NUM_THREADS="1")
     out = parallel_map(lambda x: (x * x, os.getpid()), range(11))
     assert [v for v, _ in out] == [x * x for x in range(11)]
     # worker k runs items k, k + 3, ...; the parent is worker 0
@@ -57,7 +27,7 @@ def test_items_come_back_in_order(forks):
 
 
 def test_a_child_exception_reaches_the_caller(forks):
-    forks(3, "3")
+    forks(3, OPENBLAS_NUM_THREADS="1")
 
     def item(x):
         if x == 4:  # runs in the first child
@@ -70,7 +40,7 @@ def test_a_child_exception_reaches_the_caller(forks):
 
 
 def test_a_parent_exception_still_reaps_the_children(forks):
-    forks(2, "2")
+    forks(2, OPENBLAS_NUM_THREADS="1")
 
     def item(x):
         if x == 0:  # runs in the parent
@@ -83,7 +53,7 @@ def test_a_parent_exception_still_reaps_the_children(forks):
 
 
 def test_a_dead_child_raises_instead_of_hanging(forks):
-    forks(2, "2")
+    forks(2, OPENBLAS_NUM_THREADS="1")
 
     def item(x):
         if x == 3:  # runs in the child
@@ -96,14 +66,14 @@ def test_a_dead_child_raises_instead_of_hanging(forks):
 
 
 def test_an_unpicklable_result_is_an_error(forks):
-    forks(2, "2")
+    forks(2, OPENBLAS_NUM_THREADS="1")
     with pytest.raises(RuntimeError, match="could not be pickled"):
         parallel_map(lambda x: (lambda: x), range(4))
     _no_child_left()
 
 
 def test_a_nested_map_runs_serially_in_its_worker(forks):
-    calls = forks(2, "2")
+    calls = forks(2, OPENBLAS_NUM_THREADS="1")
 
     def item(x):
         return os.getpid(), parallel_map(lambda y: os.getpid(), range(4))
@@ -117,7 +87,7 @@ def test_a_nested_map_runs_serially_in_its_worker(forks):
 
 
 def test_serial_while_another_thread_is_alive(forks):
-    calls = forks(2, "2")
+    calls = forks(2, OPENBLAS_NUM_THREADS="1")
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -137,15 +107,15 @@ def test_serial_while_another_thread_is_alive(forks):
     ({"OPENBLAS_NUM_THREADS": "8"}, 1),
 ])
 def test_default_size_is_the_cpus_left_by_blas(forks, blas, expected):
-    calls = forks(4, None, **blas)
+    calls = forks(4, **blas)
     assert worker_count() == expected
     assert parallel_map(lambda x: x, range(10)) == list(range(10))
     assert len(calls) == expected - 1
     _no_child_left()
 
 
-def test_far_threads_is_capped_at_the_cpus_and_the_items(forks):
-    calls = forks(3, "64", OPENBLAS_NUM_THREADS="1")
+def test_the_pool_is_capped_at_the_cpus_and_the_items(forks):
+    calls = forks(3, OPENBLAS_NUM_THREADS="1")
     assert worker_count() == 3
     assert parallel_map(lambda x: -x, range(100)) == [-x for x in range(100)]
     assert len(calls) == 2
@@ -155,7 +125,10 @@ def test_far_threads_is_capped_at_the_cpus_and_the_items(forks):
     _no_child_left()
 
 
-def test_far_threads_one_is_serial(forks):
-    calls = forks(4, "1", OPENBLAS_NUM_THREADS="1")
-    assert parallel_map(lambda x: os.getpid(), range(8)) == [os.getpid()] * 8
-    assert calls == [] and not _threads._pooled
+def test_a_blas_setting_that_is_no_positive_integer_is_skipped(forks):
+    # the size cannot fail: such a value passes the choice to the next variable
+    for value in ["abc", "", "1.5", "-2", "0", "\u00b2", "9" * 5000]:
+        forks(4, OPENBLAS_NUM_THREADS=value, OMP_NUM_THREADS="2")
+        assert worker_count() == 2
+        forks(4, OPENBLAS_NUM_THREADS=value)
+        assert worker_count() == 1
