@@ -73,11 +73,9 @@ from .grid import (
 from .io import (
     load_grid_function,
     load_model,
-    load_operator,
     read_observations,
     save_grid_function,
     save_model,
-    save_operator,
 )
 from .kde import (
     DensityPanel,

@@ -190,7 +190,7 @@ def _cmd_estimate(args) -> int:
         K = args.K
     else:
         K = select_K_cv(panel, args.K_candidates, args.n_validation)
-    model = fit(panel, K)
+    model = fit(panel, K, kernel=args.kernel)
     dfio.save_model(model, args.out)
     scree_path = args.scree or f"{args.out}.scree.csv"
     top = min(10, len(model.eigen))
@@ -210,10 +210,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_forecast(args) -> int:
     model = _validated(dfio.load_model, args.model)
+    # the start state is estimated as the fit's densities were
+    if args.kernel not in (None, model.kernel):
+        raise _ValidationFailure(f"--kernel {args.kernel} differs from the {model.kernel} "
+                                 f"kernel the model was fitted with")
     raw = _validated(dfio.read_observations, args.input)
     # only the last period's density enters the forecast
     last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
-    panel = _validated(estimate_panel, last, model.grid, args.kernel)
+    panel = _validated(estimate_panel, last, model.grid, model.kernel)
     w_T = project_zero_integral(
         GridFunction._wrap(model.grid, panel.values[-1]) - model.mean_density)
     results = make_forecast(model, w_T, args.horizon)
@@ -475,7 +479,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, type=_EXISTING_PATH)
     p.add_argument("--input", required=True, type=_EXISTING_PATH,
                    help="observation CSV (period,value)")
-    p.add_argument("--kernel", choices=KERNELS, default="epanechnikov")
+    p.add_argument("--kernel", choices=KERNELS, default=None,
+                   help="KDE kernel of the start state; the model's kernel, which is the default")
     p.add_argument("--horizon", default=1, type=_flag(
         int, lambda h: 1 <= h <= MAX_HORIZON, f"--horizon must lie in 1..{MAX_HORIZON}, got {{}}"))
     p.add_argument("--alpha", type=_ALPHA, default=0.05)

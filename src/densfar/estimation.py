@@ -90,8 +90,9 @@ class FarModel:
 
     `mean_density` (on the model's `grid`), `demeaned` and `K` are what the
     fit is computed from; :func:`fit_demeaned` derives the rest from them, so
-    a model file stores only those three. The derived fit stays in fields so
-    that `dataclasses.replace` can swap an operator for a what-if model.
+    a model file stores only those three and the `kernel`. The derived fit
+    stays in fields so that `dataclasses.replace` can swap an operator for a
+    what-if model.
 
     Attributes
     ----------
@@ -111,6 +112,9 @@ class FarModel:
         Autoregressive operator and residual noise covariance.
     resid : ndarray, shape (T-1, n)
         Fitted residuals e_2..e_T, read-only.
+    kernel : str
+        KDE kernel of the panel densities, from which a forecast estimates
+        its start state the same way.
     """
 
     mean_density: GridFunction
@@ -120,6 +124,7 @@ class FarModel:
     A_hat: OperatorRep
     Sigma_hat: OperatorRep
     resid: np.ndarray
+    kernel: str
 
     def __post_init__(self):
         for name in ("demeaned", "resid"):
@@ -219,7 +224,7 @@ def _lagged_scores(W: np.ndarray, eigen: EigenSystem, K: int, out=None) -> tuple
 
 
 def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None, *,
-        out: tuple | None = None) -> FarModel:
+        out: tuple | None = None, kernel: str = "epanechnikov") -> FarModel:
     """Fit the full autoregression on a density panel with truncation K.
 
     `start` warm-starts the spectrum as in :func:`fit_demeaned`. `out`, for
@@ -227,7 +232,8 @@ def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None, *,
     buffers shaped (T, n), (T, n) and (T-1, n): the demeaned panel goes to W
     and the rest as in :func:`fit_demeaned`. W and E become the model's
     read-only `demeaned` and `resid`, so pass views of buffers that are to
-    be reused. The panel's values are only read.
+    be reused. The panel's values are only read. `kernel` names the KDE
+    kernel the panel was estimated with, which the model records.
 
     Raises
     ------
@@ -237,12 +243,13 @@ def fit(panel: DensityPanel, K: int, start: np.ndarray | None = None, *,
         K exceeds the usable rank of the estimated covariance.
     """
     f_bar, W = _snapshots(panel, None if out is None else out[0])
-    return fit_demeaned(f_bar, W, K, start, out=None if out is None else out[1:])
+    return fit_demeaned(f_bar, W, K, start, out=None if out is None else out[1:],
+                        kernel=kernel)
 
 
 def fit_demeaned(mean_density: GridFunction, W: np.ndarray, K: int,
                  start: np.ndarray | None = None, *,
-                 out: tuple | None = None) -> FarModel:
+                 out: tuple | None = None, kernel: str = "epanechnikov") -> FarModel:
     """Fit at truncation K from the read-only demeaned (T, n) panel W on the
     grid of `mean_density`.
 
@@ -289,4 +296,5 @@ def fit_demeaned(mean_density: GridFunction, W: np.ndarray, K: int,
         A_hat=OperatorRep._factored(grid, B, V, T),
         Sigma_hat=OperatorRep._factored(grid, resid.T, resid, T),
         resid=resid,
+        kernel=kernel,
     )

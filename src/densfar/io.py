@@ -1,4 +1,4 @@
-"""File formats: raw observation CSV, model/function/operator persistence,
+"""File formats: raw observation CSV, model and grid-function persistence,
 and plot-ready CSV tables with JSON sidecars.
 
 An observation CSV has two readers that return the same panel. A file in
@@ -9,25 +9,25 @@ and every plain file that the tokenizer may read differently from Python,
 goes through the csv-module loop, which is the only source of error
 messages and line numbers.
 
-Binary files are little-endian IEEE-754 doubles behind a magic tag and a
-grid header (a, b, n); binary round-trips are bit-exact. JSON files carry
-the same payload as nested arrays; Python serializes floats by shortest
-round-trip representation, so JSON round-trips are exact as well. A model,
-grid-function or operator file is written as JSON when its name ends in
-`.json` and as binary otherwise, and is read by its bytes, not its name:
-a file whose first non-whitespace byte, after an optional UTF-8 byte-order
-mark, is `{` is JSON, any other binary.
+Binary files hold little-endian IEEE-754 doubles in one zlib stream
+behind a CRC-32 (see "persistence" below) and round-trip bit-exact. JSON
+files carry the same payload as nested arrays; Python serializes floats by
+shortest round-trip representation, so JSON round-trips are exact as well. A model or grid-function file is written as JSON when its
+name ends in `.json` and as binary otherwise, and is read by its bytes, not
+its name: a file whose first non-whitespace byte, after an optional UTF-8
+byte-order mark, is `{` is JSON, any other binary.
 All text output is written with 17 significant digits and files are
 written to a temporary name and atomically renamed.
 
-A model file (version 2) stores only what the fit is computed from: the
-grid, the mean density, K, T and the (T, n) demeaned panel. Loading refits
-the eigenpairs, operators and residuals through
-:func:`densfar.estimation.fit_demeaned`, the same core as `fit`. Version-1
-model files, which stored every operator, are rejected. Grid-function and
-operator files stay at version 1. A malformed model, grid-function or
-operator file raises :class:`FormatError`, and so does a JSON one with a
-field that its loader does not read.
+A model file (version 3) stores only what the fit is computed from: the
+grid, the mean density, K, T, the KDE kernel and the (T, n) demeaned panel.
+Loading refits the eigenpairs, operators and residuals through
+:func:`densfar.estimation.fit_demeaned`, the same core as `fit`. Model
+files of versions 1 and 2 are rejected, and so is the uncompressed binary
+layout (`FARMODL1`, `FARFUNC1`) of earlier releases. Grid-function files
+stay at version 1. A malformed model or grid-function file raises
+:class:`FormatError`, and so does a JSON one with a field that its loader
+does not read.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ import math
 import os
 import struct
 import warnings
+import zlib
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DensfarError, EmptyFile, FormatError, IoError, ParseError
 from .estimation import FarModel, fit_demeaned
-from .grid import GridFunction, GridSpec, OperatorRep, make_grid
-from .kde import RawPanel, natural_sort_key
+from .grid import GridFunction, GridSpec, make_grid
+from .kde import KERNELS, RawPanel, natural_sort_key
 
 __all__ = [
     "read_observations",
@@ -53,8 +54,6 @@ __all__ = [
     "load_model",
     "save_grid_function",
     "load_grid_function",
-    "save_operator",
-    "load_operator",
     "write_csv",
     "write_json",
     "fmt17",
@@ -257,12 +256,20 @@ def _scan_plain(path):
 # -- persistence ----------------------------------------------------------------
 #
 # Every artifact file is a header (format, version, grid a, b, n) followed by
-# named fields, each a nonnegative integer or a float64 array. JSON files key
-# them by name; binary files hold them in order behind a magic tag.
+# named fields: nonnegative integers, the KDE kernel and float64 arrays. JSON
+# files key them by name. A binary file is its magic tag, the version, the
+# grid, the integer fields (the kernel as its index in KERNELS), then one zlib
+# stream of the arrays in order, each byte-shuffled (byte 0 of every value,
+# then byte 1, ...: the shuffle filter of HDF5 and Blosc, which groups the
+# exponent bytes that deflate compresses well), and last a CRC-32 of every
+# byte before it. The magic tag names the binary layout, the version the
+# content that both encodings share.
 
-_FUNC = ("grid-function", b"FARFUNC1", 1)
-_OPER = ("operator", b"FAROPER1", 1)
-_MODEL = ("far-model", b"FARMODL1", 2)
+_FUNC = ("grid-function", b"FARFUNC2", 1)
+_MODEL = ("far-model", b"FARMODL2", 3)
+# deflate inflates at most about 1032:1, so a header that implies more array
+# bytes than that many times the file's size is corrupt (or forged)
+_INFLATE_RATIO = 1032
 
 
 def _save(path, fmt: tuple, grid: GridSpec, fields: dict) -> None:
@@ -274,13 +281,17 @@ def _save(path, fmt: tuple, grid: GridSpec, fields: dict) -> None:
             payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
         _atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
         return
-    parts = [magic, struct.pack("<IddI", version, grid.a, grid.b, grid.n)]
+    header = [magic, struct.pack("<IddI", version, grid.a, grid.b, grid.n)]
+    planes = []
     for value in fields.values():
         if isinstance(value, np.ndarray):
-            parts.append(np.ascontiguousarray(value, dtype="<f8").tobytes())
+            values = np.ascontiguousarray(value, dtype="<f8").reshape(-1)
+            planes.append(values.view(np.uint8).reshape(-1, 8).T.tobytes())
         else:
-            parts.append(struct.pack("<I", value))
-    _atomic_write(path, b"".join(parts))
+            header.append(struct.pack("<I", KERNELS.index(value) if isinstance(value, str)
+                                      else value))
+    body = b"".join(header) + zlib.compress(b"".join(planes))
+    _atomic_write(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _closed(path, obj, known, block: str) -> dict:
@@ -316,21 +327,28 @@ def _reader(path, fmt: tuple):
 def _make_grid(path, a, b, n, size: int) -> GridSpec:
     try:
         grid = make_grid(a, b, n)
-        # every file holds at least n values, so a larger n is corrupt
-        if grid.n > size:
-            raise ValueError(f"n={n} exceeds the file size")
+        # every file holds at least n doubles, which deflate shrinks at most
+        # _INFLATE_RATIO:1, so a larger n is corrupt
+        if 8 * grid.n > _INFLATE_RATIO * size:
+            raise ValueError(f"n={n} exceeds what the file size can hold")
         return grid
     except (TypeError, ValueError, OverflowError, DensfarError) as exc:
         raise FormatError(f"{path}: bad grid header: {exc}") from None
 
 
 class _BinReader:
+    """Checks, in order, the magic tag, the version and the CRC-32; then
+    reads the header fields and inflates the arrays."""
+
     def __init__(self, path, data: bytes, fmt: tuple):
         kind, magic, version = fmt
         self.path = path
         self.data = data
         self.offset = 0
         got = self._take(len(magic))
+        if got[:-1] == magic[:-1] and got != magic:
+            raise FormatError(f"{path}: binary layout {got!r} is not read by this version, "
+                              f"which reads {magic!r}", offset=0)
         if got != magic:
             raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}", offset=0)
         found = self.count("version")
@@ -339,6 +357,14 @@ class _BinReader:
                 f"{path}: unsupported {kind} version {found}, expected {version}",
                 offset=len(magic),
             )
+        end = len(data) - 4
+        if end < self.offset:
+            raise FormatError(f"{path}: truncated file, no room for the checksum",
+                              offset=self.offset)
+        if zlib.crc32(memoryview(data)[:end]) != struct.unpack("<I", data[end:])[0]:
+            raise FormatError(f"{path}: checksum mismatch: the file is truncated or corrupt",
+                              offset=end)
+        self.data = memoryview(data)[:end]
 
     def _take(self, count: int) -> bytes:
         left = len(self.data) - self.offset
@@ -359,20 +385,45 @@ class _BinReader:
     def count(self, key: str) -> int:
         return struct.unpack("<I", self._take(4))[0]
 
-    def array(self, key: str, shape: tuple) -> np.ndarray:
+    def kernel(self, key: str) -> str:
         start = self.offset
-        raw = self._take(8 * math.prod(shape))
-        out = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if not np.all(np.isfinite(out)):
-            raise FormatError(f"{self.path}: non-finite value in {key}", offset=start)
+        index = self.count(key)
+        if index >= len(KERNELS):
+            raise FormatError(f"{self.path}: unknown {key} index {index}", offset=start)
+        return KERNELS[index]
+
+    def arrays(self, shapes: dict) -> list:
+        """The arrays of `shapes`, a dict from name to shape in file order,
+        inflated from the rest of the file and unshuffled."""
+        start, stream = self.offset, self.data[self.offset:]
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        need = 8 * sum(sizes)
+        if need > _INFLATE_RATIO * len(stream):
+            raise FormatError(f"{self.path}: the header implies {need} bytes of arrays, more "
+                              f"than {len(stream)} compressed bytes can hold", offset=start)
+        inflate = zlib.decompressobj()
+        try:
+            # one byte more than the header implies shows a stream that holds more
+            raw = inflate.decompress(stream, need + 1)
+        except zlib.error as exc:
+            raise FormatError(f"{self.path}: bad compressed arrays: {exc}", offset=start) from None
+        if len(raw) != need or not inflate.eof or inflate.unused_data:
+            raise FormatError(f"{self.path}: the compressed arrays do not hold exactly the "
+                              f"{need} bytes the header implies", offset=start)
+        self.offset = len(self.data)
+        out, pos = [], 0
+        for (key, shape), size in zip(shapes.items(), sizes):
+            planes = np.frombuffer(raw, dtype=np.uint8, count=8 * size, offset=pos)
+            values = np.ascontiguousarray(planes.reshape(8, -1).T).view("<f8")
+            if not np.all(np.isfinite(values)):
+                raise FormatError(f"{self.path}: non-finite value in {key}")
+            out.append(values.astype(np.float64, copy=False).reshape(shape))
+            pos += 8 * size
         return out
 
     def done(self) -> None:
-        if self.offset != len(self.data):
-            raise FormatError(
-                f"{self.path}: {len(self.data) - self.offset} trailing bytes",
-                offset=self.offset,
-            )
+        """Nothing to check: :meth:`arrays` reads up to the CRC and rejects
+        data after the stream."""
 
 
 class _JsonReader:
@@ -415,13 +466,22 @@ class _JsonReader:
             raise FormatError(f"{self.path}: {key} must be a nonnegative integer")
         return value
 
-    def array(self, key: str, shape: tuple) -> np.ndarray:
-        try:
-            out = np.asarray(self._field(self.obj, key), dtype=np.float64)
-        except (TypeError, ValueError):
-            out = None
-        if out is None or out.shape != shape or not np.all(np.isfinite(out)):
-            raise FormatError(f"{self.path}: {key} must hold {shape} finite numbers")
+    def kernel(self, key: str) -> str:
+        value = self._field(self.obj, key)
+        if type(value) is not str or value not in KERNELS:
+            raise FormatError(f"{self.path}: {key} must be one of {KERNELS}, got {value!r}")
+        return value
+
+    def arrays(self, shapes: dict) -> list:
+        out = []
+        for key, shape in shapes.items():
+            try:
+                values = np.asarray(self._field(self.obj, key), dtype=np.float64)
+            except (TypeError, ValueError):
+                values = None
+            if values is None or values.shape != shape or not np.all(np.isfinite(values)):
+                raise FormatError(f"{self.path}: {key} must hold {shape} finite numbers")
+            out.append(values)
         return out
 
     def done(self) -> None:
@@ -436,35 +496,24 @@ def save_grid_function(f: GridFunction, path) -> None:
 def load_grid_function(path) -> GridFunction:
     src = _reader(path, _FUNC)
     grid = src.grid()
-    values = src.array("values", (grid.n,))
+    (values,) = src.arrays({"values": (grid.n,)})
     src.done()
     return GridFunction(grid, values)
-
-
-def save_operator(K: OperatorRep, path) -> None:
-    """Write an operator kernel, as JSON to a `.json` name, else binary."""
-    _save(path, _OPER, K.grid, {"kernel": K.kernel})
-
-
-def load_operator(path) -> OperatorRep:
-    src = _reader(path, _OPER)
-    grid = src.grid()
-    kernel = src.array("kernel", (grid.n, grid.n))
-    src.done()
-    return OperatorRep(grid, kernel)
 
 
 def save_model(model: FarModel, path) -> None:
     """Persist what a fitted model is computed from (JSON to a `.json` name, else binary).
 
-    The file carries the grid header, the mean density, K, T and the (T, n)
-    demeaned panel; :func:`load_model` refits everything else from them.
+    The file carries the grid header, K, T, the KDE kernel, the mean density
+    and the (T, n) demeaned panel; :func:`load_model` refits everything else
+    from them.
     """
     W = model.demeaned
     _save(path, _MODEL, model.grid, {
-        "mean_density": model.mean_density.values,
         "K": model.K,
         "T": len(W),
+        "kernel": model.kernel,
+        "mean_density": model.mean_density.values,
         "demeaned": W,
     })
 
@@ -475,17 +524,17 @@ def load_model(path) -> FarModel:
     Raises
     ------
     FormatError
-        Not a version-2 model file, a missing field, a wrong shape, a
-        non-finite value, or a K outside 1..usable rank of the panel.
+        Not a version-3 model file, an old binary layout, a checksum
+        mismatch, a missing field, a wrong shape, a non-finite value, an
+        unknown kernel, or a K outside 1..usable rank of the panel.
     """
     src = _reader(path, _MODEL)
     grid = src.grid()
-    mean = src.array("mean_density", (grid.n,))
-    K = src.count("K")
-    W = src.array("demeaned", (src.count("T"), grid.n))
+    K, T, kernel = src.count("K"), src.count("T"), src.kernel("kernel")
+    mean, W = src.arrays({"mean_density": (grid.n,), "demeaned": (T, grid.n)})
     src.done()
     try:
-        return fit_demeaned(GridFunction(grid, mean), W, K)
+        return fit_demeaned(GridFunction(grid, mean), W, K, kernel=kernel)
     except (DensfarError, ValueError) as exc:
         raise FormatError(f"{path}: cannot refit the stored panel: {exc}") from None
 

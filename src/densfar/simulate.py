@@ -556,7 +556,7 @@ def _study_iteration(config: StudyConfig, T: int, N: int, it: int):
     )[0]))
     train = estimate_panel(raw, config.generator.grid, config.kernel)
     truth = panel_true.densities[T]
-    model = fit(train, config.K)
+    model = fit(train, config.K, kernel=config.kernel)
     f_far = to_density(forecast_one_step(model, model.w_last), model.mean_density)
     return {
         "FAR": error_metrics(f_far, truth),

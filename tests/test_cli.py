@@ -537,6 +537,8 @@ def _edited_study(tmp_path, edit):
 
 BAD_INPUTS = {
     "model_v1": _v1_model,
+    "model_v2": lambda tmp, obj: _analyze_model(tmp, {**obj, "version": 2}),
+    "model_kernel_unknown": lambda tmp, obj: _analyze_model(tmp, {**obj, "kernel": "box"}),
     "model_k99": lambda tmp, obj: _analyze_model(tmp, {**obj, "K": 99}),
     "model_missing_key": lambda tmp, obj: _analyze_model(
         tmp, {k: v for k, v in obj.items() if k != "mean_density"}),
@@ -630,6 +632,13 @@ UNKNOWN_KEY_MESSAGES = {
     "model_extra_field": "unknown key 'extra' in the far-model file",
     "density_extra_field": "unknown key 'extra' in the grid-function file",
 }
+
+
+@pytest.mark.parametrize("case, version", [("model_v1", 1), ("model_v2", 2)])
+def test_old_model_version_is_named(tmp_path, json_model, capsys, case, version):
+    capsys.readouterr()
+    assert main(BAD_INPUTS[case](tmp_path, json_model)) == 1
+    assert f"unsupported far-model version {version}, expected 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_MESSAGES))
@@ -734,6 +743,65 @@ def test_corrupted_csv_ends_in_one_error_line(tmp_path, capsys):
     assert 0 in codes and 1 in codes
 
 
+def _damaged(data: bytes, other: bytes, rng):
+    """Derandomized byte-level damage of a binary file: truncations,
+    single-bit flips (the magic, version, grid and CRC among them) and
+    splices with `other`, a file of the same kind and size."""
+    n = len(data)
+    for cut in sorted({0, 7, 12, n // 2, n - 4, n - 1, *rng.integers(0, n, 6).tolist()}):
+        yield data[:cut]
+    for spot in sorted({0, 9, 20, 36, n - 5, n - 1, *rng.integers(0, n, 30).tolist()}):
+        buf = bytearray(data)
+        buf[spot] ^= 1 << int(rng.integers(8))
+        yield bytes(buf)
+    for _ in range(20):
+        i, j = sorted(rng.integers(0, n + 1, 2).tolist())
+        yield data[:i] + other[i:j] + data[j:]
+    yield data + other
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def test_damaged_binary_files_end_in_the_same_output_or_one_error_line(tmp_path, panel_csv,
+                                                                       bin_model, capsys):
+    # a damaged model or density either reads as the one it was written as
+    # or is one error line; it never gives other output
+    other_model = tmp_path / "other.bin"
+    assert main(_estimate_argv(panel_csv, other_model, "--K", "1")) == 0
+    grid = make_grid(0.0, 1.0, 32)
+    density, other_density = tmp_path / "density.bin", tmp_path / "other_density.bin"
+    save_grid_function(triangular_density(grid), density)
+    save_grid_function(grid.function(np.full(grid.n, 1.0)), other_density)
+    damaged = tmp_path / "damaged.bin"
+    commands = [
+        (bin_model, other_model, lambda out: ["analyze", "irf", "--model", str(damaged),
+                                              "--functional", "moment:1", "--out-dir", str(out)]),
+        (density, other_density, lambda out: ["sample", "--density", str(damaged), "--n", "20",
+                                              "--seed", "1", "--out", str(out / "draws.csv")]),
+    ]
+    rng = np.random.default_rng(12)
+    codes = []
+    for k, (original, other, argv) in enumerate(commands):
+        damaged.write_bytes(original.read_bytes())
+        (tmp_path / f"want{k}").mkdir()
+        assert main(argv(tmp_path / f"want{k}")) == 0
+        want = _outputs(tmp_path / f"want{k}")
+        for i, data in enumerate(_damaged(original.read_bytes(), other.read_bytes(), rng)):
+            damaged.write_bytes(data)
+            out = tmp_path / f"run{len(codes)}"
+            out.mkdir()
+            capsys.readouterr()
+            codes.append(main(argv(out)))
+            err = capsys.readouterr().err
+            if codes[-1] == 0:
+                assert err == "" and _outputs(out) == want, i
+            else:
+                assert codes[-1] == 1 and err.startswith("error: ") and err.count("\n") == 1, (i, err)
+    assert 1 in codes
+
+
 def _key_mutations(obj, inner, rng):
     """Single-key mutations of a JSON object with two blocks of leaf keys, its
     top level and the block at the key path `inner`: each leaf key dropped,
@@ -824,6 +892,29 @@ def test_usage_error_is_one_line(tmp_path, panel_csv, bin_model, capsys, case):
     capsys.readouterr()
     _assert_one_error_line(capsys, main(argv), argv)
     assert not (tmp_path / "out").exists() and not (tmp_path / "m.bin").exists()
+
+
+def test_forecast_kernel_other_than_the_models_exits_one(tmp_path, panel_csv, bin_model,
+                                                        capsys):
+    # bin_model was fitted to Epanechnikov densities, so a start state
+    # estimated with the normal kernel would not be the fit's
+    argv = ["forecast", "--model", str(bin_model), "--input", str(panel_csv),
+            "--kernel", "normal", "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    _assert_one_error_line(capsys, main(argv), argv)
+    assert not (tmp_path / "out").exists()
+
+
+def test_forecast_starts_with_the_models_kernel(tmp_path, panel_csv):
+    model = tmp_path / "normal.bin"
+    assert main(_estimate_argv(panel_csv, model, "--K", "2", "--kernel", "normal")) == 0
+    outputs = []
+    for options in ([], ["--kernel", "normal"]):
+        out = tmp_path / f"fc{len(outputs)}"
+        assert main(["forecast", "--model", str(model), "--input", str(panel_csv),
+                     "--out-dir", str(out), *options]) == 0
+        outputs.append(_outputs(out))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("noise", ["residuals", "gaussian"])

@@ -1,6 +1,9 @@
 """File formats: observation CSV, model persistence, table output."""
 
+import dataclasses
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -16,11 +19,9 @@ from densfar.io import (
     fmt17,
     load_grid_function,
     load_model,
-    load_operator,
     read_observations,
     save_grid_function,
     save_model,
-    save_operator,
     write_csv,
 )
 from densfar.simulate import make_cosine_generator, simulate_far
@@ -252,7 +253,7 @@ def test_c_path_agrees_with_csv_loop(tmp_path, header, rows, hazard, end, final)
     assert _outcome(read_observations, path) == _outcome(dfio._read_rows, path)
 
 
-# -- grid function / operator files ------------------------------------------------
+# -- grid function files --------------------------------------------------------------
 
 def test_grid_function_roundtrip(tmp_path):
     grid = make_grid(-1.0, 1.0, 64)
@@ -263,19 +264,6 @@ def test_grid_function_roundtrip(tmp_path):
         back = load_grid_function(path)
         assert back.grid == grid
         assert np.array_equal(back.values, f.values)
-
-
-def test_operator_roundtrip(tmp_path):
-    grid = make_grid(0.0, 2.0, 32)
-    rng = np.random.default_rng(1)
-    from densfar.grid import OperatorRep
-
-    K = OperatorRep(grid, rng.standard_normal((grid.n, grid.n)))
-    for name in ("k.bin", "k.json"):
-        path = tmp_path / name
-        save_operator(K, path)
-        back = load_operator(path)
-        assert np.array_equal(back.kernel, K.kernel)
 
 
 # -- model persistence ------------------------------------------------------------------
@@ -347,11 +335,96 @@ def test_model_truncated_file(tmp_path, cut):
     broken.write_bytes(data[:keep])
     with pytest.raises(FormatError) as err:
         load_model(broken)
-    assert err.value.offset is not None
-    # both cuts fall in the demeaned panel, the file's last field
-    need = 8 * model.demeaned.size
-    assert err.value.offset == len(data) - need
-    assert f"needs {need} bytes and {keep - err.value.offset} remain" in str(err.value)
+    # both cuts fall in the compressed arrays, so the last four bytes kept
+    # are read as the CRC of the bytes before them, which they are not
+    assert err.value.offset == keep - 4
+    assert str(err.value) == (f"{broken}: checksum mismatch: the file is truncated or "
+                              f"corrupt (at offset {keep - 4})")
+
+
+def test_binary_layout(tmp_path):
+    # magic, version, grid, K, T, kernel index, one zlib stream of the
+    # byte-shuffled arrays, and a CRC-32 of every byte before it
+    model = _model(seed=2)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    head = struct.pack("<IddIIII", 3, model.grid.a, model.grid.b, model.grid.n,
+                       model.K, model.sample_size, 0)
+    assert data[:8] == b"FARMODL2" and data[8:8 + len(head)] == head
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+    raw = np.frombuffer(zlib.decompress(data[8 + len(head):-4]), dtype=np.uint8)
+    # each array on its own: byte 0 of every value, then byte 1, ...
+    arrays = (model.mean_density.values, model.demeaned.ravel())
+    for array, planes in zip(arrays, np.split(raw, [8 * model.grid.n])):
+        assert np.array_equal(planes.reshape(8, -1),
+                              array.astype("<f8").view(np.uint8).reshape(-1, 8).T)
+    # the exponent bytes repeat, so the file is well under the raw doubles
+    assert len(data) < 0.9 * len(raw)
+
+
+@pytest.mark.parametrize("name", ["model.bin", "model.json"])
+def test_model_keeps_its_kernel(tmp_path, name):
+    model = dataclasses.replace(_model(seed=3), kernel="normal")
+    path = tmp_path / name
+    save_model(model, path)
+    assert load_model(path).kernel == "normal"
+
+
+@pytest.mark.parametrize("save, load, obj, magic", [
+    (save_model, load_model, "model", b"FARMODL1"),
+    (save_grid_function, load_grid_function, "density", b"FARFUNC1"),
+])
+def test_old_binary_layout_is_named(tmp_path, save, load, obj, magic):
+    # the uncompressed layout of earlier releases: its tag, then raw doubles
+    model = _model(seed=4)
+    path = tmp_path / "old.bin"
+    save(model if obj == "model" else model.mean_density, path)
+    path.write_bytes(magic + path.read_bytes()[8:])
+    with pytest.raises(FormatError, match=f"binary layout {magic!r} is not read") as err:
+        load(path)
+    assert err.value.offset == 0
+
+
+def _resealed(data: bytes, header: bytes, stream: bytes) -> bytes:
+    # a forged file: a new header and stream behind the old magic and version,
+    # with a CRC that matches
+    body = data[:12] + header + stream
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_forged_header_cannot_make_a_large_allocation(tmp_path, monkeypatch):
+    model = _model(seed=4)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    grid, stream = data[12:32], data[44:-4]
+    inflated = []
+    real = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda: inflated.append(1) or real())
+    for T in (2**32 - 1, 10**6):
+        path.write_bytes(_resealed(data, grid + struct.pack("<III", model.K, T, 0), stream))
+        with pytest.raises(FormatError, match="compressed bytes can hold"):
+            load_model(path)
+    assert not inflated
+    # a stream short enough for the ratio that inflates to too few bytes
+    path.write_bytes(_resealed(data, data[12:44], zlib.compress(b"\0" * 64)))
+    with pytest.raises(FormatError, match="do not hold exactly"):
+        load_model(path)
+    assert len(inflated) == 1
+
+
+@pytest.mark.parametrize("T_delta", [-1, 1])
+def test_stream_must_inflate_to_exactly_the_header_size(tmp_path, T_delta):
+    model = _model(seed=4)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    header = data[12:32] + struct.pack("<III", model.K, model.sample_size + T_delta, 0)
+    path.write_bytes(_resealed(data, header, data[44:-4]))
+    need = 8 * model.grid.n * (model.sample_size + T_delta + 1)
+    with pytest.raises(FormatError, match=f"exactly the {need} bytes"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, float("inf"))])
@@ -373,13 +446,9 @@ def test_model_bad_magic(tmp_path):
 
 
 def test_files_are_read_by_their_bytes_not_their_name(tmp_path):
-    from densfar.grid import OperatorRep
-
     model = _model(seed=5)
     cases = ((save_model, load_model, model, lambda m: m.A_hat.kernel),
-             (save_grid_function, load_grid_function, model.mean_density, lambda f: f.values),
-             (save_operator, load_operator, OperatorRep(model.grid, model.Q_hat.kernel),
-              lambda K: K.kernel))
+             (save_grid_function, load_grid_function, model.mean_density, lambda f: f.values))
     for save, load, obj, payload in cases:
         for written, renamed in (("json", "bin"), ("bin", "json")):
             own, other = tmp_path / f"own.{written}", tmp_path / f"other.{renamed}"
@@ -400,14 +469,10 @@ def test_json_model_with_leading_whitespace_loads(tmp_path):
 
 def test_json_files_behind_a_utf8_bom_load(tmp_path):
     # some editors save UTF-8 text with a byte-order mark; the CSV reader
-    # skips it, and so do the model, density and operator readers
-    from densfar.grid import OperatorRep
-
+    # skips it, and so do the model and density readers
     model = _model(seed=8)
     cases = ((save_model, load_model, model, lambda m: m.A_hat.kernel),
-             (save_grid_function, load_grid_function, model.mean_density, lambda f: f.values),
-             (save_operator, load_operator, OperatorRep(model.grid, model.Q_hat.kernel),
-              lambda K: K.kernel))
+             (save_grid_function, load_grid_function, model.mean_density, lambda f: f.values))
     for save, load, obj, payload in cases:
         plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
         save(obj, plain)
