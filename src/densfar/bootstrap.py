@@ -12,10 +12,10 @@ replication draws from its own (seed, index) random stream, so parallel and
 serial runs agree bit for bit.
 
 Regeneration runs on the factors the fit keeps for A_hat, A_hat diag(weights)
-= L R with L = B / T (n x K) and R = V_K diag(weights) (K x n): the K-dim
-scores s_t = R w*_{t+1} of a block of replications step together in each
-worker process that reaches it, and each replication's states w*_{t+1} =
-L s_t + e*_t take one product before its refit; all B replications go to
+= L R with L = B / T (n x K) and R = V_K diag(weights) (K x n): each
+replication steps its K-dim scores s_t = R w*_{t+1} with the stepper that
+`simulate_far` uses, and its states w*_{t+1} = L s_t + e*_t take one product
+before its refit. A replication depends on its index alone, and all B go to
 the pool in one map. An A_hat held only as a kernel (e.g. one swapped in
 with `dataclasses.replace`) raises ValueError.
 
@@ -26,7 +26,7 @@ its T-by-T Gram matrix by block subspace iteration, at about a third of the
 cost of a full `eigh`, and falls back to the full `eigh` when those do not
 converge within a few sweeps (see :func:`~densfar.estimation.fit_demeaned`).
 Each worker process regenerates and refits into its copy of one set of
-(T, n) buffers, made once per call, because the allocator returns freed
+buffers, made once per call, because the allocator returns freed
 panel-sized arrays to the system and fresh ones are paged in again on every
 replication.
 """
@@ -34,7 +34,6 @@ replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .estimation import FarModel, fit
 from .forecast import _to_densities
 from .grid import _SUBSPACE_EXTRA, GridFunction, _weighted_factors, snapshot_spectrum
 from .kde import DensityPanel, period_labels
+from .simulate import _score_stepper
 
 __all__ = [
     "BandResult",
@@ -56,10 +56,6 @@ __all__ = [
 
 # Fraction of failed replications tolerated before the bootstrap aborts.
 _DROP_CEILING = 0.05
-
-# Replications whose score paths are stepped together; at T = 212 and K = 8 a
-# block holds 1.7 MB of scores, where all of B = 2,000 would hold 27 MB.
-_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,18 +104,6 @@ def vardecomp_statistic(v: GridFunction, kmax: int):
     return stat
 
 
-def _score_paths(step, s_first, noise, idx: np.ndarray) -> np.ndarray:
-    # (b, T-1, K) scores s_0..s_{T-2} of b replications in lockstep:
-    # s_0 = R w_1 and s_{t+1} = (R L) s_t + R e*_t, with step = (R L)^T and
-    # noise = the pool's scores R e
-    scores = np.empty(idx.shape + s_first.shape)
-    scores[:, 0] = s_first
-    for t in range(idx.shape[1] - 1):
-        np.matmul(scores[:, t], step, out=scores[:, t + 1])
-        scores[:, t + 1] += noise[idx[:, t]]
-    return scores
-
-
 def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
                        seed: int) -> dict:
     """Percentile bootstrap bands, a dict name -> BandResult in mapping order.
@@ -165,7 +149,7 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
     pool = model.resid - model.resid.mean(axis=0)
     points = {k: np.array(f(model), dtype=np.float64, ndmin=1) for k, f in statistics.items()}
     grid, T, w_first = model.grid, model.sample_size, model.demeaned[0]
-    step, s_first, noise = (R @ L).T, R @ w_first, pool @ R.T
+    advance, s_first, noise = _score_stepper(R @ L), R @ w_first, pool @ R.T
     # the original panel's K + p leading eigenvectors of X^T X warm-start every
     # refit's truncated spectrum; read-only, so pooled refits share it
     start = (snapshot_spectrum(grid, model.demeaned, model.K + _SUBSPACE_EXTRA).vectors
@@ -173,25 +157,21 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
     start.setflags(write=False)
     labels = period_labels(T)
     S, W, X, E = (np.empty((rows, grid.n)) for rows in (T, T, T, T - 1))
-
-    @lru_cache(maxsize=1)
-    def block(k: int) -> tuple:
-        # the draws and score paths of block k; items reach each process in
-        # ascending order, so a process steps each block once
-        idx = np.stack([np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
-                        for b in range(k * _BLOCK, min((k + 1) * _BLOCK, B))])
-        return idx, _score_paths(step, s_first, noise, idx)
+    scores = np.empty((T - 1, model.K))
 
     def replicate(b: int):
-        # w*_1 is the observed first demeaned period, w*_{t+1} = L s_t + e*_t;
-        # None when no statistic keeps the replication
-        k, j = divmod(b, _BLOCK)
-        idx, scores = block(k)
+        # w*_1 is the observed first demeaned period and w*_{t+1} = L s_t + e*_t,
+        # with the scores s_0 = R w*_1 and s_{t+1} = (R L) s_t + R e*_t stepped
+        # from the pool's scores R e; None when no statistic keeps the replication
+        idx = np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
+        scores[0] = s_first
+        np.take(noise, idx[:-1], axis=0, out=scores[1:], mode="clip")
+        advance(scores)
         S[0] = w_first
-        np.matmul(scores[j], L.T, out=S[1:])
+        np.matmul(scores, L.T, out=S[1:])
         # the pool rows e*_t, gathered into E before it takes the residuals;
         # the indices are in range, and mode="raise" would buffer the output
-        np.take(pool, idx[j], axis=0, out=E, mode="clip")
+        np.take(pool, idx, axis=0, out=E, mode="clip")
         S[1:] += E
         try:
             _to_densities(S, model.mean_density, DegenerateForecast, out=S)

@@ -210,13 +210,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_forecast(args) -> int:
     model = _validated(dfio.load_model, args.model)
-    # the start state is estimated as the fit's densities were
-    if args.kernel not in (None, model.kernel):
-        raise _ValidationFailure(f"--kernel {args.kernel} differs from the {model.kernel} "
-                                 f"kernel the model was fitted with")
     raw = _validated(dfio.read_observations, args.input)
     # only the last period's density enters the forecast
     last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
+    # with the model's kernel, so the start state is estimated as the fit's densities were
     panel = _validated(estimate_panel, last, model.grid, model.kernel)
     w_T = project_zero_integral(
         GridFunction._wrap(model.grid, panel.values[-1]) - model.mean_density)
@@ -479,8 +476,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, type=_EXISTING_PATH)
     p.add_argument("--input", required=True, type=_EXISTING_PATH,
                    help="observation CSV (period,value)")
-    p.add_argument("--kernel", choices=KERNELS, default=None,
-                   help="KDE kernel of the start state; the model's kernel, which is the default")
     p.add_argument("--horizon", default=1, type=_flag(
         int, lambda h: 1 <= h <= MAX_HORIZON, f"--horizon must lie in 1..{MAX_HORIZON}, got {{}}"))
     p.add_argument("--alpha", type=_ALPHA, default=0.05)

@@ -65,10 +65,6 @@ class TooFewPeriods(DensfarError):
     """Time dimension too short for the requested operation."""
 
 
-class EmptyResiduals(DensfarError):
-    """Residual sequence is empty."""
-
-
 class RankDeficient(DensfarError):
     """Requested truncation exceeds the usable rank of the covariance."""
 

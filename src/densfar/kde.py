@@ -280,12 +280,6 @@ _EPS_LONG = float(np.finfo(np.longdouble).eps) / 2
 _GUARD = 1e-13
 
 
-def _epanechnikov_sums(obs: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Sum 0.75 (1 - u^2)+, u = (x - X_j) / h, at every grid point x: the
-    one-sample case of ``_epanechnikov_rows``."""
-    return _epanechnikov_rows([obs], points, np.array([h], dtype=np.float64))[0]
-
-
 def _epanechnikov_rows(samples, points: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Epanechnikov sums (P, n) of P samples of any sizes with bandwidths h (P,).
 

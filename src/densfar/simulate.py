@@ -397,7 +397,7 @@ def simulate_far(
     # s_t = (right left) s_{t-1} + right e_t
     scores = np.zeros((m, len(right)))
     np.matmul(states[:-1], right.T, out=scores[1:])
-    _step_scores(right @ left, scores)
+    _score_stepper(right @ left)(scores)
     # state of period t + 1 = left @ s_t + e_{t+1}, one mat-vec per row in
     # blocks of rows, with the squared weighted norm of each
     sqrt_w = np.sqrt(grid.weights)
@@ -418,20 +418,19 @@ def simulate_far(
     return DensityPanel._wrap(grid, raw, period_labels(T + 1))
 
 
-def _step_scores(step: np.ndarray, scores: np.ndarray) -> None:
-    # s_t = step s_{t-1} + c_t in place, rows t >= 1 of scores holding c_t.
-    # Up to rank _BLOCKED_RANK, a block of B steps from s_lo is one product
-    # each: s_{lo+k} = M^k s_lo + sum_{1<=j<=k} M^{k-j} c_{lo+j}, k = 1..B,
-    # with the (B r, r) stack of M^k and the lower block-Toeplitz (B r, B r)
-    # matrix of M^{k-j}; a larger rank, as of a kernel-only transition, steps
-    # one period at a time
+def _score_stepper(step: np.ndarray):
+    # advance(scores) sets s_t = step s_{t-1} + c_t in place, rows t >= 1 of
+    # scores holding c_t. Up to rank _BLOCKED_RANK, a block of B steps from
+    # s_lo is one product each: s_{lo+k} = M^k s_lo + sum_{1<=j<=k} M^{k-j}
+    # c_{lo+j}, k = 1..B, with the (B r, r) stack of M^k and the lower
+    # block-Toeplitz (B r, B r) matrix of M^{k-j}; a larger rank, as of a
+    # kernel-only transition, steps one period at a time
     r = len(step)
     if r > _BLOCKED_RANK:
-        buf, rows = np.empty(r), list(scores)
-        for prev, row in zip(rows, rows[1:]):
-            np.dot(step, prev, out=buf)
-            row += buf
-        return
+        def advance(scores: np.ndarray) -> None:
+            for t in range(1, len(scores)):
+                scores[t] += step @ scores[t - 1]
+        return advance
     powers = np.empty((_SCORE_BLOCK + 1, r, r))
     powers[0] = np.eye(r)
     for k in range(1, _SCORE_BLOCK + 1):
@@ -440,10 +439,13 @@ def _step_scores(step: np.ndarray, scores: np.ndarray) -> None:
     toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(_SCORE_BLOCK * r, _SCORE_BLOCK * r)
     lift = powers[1:].reshape(_SCORE_BLOCK * r, r)
-    for lo in range(0, len(scores) - 1, _SCORE_BLOCK):
-        block = scores[lo + 1 : lo + 1 + _SCORE_BLOCK].reshape(-1)
-        size = len(block)
-        block[:] = toeplitz[:size, :size] @ block + lift[:size] @ scores[lo]
+
+    def advance(scores: np.ndarray) -> None:
+        for lo in range(0, len(scores) - 1, _SCORE_BLOCK):
+            block = scores[lo + 1 : lo + 1 + _SCORE_BLOCK].reshape(-1)
+            size = len(block)
+            block[:] = toeplitz[:size, :size] @ block + lift[:size] @ scores[lo]
+    return advance
 
 
 def _transition_factors(op: OperatorRep) -> tuple:

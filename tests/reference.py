@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from densfar.errors import EmptyResiduals, TooFewPeriods
+from densfar.errors import DensfarError, TooFewPeriods
 from densfar.estimation import (
     _check_rank,
     _deviations,
@@ -39,6 +39,7 @@ from densfar.grid import (
 from densfar.kde import DensityPanel
 
 __all__ = [
+    "EmptyResiduals",
     "SingularSystem",
     "covariance_operator",
     "demean",
@@ -52,6 +53,10 @@ __all__ = [
     "residuals",
     "svd_operator",
 ]
+
+
+class EmptyResiduals(DensfarError):
+    """Residual sequence is empty."""
 
 
 class SingularSystem(NamedTuple):

@@ -72,8 +72,7 @@ def test_band_monotone_in_alpha():
 )
 def test_band_identical_under_thread_pool(forks, factory):
     # replication streams derive from (seed, index), so a pool of any size
-    # reproduces the serial result bit for bit; each worker steps the score
-    # paths of every block it reaches
+    # reproduces the serial result bit for bit
     model, _ = _model(seed=7)
     v = moment_functional(2, model.grid)
     stat = factory(v, 2) if factory is vardecomp_statistic else factory(v)
@@ -86,14 +85,36 @@ def test_band_identical_under_thread_pool(forks, factory):
 
 
 def test_bootstrap_forks_its_workers_once(forks):
-    # all B replications go to the pool in one map, across the blocks of 128
-    # whose score paths step together
+    # all B replications go to the pool in one map
     calls = forks(2, OPENBLAS_NUM_THREADS="1")
     model, _ = _model(seed=8, n=32)
     band = residual_bootstrap(model, {"irf": irf_statistic(moment_functional(1, model.grid))},
                               B=400, alpha=0.05, seed=6)["irf"]
     assert band.B == 400 and band.n_dropped == 0
     assert len(calls) == 1
+
+
+def test_band_identical_when_items_run_in_reverse(monkeypatch, forks):
+    # each replication is a function of its index alone, so the order in
+    # which the pool hands out items changes no replication (a band alone
+    # would not show replications trading places) and no band
+    model, _ = _model(seed=7)
+    stats = {"irf": irf_statistic(moment_functional(2, model.grid)), "zero": lambda m: 0.0}
+    ordered_items, reversed_items = _recording_items(monkeypatch, forks), []
+    ordered = residual_bootstrap(model, stats, B=130, alpha=0.05, seed=1)
+
+    def reversed_map(fn, items):
+        reversed_items.extend([fn(b) for b in reversed(items)][::-1])
+        return reversed_items
+
+    monkeypatch.setattr(bootstrap, "parallel_map", reversed_map)
+    reversed_ = residual_bootstrap(model, stats, B=130, alpha=0.05, seed=1)
+    assert len(ordered_items) == len(reversed_items) == 130
+    for got, want in zip(reversed_items, ordered_items):
+        assert all(np.array_equal(got[name], want[name]) for name in stats)
+    for name, band in ordered.items():
+        for field in ("point", "lower", "upper", "n_dropped"):
+            assert np.array_equal(getattr(band, field), getattr(reversed_[name], field))
 
 
 @pytest.mark.parametrize("threads", [None, "2", "4"])
@@ -158,14 +179,19 @@ def _per_period_regeneration(model, pool, rng):
 
 
 def _regenerated(monkeypatch, forks, model, B, seed):
-    # serial bootstrap run that records every block's index draws and every
-    # regenerated panel handed to the refit, in replication order
+    # serial bootstrap run that records each replication's index draws and
+    # every regenerated panel handed to the refit, in replication order
     draws, panels = [], []
-    score_paths, refit = bootstrap._score_paths, bootstrap.fit
+    default_rng, refit = np.random.default_rng, bootstrap.fit
 
-    def recording_paths(step, s_first, noise, idx):
-        draws.append(idx.copy())
-        return score_paths(step, s_first, noise, idx)
+    class RecordingRng:
+        def __init__(self, stream):
+            self.rng = default_rng(stream)
+
+        def integers(self, *args, **kwargs):
+            idx = self.rng.integers(*args, **kwargs)
+            draws.append(idx.copy())
+            return idx
 
     def recording_fit(panel, K, start=None, *, out=None):
         # every replication's panel is one reused buffer
@@ -173,10 +199,12 @@ def _regenerated(monkeypatch, forks, model, B, seed):
         return refit(panel, K, start, out=out)
 
     forks(1)
-    monkeypatch.setattr(bootstrap, "_score_paths", recording_paths)
-    monkeypatch.setattr(bootstrap, "fit", recording_fit)
-    band = residual_bootstrap(model, {"zero": lambda m: 0.0}, B=B, alpha=0.05, seed=seed)["zero"]
-    return band, np.concatenate(draws), panels
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", RecordingRng)
+        patch.setattr(bootstrap, "fit", recording_fit)
+        band = residual_bootstrap(model, {"zero": lambda m: 0.0}, B=B, alpha=0.05,
+                                  seed=seed)["zero"]
+    return band, draws, panels
 
 
 @pytest.mark.parametrize("T, n, K", [(60, 48, 2), (40, 64, 3), (150, 32, 3)])
@@ -194,10 +222,8 @@ def test_regeneration_matches_dense_recursion(monkeypatch, forks, T, n, K):
         assert np.abs(panels[b] - ref).max() < 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("block, B", [(7, 100), (128, 130)])
-def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, forks, block, B):
-    # blocks of 7 leave a last block of 2 replications; the default block of
-    # 128 puts replications 127 and 128 on either side of a boundary
+@pytest.mark.parametrize("B", [100, 130])
+def test_regeneration_matches_per_period_loop(monkeypatch, forks, B):
     T, n = 60, 48
     grid = make_grid(0.0, 1.0, n)
     gen = make_cosine_generator(
@@ -205,9 +231,8 @@ def test_lockstep_regeneration_matches_per_period_loop(monkeypatch, forks, block
     )
     model = fit(simulate_far(gen, T - 1, seed=11, burn_in=60), 3)
     pool = model.resid - model.resid.mean(axis=0)
-    monkeypatch.setattr(bootstrap, "_BLOCK", block)
     band, draws, panels = _regenerated(monkeypatch, forks, model, B, 5)
-    assert band.n_dropped == 0 and len(panels) == B
+    assert band.n_dropped == 0 and len(draws) == len(panels) == B
     for b in range(B):
         idx, ref = _per_period_regeneration(model, pool, np.random.default_rng((5, b)))
         assert np.array_equal(draws[b], idx)
@@ -229,7 +254,6 @@ def test_replication_without_mass_is_dropped_as_before(monkeypatch, forks):
     n_bad = sum(ref is None for ref in expected)
     assert 0 < n_bad < 150
     monkeypatch.setattr(bootstrap, "_DROP_CEILING", 1.0)
-    monkeypatch.setattr(bootstrap, "_BLOCK", 16)
     band, _, panels = _regenerated(monkeypatch, forks, model, 150, 2)
     assert band.n_dropped == n_bad
     kept = [ref for ref in expected if ref is not None]

@@ -14,8 +14,10 @@ import densfar
 import densfar.bootstrap as bootstrap
 import densfar.cli as cli
 from densfar.cli import _build_parser, main
-from densfar.grid import make_grid
-from densfar.io import load_model, save_grid_function, save_model
+from densfar.forecast import make_forecast
+from densfar.grid import GridFunction, make_grid, project_zero_integral
+from densfar.io import load_model, read_observations, save_grid_function, save_model
+from densfar.kde import RawPanel, estimate_panel
 from densfar.simulate import acceptance_sample, make_cosine_generator, simulate_far
 
 from conftest import triangular_density
@@ -896,8 +898,8 @@ def test_usage_error_is_one_line(tmp_path, panel_csv, bin_model, capsys, case):
 
 def test_forecast_kernel_other_than_the_models_exits_one(tmp_path, panel_csv, bin_model,
                                                         capsys):
-    # bin_model was fitted to Epanechnikov densities, so a start state
-    # estimated with the normal kernel would not be the fit's
+    # the start state is estimated with the model's stored kernel, so
+    # forecast takes no --kernel: asking for another one is a usage error
     argv = ["forecast", "--model", str(bin_model), "--input", str(panel_csv),
             "--kernel", "normal", "--out-dir", str(tmp_path / "out")]
     capsys.readouterr()
@@ -908,13 +910,16 @@ def test_forecast_kernel_other_than_the_models_exits_one(tmp_path, panel_csv, bi
 def test_forecast_starts_with_the_models_kernel(tmp_path, panel_csv):
     model = tmp_path / "normal.bin"
     assert main(_estimate_argv(panel_csv, model, "--K", "2", "--kernel", "normal")) == 0
-    outputs = []
-    for options in ([], ["--kernel", "normal"]):
-        out = tmp_path / f"fc{len(outputs)}"
-        assert main(["forecast", "--model", str(model), "--input", str(panel_csv),
-                     "--out-dir", str(out), *options]) == 0
-        outputs.append(_outputs(out))
-    assert outputs[0] == outputs[1]
+    out = tmp_path / "fc"
+    assert main(["forecast", "--model", str(model), "--input", str(panel_csv),
+                 "--out-dir", str(out)]) == 0
+    # the forecast from the last period's density under the stored normal kernel
+    fitted, raw = load_model(model), read_observations(panel_csv)
+    last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
+    start = GridFunction(fitted.grid, estimate_panel(last, fitted.grid, "normal").values[-1])
+    expected = make_forecast(fitted, project_zero_integral(start - fitted.mean_density))
+    got = np.loadtxt(out / "forecast.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(got, expected[0].f_forecast.values)
 
 
 @pytest.mark.parametrize("noise", ["residuals", "gaussian"])

@@ -28,6 +28,11 @@ from densfar.kde import (
 kde_module = sys.modules["densfar.kde"]
 
 
+def _epanechnikov_sums(obs, points, h):
+    # sum 0.75 (1 - u^2)+, u = (x - X_j) / h, at every grid point x
+    return kde_module._epanechnikov_rows([obs], points, np.array([h], dtype=np.float64))[0]
+
+
 # -- raw panel -----------------------------------------------------------------
 
 def test_raw_panel_validation():
@@ -297,7 +302,7 @@ def test_epanechnikov_sums_match_dense_oracle(case):
     # every term of the dense sum is
     obs, grid, h = AGREEMENT_CASES[case]()
     ref = _dense_epanechnikov(obs, grid.points, h)
-    got = kde_module._epanechnikov_sums(obs, grid.points, h)
+    got = _epanechnikov_sums(obs, grid.points, h)
     assert np.all(got[ref == 0.0] == 0.0)
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
@@ -339,7 +344,7 @@ def test_forced_fallback_is_the_gather(monkeypatch, case, setting):
     # long double without extra precision
     obs, grid, h = AGREEMENT_CASES[case]()
     monkeypatch.setattr(kde_module, *setting)
-    got = kde_module._epanechnikov_sums(obs, grid.points, h)
+    got = _epanechnikov_sums(obs, grid.points, h)
     assert np.array_equal(got, _gathered_epanechnikov(obs, grid.points, h))
 
 
@@ -364,7 +369,7 @@ def test_moment_sums_that_overflow_fall_back():
     # y = (X - c) / h passes 1e308 at h = 1e-305: the row is gathered, with
     # no warning, and each point sums its own observation's term 0.75
     points = make_grid(0.0, 1e4, 16).points
-    assert np.array_equal(kde_module._epanechnikov_sums(points, points, 1e-305),
+    assert np.array_equal(_epanechnikov_sums(points, points, 1e-305),
                           np.full(16, 0.75))
 
 
@@ -422,7 +427,7 @@ def test_windowed_sum_matches_dense_oracle(obs, h, ends, n):
     obs = np.array(obs)
     points = make_grid(min(ends), max(ends), n).points
     ref = _dense_epanechnikov(obs, points, h)
-    got = kde_module._epanechnikov_sums(obs, points, h)
+    got = _epanechnikov_sums(obs, points, h)
     assert np.all(got[ref == 0.0] == 0.0)
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
     # the normal kernel on the same draw

@@ -17,6 +17,7 @@ from densfar.simulate import (
     StudyConfig,
     _grid_interpolator,
     _sample_rows,
+    _score_stepper,
     _study_iteration,
     acceptance_sample,
     cosine_modes,
@@ -379,6 +380,30 @@ def test_simulate_far_matches_per_period_reference(name):
             assert got.tobytes() == ref.tobytes()
         else:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 211])
+@pytest.mark.parametrize("rank", [3, 9])
+def test_score_stepper_matches_per_period_recurrence(rank, rows):
+    # rank 3 steps blocks of 32 periods and rounds differently; rank 9 steps
+    # one period at a time with the recurrence's own mat-vecs. One stepper
+    # advances any number of arrays, as the bootstrap's replications share it
+    rng = np.random.default_rng((rank, rows))
+    step = rng.standard_normal((rank, rank))
+    step *= 0.9 / np.max(np.abs(np.linalg.eigvals(step)))
+    scores = rng.standard_normal((rows, rank))
+    ref = scores.copy()
+    for t in range(1, rows):
+        ref[t] = step @ ref[t - 1] + ref[t]
+    advance = _score_stepper(step)
+    again = scores.copy()
+    advance(scores)
+    advance(again)
+    assert again.tobytes() == scores.tobytes()
+    if rank > simulate_module._BLOCKED_RANK:
+        assert scores.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(scores - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_fitted_noise_factor_is_the_scaled_residuals(monkeypatch):
