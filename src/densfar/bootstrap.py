@@ -149,7 +149,7 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
     pool = model.resid - model.resid.mean(axis=0)
     points = {k: np.array(f(model), dtype=np.float64, ndmin=1) for k, f in statistics.items()}
     grid, T, w_first = model.grid, model.sample_size, model.demeaned[0]
-    advance, s_first, noise = _score_stepper(R @ L), R @ w_first, pool @ R.T
+    advance, noise = _score_stepper(R @ L), pool @ R.T
     # the original panel's K + p leading eigenvectors of X^T X warm-start every
     # refit's truncated spectrum; read-only, so pooled refits share it
     start = (snapshot_spectrum(grid, model.demeaned, model.K + _SUBSPACE_EXTRA).vectors
@@ -158,13 +158,13 @@ def residual_bootstrap(model: FarModel, statistics: dict, B: int, alpha: float,
     labels = period_labels(T)
     S, W, X, E = (np.empty((rows, grid.n)) for rows in (T, T, T, T - 1))
     scores = np.empty((T - 1, model.K))
+    scores[0] = R @ w_first
 
     def replicate(b: int):
         # w*_1 is the observed first demeaned period and w*_{t+1} = L s_t + e*_t,
-        # with the scores s_0 = R w*_1 and s_{t+1} = (R L) s_t + R e*_t stepped
+        # with s_0 = R w*_1, set once, and s_{t+1} = (R L) s_t + R e*_t stepped
         # from the pool's scores R e; None when no statistic keeps the replication
         idx = np.random.default_rng((seed, b)).integers(0, len(pool), size=T - 1)
-        scores[0] = s_first
         np.take(noise, idx[:-1], axis=0, out=scores[1:], mode="clip")
         advance(scores)
         S[0] = w_first

@@ -79,10 +79,11 @@ _STABILITY_FACTOR = 1e6
 # needs 64 KB at n = 128 and not a second (m, n) array
 _STATE_BLOCK = 64
 
-# Periods per block when simulate_far steps its scores, and the largest score
-# dimension it steps in blocks, whose Toeplitz matrix then holds 512 KB
+# Scores step in blocks of min(32, 192 // r) periods at rank r, a Toeplitz
+# matrix of at most 192 rows, and one at a time where blocks fall below 8
 _SCORE_BLOCK = 32
-_BLOCKED_RANK = 8
+_BLOCK_ROWS = 192
+_MIN_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +374,7 @@ def simulate_far(
     converted to a density by adding the mean, clipping, and rescaling.
     Period labels are zero-padded integers starting at 1. The recursion
     runs on the r-dim scores R x_t of the transition's weighted factors,
-    A diag(w) = L R, in blocks of 32 periods when r <= 8, and
+    A diag(w) = L R, in blocks of min(32, 192 // r) periods when r <= 24, and
     x_t = L R x_{t-1} + e_t is built from them.
 
     Raises
@@ -420,29 +421,31 @@ def simulate_far(
 
 def _score_stepper(step: np.ndarray):
     # advance(scores) sets s_t = step s_{t-1} + c_t in place, rows t >= 1 of
-    # scores holding c_t. Up to rank _BLOCKED_RANK, a block of B steps from
-    # s_lo is one product each: s_{lo+k} = M^k s_lo + sum_{1<=j<=k} M^{k-j}
-    # c_{lo+j}, k = 1..B, with the (B r, r) stack of M^k and the lower
-    # block-Toeplitz (B r, B r) matrix of M^{k-j}; a larger rank, as of a
-    # kernel-only transition, steps one period at a time
+    # scores holding c_t. A block of B steps from s_lo is one product each:
+    # s_{lo+k} = M^k s_lo + sum_{1<=j<=k} M^{k-j} c_{lo+j}, k = 1..B, with the
+    # (B r, r) stack of M^k and the lower block-Toeplitz (B r, B r) matrix of
+    # M^{k-j}; a rank too large for blocks of _MIN_BLOCK, as of a kernel-only
+    # transition, steps one period at a time
     r = len(step)
-    if r > _BLOCKED_RANK:
+    if (span := min(_SCORE_BLOCK, _BLOCK_ROWS // r)) < _MIN_BLOCK:
         def advance(scores: np.ndarray) -> None:
-            for t in range(1, len(scores)):
-                scores[t] += step @ scores[t - 1]
+            buf = np.empty(r)
+            for prev, row in zip(scores, scores[1:]):
+                np.dot(step, prev, out=buf)
+                row += buf
         return advance
-    powers = np.empty((_SCORE_BLOCK + 1, r, r))
+    powers = np.empty((span + 1, r, r))
     powers[0] = np.eye(r)
-    for k in range(1, _SCORE_BLOCK + 1):
+    for k in range(1, span + 1):
         np.matmul(step, powers[k - 1], out=powers[k])
-    lag = np.subtract.outer(np.arange(_SCORE_BLOCK), np.arange(_SCORE_BLOCK))
+    lag = np.subtract.outer(np.arange(span), np.arange(span))
     toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(_SCORE_BLOCK * r, _SCORE_BLOCK * r)
-    lift = powers[1:].reshape(_SCORE_BLOCK * r, r)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(span * r, span * r)
+    lift = powers[1:].reshape(span * r, r)
 
     def advance(scores: np.ndarray) -> None:
-        for lo in range(0, len(scores) - 1, _SCORE_BLOCK):
-            block = scores[lo + 1 : lo + 1 + _SCORE_BLOCK].reshape(-1)
+        for lo in range(0, len(scores) - 1, span):
+            block = scores[lo + 1 : lo + 1 + span].reshape(-1)
             size = len(block)
             block[:] = toeplitz[:size, :size] @ block + lift[:size] @ scores[lo]
     return advance

@@ -383,11 +383,12 @@ def test_simulate_far_matches_per_period_reference(name):
 
 
 @pytest.mark.parametrize("rows", [1, 31, 32, 33, 211])
-@pytest.mark.parametrize("rank", [3, 9])
+@pytest.mark.parametrize("rank", [3, 9, 24, 25])
 def test_score_stepper_matches_per_period_recurrence(rank, rows):
-    # rank 3 steps blocks of 32 periods and rounds differently; rank 9 steps
-    # one period at a time with the recurrence's own mat-vecs. One stepper
-    # advances any number of arrays, as the bootstrap's replications share it
+    # ranks 3, 9 and 24 step blocks of 32, 21 and 8 periods and round
+    # differently; rank 25 steps one period at a time with the recurrence's
+    # own mat-vecs. One stepper advances any number of arrays, as the
+    # bootstrap's replications share it
     rng = np.random.default_rng((rank, rows))
     step = rng.standard_normal((rank, rank))
     step *= 0.9 / np.max(np.abs(np.linalg.eigvals(step)))
@@ -400,7 +401,7 @@ def test_score_stepper_matches_per_period_recurrence(rank, rows):
     advance(scores)
     advance(again)
     assert again.tobytes() == scores.tobytes()
-    if rank > simulate_module._BLOCKED_RANK:
+    if simulate_module._BLOCK_ROWS // rank < simulate_module._MIN_BLOCK:
         assert scores.tobytes() == ref.tobytes()
     else:
         assert np.max(np.abs(scores - ref)) <= 1e-12 * np.max(np.abs(ref))
