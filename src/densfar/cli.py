@@ -378,18 +378,8 @@ def _cmd_backtest(args) -> int:
 
 def _load_study_config(path) -> StudyConfig:
     try:
-        if os.fspath(path).endswith(".toml"):
-            try:
-                import tomllib
-            except ModuleNotFoundError:
-                raise _ValidationFailure(
-                    "TOML configs need Python >= 3.11; use JSON instead"
-                ) from None
-            with open(path, "rb") as fh:
-                obj = tomllib.load(fh)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            obj = json.load(fh)
         # StudyConfig's fields, whose defaults stand for the keys left out
         dfio._closed(path, obj, [f.name for f in dataclasses.fields(StudyConfig)], "the config")
         spec = obj["generator"]
@@ -517,7 +507,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_backtest)
 
     p = sub.add_parser("simulate", help="Monte Carlo forecast study")
-    p.add_argument("--config", required=True, help="study config (JSON or TOML)")
+    p.add_argument("--config", required=True, help="study config (JSON)")
     p.add_argument("--out", required=True, type=_output_path("--out"), help="report CSV path")
     p.set_defaults(func=_cmd_simulate)
 

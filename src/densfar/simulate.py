@@ -79,11 +79,9 @@ _STABILITY_FACTOR = 1e6
 # needs 64 KB at n = 128 and not a second (m, n) array
 _STATE_BLOCK = 64
 
-# Scores step in blocks of min(32, 192 // r) periods at rank r, a Toeplitz
-# matrix of at most 192 rows, and one at a time where blocks fall below 8
-_SCORE_BLOCK = 32
-_BLOCK_ROWS = 192
-_MIN_BLOCK = 8
+# Scores step by a doubling scan below this rank and one period at a time from
+# it, where the scan's (rows, r) products cost more than the per-period loop
+_LOOP_RANK = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,8 +372,9 @@ def simulate_far(
     converted to a density by adding the mean, clipping, and rescaling.
     Period labels are zero-padded integers starting at 1. The recursion
     runs on the r-dim scores R x_t of the transition's weighted factors,
-    A diag(w) = L R, in blocks of min(32, 192 // r) periods when r <= 24, and
-    x_t = L R x_{t-1} + e_t is built from them.
+    A diag(w) = L R, by a recursive-doubling scan of about log2(m) products
+    when r <= 24 and one period at a time above, and x_t = L R x_{t-1} + e_t
+    is built from them.
 
     Raises
     ------
@@ -421,33 +420,27 @@ def simulate_far(
 
 def _score_stepper(step: np.ndarray):
     # advance(scores) sets s_t = step s_{t-1} + c_t in place, rows t >= 1 of
-    # scores holding c_t. A block of B steps from s_lo is one product each:
-    # s_{lo+k} = M^k s_lo + sum_{1<=j<=k} M^{k-j} c_{lo+j}, k = 1..B, with the
-    # (B r, r) stack of M^k and the lower block-Toeplitz (B r, B r) matrix of
-    # M^{k-j}; a rank too large for blocks of _MIN_BLOCK, as of a kernel-only
-    # transition, steps one period at a time
+    # scores holding c_t, one period at a time from _LOOP_RANK (as for a
+    # kernel-only transition). Below it by recursive doubling (Kogge and Stone
+    # 1973): the pass with M^k adds M^k times the rows k back, a fresh product,
+    # so row t then sums M^j c_{t-j} over j < 2k. Row 0 is never written, and
+    # M is squared only when another pass follows
     r = len(step)
-    if (span := min(_SCORE_BLOCK, _BLOCK_ROWS // r)) < _MIN_BLOCK:
+    if r >= _LOOP_RANK:
         def advance(scores: np.ndarray) -> None:
             buf = np.empty(r)
             for prev, row in zip(scores, scores[1:]):
                 np.dot(step, prev, out=buf)
                 row += buf
         return advance
-    powers = np.empty((span + 1, r, r))
-    powers[0] = np.eye(r)
-    for k in range(1, span + 1):
-        np.matmul(step, powers[k - 1], out=powers[k])
-    lag = np.subtract.outer(np.arange(span), np.arange(span))
-    toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(span * r, span * r)
-    lift = powers[1:].reshape(span * r, r)
 
     def advance(scores: np.ndarray) -> None:
-        for lo in range(0, len(scores) - 1, span):
-            block = scores[lo + 1 : lo + 1 + span].reshape(-1)
-            size = len(block)
-            block[:] = toeplitz[:size, :size] @ block + lift[:size] @ scores[lo]
+        power, k = step.T, 1
+        while k < len(scores):
+            scores[k:] += scores[:-k] @ power
+            k *= 2
+            if k < len(scores):
+                power = power @ power
     return advance
 
 
@@ -506,6 +499,12 @@ class StudyConfig:
             raise ValueError("K must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        # a T-period demeaned panel has rank at most T - 1 and its zero-integral
+        # rows at most n - 1, so every fit at a larger K is rank-deficient
+        T_min, n = min(self.T_values), self.generator.grid.n
+        if self.K >= min(T_min, n):
+            raise ValueError(f"K must be below min(T_values) = {T_min} and the grid size "
+                             f"{n}, got {self.K}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,7 +559,7 @@ def _study_iteration(config: StudyConfig, T: int, N: int, it: int):
         [(config.seed, T, N, it, 1, t) for t in range(T)],
     )[0]))
     train = estimate_panel(raw, config.generator.grid, config.kernel)
-    truth = panel_true.densities[T]
+    truth = GridFunction._wrap(panel_true.grid, panel_true.values[T])
     model = fit(train, config.K, kernel=config.kernel)
     f_far = to_density(forecast_one_step(model, model.w_last), model.mean_density)
     return {

@@ -323,6 +323,30 @@ def test_simulate_bad_config_exits_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+def test_study_config_behind_a_utf8_bom_runs(tmp_path):
+    argv = _study(tmp_path)
+    cfg = Path(argv[2])
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert main(argv) == 0
+    assert (tmp_path / "study.csv").exists()
+
+
+def test_study_config_in_toml_exits_one(tmp_path, capsys):
+    # JSON is the one study-config format, whatever the file's name: a valid
+    # TOML study is one error line
+    cfg = tmp_path / "study.toml"
+    cfg.write_text('seed = 5\niterations = 1\nT_values = [20]\nN_values = [80]\n'
+                   'burn_in = 30\nK = 2\nkernel = "normal"\n[generator.synthetic]\n'
+                   'support = [0.0, 1.0]\ngrid_n = 32\nstrengths = [0.8]\n'
+                   'noise_sds = [0.05]\n')
+    out = tmp_path / "study.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sample_command(tmp_path):
     grid = make_grid(0.0, 1.0, 128)
     density_path = tmp_path / "density.json"
@@ -566,6 +590,9 @@ BAD_INPUTS = {
     "study_iterations_float": lambda tmp, obj: _study(tmp, iterations=2.5),
     "study_seed_float": lambda tmp, obj: _study(tmp, seed=1.5),
     "study_K_float": lambda tmp, obj: _study(tmp, K=2.5),
+    # no fit reaches K = T (a T-period demeaned panel has rank T - 1) or K = n
+    "study_K_equals_T": lambda tmp, obj: _study(tmp, K=20),
+    "study_K_equals_grid_n": lambda tmp, obj: _study(tmp, K=32, T_values=[40]),
     "study_burn_in_float": lambda tmp, obj: _study(tmp, burn_in=10.5),
     "study_kernel_number": lambda tmp, obj: _study(tmp, kernel=5),
     "study_T_float": lambda tmp, obj: _study(tmp, T_values=[20.7]),

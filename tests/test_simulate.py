@@ -382,16 +382,22 @@ def test_simulate_far_matches_per_period_reference(name):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("rows", [1, 31, 32, 33, 211])
-@pytest.mark.parametrize("rank", [3, 9, 24, 25])
-def test_score_stepper_matches_per_period_recurrence(rank, rows):
-    # ranks 3, 9 and 24 step blocks of 32, 21 and 8 periods and round
-    # differently; rank 25 steps one period at a time with the recurrence's
-    # own mat-vecs. One stepper advances any number of arrays, as the
-    # bootstrap's replications share it
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 211, 1000])
+@pytest.mark.parametrize("rank, radius", [
+    pytest.param(3, 0.9, id="3"), pytest.param(9, 0.9, id="9"),
+    pytest.param(24, 0.9, id="24"), pytest.param(25, 0.9, id="25"),
+    pytest.param(3, 0.999, id="3-0.999"), pytest.param(9, 0.999, id="9-0.999"),
+    pytest.param(3, 1.01, id="3-1.01"), pytest.param(9, 1.01, id="9-1.01"),
+])
+def test_score_stepper_matches_per_period_recurrence(rank, radius, rows):
+    # ranks up to 24 step by recursive doubling, about log2(rows) products of
+    # powers of the step, and round differently, also at spectral radius near
+    # and past 1; rank 25 steps one period at a time with the recurrence's own
+    # mat-vecs. One stepper advances any number of arrays, as the bootstrap's
+    # replications share it
     rng = np.random.default_rng((rank, rows))
     step = rng.standard_normal((rank, rank))
-    step *= 0.9 / np.max(np.abs(np.linalg.eigvals(step)))
+    step *= radius / np.max(np.abs(np.linalg.eigvals(step)))
     scores = rng.standard_normal((rows, rank))
     ref = scores.copy()
     for t in range(1, rows):
@@ -401,7 +407,7 @@ def test_score_stepper_matches_per_period_recurrence(rank, rows):
     advance(scores)
     advance(again)
     assert again.tobytes() == scores.tobytes()
-    if simulate_module._BLOCK_ROWS // rank < simulate_module._MIN_BLOCK:
+    if rank >= simulate_module._LOOP_RANK:
         assert scores.tobytes() == ref.tobytes()
     else:
         assert np.max(np.abs(scores - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -582,3 +588,11 @@ def test_study_config_validation():
         StudyConfig(generator=gen, T_values=(50,), N_values=(5,), iterations=1, seed=0)
     with pytest.raises(ValueError):
         StudyConfig(generator=gen, T_values=(50,), N_values=(100,), iterations=0, seed=0)
+    # no fit reaches K = min(T_values), the rank of a T-period demeaned panel
+    # plus one, or K = n; one below both is a valid config
+    for T_values, K in [((20, 50), 20), ((80,), 64)]:
+        with pytest.raises(ValueError, match=f"^K must be below min\\(T_values\\) = "
+                                             f"{min(T_values)} and the grid size 64, got {K}$"):
+            StudyConfig(generator=gen, T_values=T_values, N_values=(100,), iterations=1,
+                        seed=0, K=K)
+    StudyConfig(generator=gen, T_values=(20, 50), N_values=(100,), iterations=1, seed=0, K=19)
