@@ -22,7 +22,7 @@ with `dataclasses.replace`) raises ValueError.
 Each refit is warm-started from the original panel's K + p leading
 eigenfunctions (times sqrt(weights)), computed once per call and shared
 read-only by every replication: it solves only the K leading eigenpairs of
-its T-by-T Gram matrix by block subspace iteration, at about a third of the
+its smaller Gram matrix by block subspace iteration, at about a third of the
 cost of a full `eigh`, and falls back to the full `eigh` when those do not
 converge within a few sweeps (see :func:`~densfar.estimation.fit_demeaned`).
 Each worker process regenerates and refits into its copy of one set of

@@ -16,12 +16,12 @@ The rank-K truncation regularizes the otherwise ill-posed inversion of Q;
 K must stay within the numerically usable rank of the estimated covariance.
 P and Sigma keep the divisor T even though only T-1 terms exist.
 
-:func:`fit` never decomposes or inverts an n-by-n kernel when T <= n: with
-the demeaned panel stacked as a (T, n) array W, the spectrum of Q comes from
-the T-by-T Gram matrix of X = W diag(sqrt(weights)) (the method of
-snapshots, :func:`~densfar.grid.snapshot_spectrum`; for T > n the smaller
-matrix is the n-by-n X^T X), and A and the residuals follow from the
-(T-1)-by-K scores C_K = W_0 diag(weights) V_K of the lagged periods:
+:func:`fit` never inverts an n-by-n kernel: with the demeaned panel stacked
+as a (T, n) array W, the spectrum of Q comes from the smaller Gram matrix of
+X = W diag(sqrt(weights)), X X^T when T <= n (the method of snapshots,
+:func:`~densfar.grid.snapshot_spectrum`) and X^T X when T > n. A and the
+residuals follow from the (T-1)-by-K scores C_K = W_0 diag(weights) V_K of
+the lagged periods:
 
     A = (1/T) W_1^T C_K Lambda_K^{-1} V_K^T,   e = W_1 - (1/T) C_K Lambda_K^{-1} C_K^T W_1
 
@@ -35,7 +35,7 @@ n-by-n kernel exists until a caller reads one.
 A refit reads only the K leading eigenpairs. Given a warm start, such as
 the leading K + p eigenfunctions of a nearby panel (a bootstrap refit gets
 those of the original panel), :func:`fit` solves just those K pairs of the
-T-by-T Gram matrix by block subspace iteration instead of a full `eigh`,
+smaller Gram matrix by block subspace iteration instead of a full `eigh`,
 and falls back to the full spectrum when that does not converge in a few
 sweeps.
 
@@ -106,8 +106,8 @@ class FarModel:
     eigen : EigenSystem
         The min(T, n) leading eigenvalues of the covariance operator Q_hat,
         and the eigenfunctions of the leading K of them. A warm-started fit
-        (a bootstrap refit) holds only the K leading eigenvalues, unless its
-        truncated solve fell back to the full spectrum.
+        (a bootstrap refit), whether T <= n or T > n, holds only the K leading
+        eigenvalues, unless its truncated solve fell back to the full spectrum.
     A_hat, Sigma_hat : OperatorRep
         Autoregressive operator and residual noise covariance.
     resid : ndarray, shape (T-1, n)
@@ -256,9 +256,9 @@ def fit_demeaned(mean_density: GridFunction, W: np.ndarray, K: int,
     Every :class:`FarModel` is built here: :func:`fit` comes with the
     snapshots of a density panel, a model loader with the stored ones.
     `start`, a (b, n) array with b >= K such as a nearby panel's leading
-    eigenfunctions times sqrt(weights), warm-starts a truncated spectrum
-    (:func:`~densfar.grid.snapshot_spectrum`): the model's `eigen` then
-    holds only the K leading eigenvalues, unless the solve falls back.
+    eigenfunctions times sqrt(weights), warm-starts a truncated solve of the
+    smaller Gram matrix (:func:`~densfar.grid.snapshot_spectrum`): the model's
+    `eigen` then holds only the K leading eigenvalues, unless it falls back.
 
     `out`, an (X, E) pair of (T, n) and (T-1, n) buffers, takes the
     fit's panel-sized temporaries: X the weighted panel, E the residuals,

@@ -479,10 +479,10 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None,
 
     `start`, a (b, n) array with b >= m, warm-starts a truncated solve: its
     rows span a guess of the leading eigenvectors of X^T X, such as a nearby
-    stack's leading eigenfunctions times sqrt(weights). When T <= n the
-    leading m pairs then come from a block subspace iteration on X X^T from
-    X start^T, and the result holds only those m eigenvalues. If those are
-    not certified within a few sweeps, the result is the unstarted one.
+    stack's leading eigenfunctions times sqrt(weights). The leading m pairs
+    then come from a block subspace iteration from X start^T (T <= n) or
+    start^T (T > n), and the result holds only those m eigenvalues. If those
+    are not certified within a few sweeps, the result is the unstarted one.
 
     `out`, a buffer shaped like `stack`, takes X instead of a new array.
     """
@@ -491,22 +491,21 @@ def snapshot_spectrum(grid: GridSpec, stack: np.ndarray, m: int | None = None,
     T, n = X.shape
     if start is not None and (m is None or len(start) < m):
         raise ValueError(f"a start needs m <= {len(start)} rows, got m={m}")
+    G = X @ X.T if T <= n else X.T @ X
+    pairs = None if start is None else _leading_gram_pairs(
+        G, X @ start.T if T <= n else start.T, m)
+    if pairs is None:
+        mu, U = np.linalg.eigh(G)
+        mu, U = mu[::-1], U[:, ::-1][:, :m]
+    else:
+        mu, U = pairs
+    vecs = U
     if T <= n:
-        G = X @ X.T
-        pairs = None if start is None else _leading_gram_pairs(G, X @ start.T, m)
-        if pairs is None:
-            mu, U = np.linalg.eigh(G)
-            mu, U = mu[::-1], U[:, ::-1][:, :m]
-        else:
-            mu, U = pairs
         vecs = X.T @ U
         norms = np.linalg.norm(vecs, axis=0)
         # an exact null direction of X maps to zero; any unit vector will do
         vecs[:, norms == 0.0] = 1.0
         vecs /= np.where(norms == 0.0, np.sqrt(n), norms)
-    else:
-        mu, vecs = np.linalg.eigh(X.T @ X)
-        mu, vecs = mu[::-1], vecs[:, ::-1][:, :m]
     return EigenSystem(grid=grid, eigenvalues=np.clip(mu, 0.0, None) / T,
                        vectors=_eigenfunctions(vecs.T, sqrt_w))
 

@@ -84,6 +84,23 @@ def test_band_identical_under_thread_pool(forks, factory):
     assert np.array_equal(serial.upper, pooled.upper)
 
 
+@pytest.mark.parametrize("T, n", [(60, 128), (150, 32)])
+def test_started_refits_give_the_bands_of_full_refits(monkeypatch, T, n):
+    # each refit's truncated spectrum, started from the original panel's, gives
+    # the bands of refits that solve the full one, whichever Gram matrix is smaller
+    model, _ = _model(T=T, seed=T, n=n)
+    v = moment_functional(2, model.grid)
+    stats = {"irf": irf_statistic(v), "r2": r_squared_statistic(project_zero_integral(v))}
+    started = residual_bootstrap(model, stats, B=100, alpha=0.05, seed=4)
+    monkeypatch.setattr("densfar.grid._leading_gram_pairs", lambda G, start, m: None)
+    full = residual_bootstrap(model, stats, B=100, alpha=0.05, seed=4)
+    for name, band in started.items():
+        assert band.n_dropped == full[name].n_dropped
+        for field in ("lower", "upper"):
+            want = getattr(full[name], field)
+            assert np.abs(getattr(band, field) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_bootstrap_forks_its_workers_once(forks):
     # all B replications go to the pool in one map
     calls = forks(2, OPENBLAS_NUM_THREADS="1")

@@ -454,7 +454,8 @@ def _start_from(panel, rows):
     return eig.vectors * np.sqrt(grid.weights)
 
 
-@pytest.mark.parametrize("T, n, K", [(40, 64, 4), (60, 64, 3), (120, 128, 2)])
+@pytest.mark.parametrize("T, n, K", [(40, 64, 4), (60, 64, 3), (120, 128, 2), (80, 32, 3),
+                                     (200, 64, 2)])
 def test_started_fit_matches_the_unstarted_fit(T, n, K):
     # started from a prefix of the panel, as a bootstrap refit is started from
     # the original panel: K eigenvalues, and the fit of the full spectrum
@@ -483,17 +484,19 @@ def _rank_r_panel(r, T=30, n=64, seed=0):
 
 @pytest.mark.parametrize("r", [0, 1, 3])
 def test_started_fit_is_rank_deficient_where_the_full_fit_is(r):
-    panel = _rank_r_panel(r, seed=r)
-    start = _start_from(_simulated_panel(T=30, seed=r)[0], 4 + _SUBSPACE_EXTRA)
-    for K in range(1, 5):
-        try:
-            fit(panel, K)
-        except RankDeficient:
-            with pytest.raises(RankDeficient):
-                fit(panel, K, start)
-            assert K > r
-        else:
-            assert K <= r and len(fit(panel, K, start).eigen) == K
+    # a panel with fewer periods than grid points, and one with more
+    for T, n in ((30, 64), (100, 32)):
+        panel = _rank_r_panel(r, T=T, n=n, seed=r)
+        start = _start_from(_simulated_panel(T=30, seed=r, n=n)[0], 4 + _SUBSPACE_EXTRA)
+        for K in range(1, 5):
+            try:
+                fit(panel, K)
+            except RankDeficient:
+                with pytest.raises(RankDeficient):
+                    fit(panel, K, start)
+                assert K > r
+            else:
+                assert K <= r and len(fit(panel, K, start).eigen) == K
 
 
 def test_started_fit_with_tied_eigenvalues_is_the_unstarted_fit():
