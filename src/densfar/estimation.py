@@ -147,11 +147,6 @@ class FarModel:
         return len(self.demeaned)
 
     @property
-    def w_initial(self) -> GridFunction:
-        """First demeaned density, where bootstrap regeneration starts."""
-        return GridFunction._wrap(self.grid, self.demeaned[0])
-
-    @property
     def w_last(self) -> GridFunction:
         """Last demeaned density, where forecasts start."""
         return GridFunction._wrap(self.grid, self.demeaned[-1])

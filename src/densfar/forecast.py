@@ -1,11 +1,10 @@
 """Density forecasting, error measures, K selection, and rolling backtests.
 
 The one-step forecast applies the fitted operator to the last demeaned
-density; adding back the mean, clipping negatives, and rescaling to unit
-mass turns it into a density. Benchmarks are the historical average (AVE)
-and the previous period (LAST). Forecast quality is scored with six
-deviation measures between predicted and realized densities; the truncation
-level K is chosen by rolling cross-validation on held-out periods.
+density, adds back the mean, clips negatives and rescales to unit mass.
+Six deviation measures score it and the benchmarks AVE (historical mean)
+and LAST (previous period). K is chosen by rolling cross-validation, whose
+folds, shared with the backtest, forecast and score each prefix once.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateForecast,
     NoFeasibleK,
+    RankDeficient,
     TooFewPeriods,
     ZeroVariance,
 )
@@ -25,7 +25,7 @@ from .estimation import (
     FarModel,
     _lagged_scores,
     _snapshots,
-    fit,
+    fit,  # unused here; perfbench/traced.py lists forecast as a site of fit
     mean_density,
     usable_rank,
 )
@@ -238,7 +238,7 @@ def error_metrics(f_hat: GridFunction, f_true: GridFunction) -> ErrorReport:
 
 
 def _truncated_forecasts(train: DensityPanel, kmax: int) -> tuple:
-    """Mean density and the demeaned one-step forecasts for K = 1..kmax.
+    """A prefix's one forecast: mean density and demeaned steps, K = 1..kmax.
 
     Row K-1 equals forecast_one_step(fit(train, K), w_last) up to roundoff:
     A_K w_last = (1/T) sum_{k<=K} W_1^T c_k <v_k, w_last> / lambda_k is a
@@ -256,30 +256,9 @@ def _truncated_forecasts(train: DensityPanel, kmax: int) -> tuple:
     return f_bar, steps - levels[:, None]
 
 
-def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
-    """Choose the truncation level by rolling cross-validation.
-
-    For each candidate K, the periods before each of the last n_validation
-    periods are used to fit and forecast that period; the score is the mean
-    L2 density error. The smallest-scoring candidate wins, ties broken
-    toward smaller K. One spectrum per training prefix serves every K.
-    Candidates that exceed the usable rank, or whose forecast clips to a
-    density without mass (DegenerateForecast), in any fold are skipped.
-
-    Raises
-    ------
-    TooFewPeriods
-        If T <= n_validation + 5.
-    NoFeasibleK
-        If every candidate was skipped.
-    """
-    return _select_K(panel, candidates, n_validation, {})
-
-
-def _select_K(panel: DensityPanel, candidates, n_validation: int, spectra: dict) -> int:
-    """:func:`select_K_cv`, taking each fold's truncated forecasts from
-    `spectra`, keyed by (training prefix length, kmax), and adding the missing
-    ones: panels sharing their leading periods share one spectrum per prefix."""
+def _folds(panel: DensityPanel, candidates, n_validation: int, first: int) -> tuple:
+    """Sorted candidates; per period s = first..T-1, a fold mapping each K within
+    the s-period prefix's usable rank to (forecast density, d2), None if massless."""
     candidates = sorted(set(int(k) for k in candidates))
     if not candidates or candidates[0] < 1:
         raise ValueError("candidates must be a nonempty set of integers >= 1")
@@ -291,30 +270,47 @@ def _select_K(panel: DensityPanel, candidates, n_validation: int, spectra: dict)
             f"K selection needs T > n_validation + 5, got T={T}, "
             f"n_validation={n_validation}"
         )
-    scores = {K: [] for K in candidates}
-    for s in range(T - n_validation, T):
-        if not scores:
-            break
-        key = (s, max(scores))
-        if key not in spectra:
-            spectra[key] = _truncated_forecasts(panel.head(s), key[1])
-        f_bar, steps = spectra[key]
-        for K in [K for K in scores if K > len(steps)]:
-            del scores[K]  # beyond the usable rank of this prefix
-        for K in list(scores):
+    folds = []
+    for s in range(first, T):
+        f_bar, steps = _truncated_forecasts(panel.head(s), candidates[-1])
+        fold = {}
+        for K in [K for K in candidates if K <= len(steps)]:
             try:
                 f_fc = _to_densities(steps[K - 1], f_bar, DegenerateForecast)
             except DegenerateForecast:
-                del scores[K]
-                continue
-            # the d2 of error_metrics, without the five measures CV does not use
-            scores[K].append(_l2_distance(panel.grid.weights, f_fc, panel.values[s]))
-    if not scores:
-        raise NoFeasibleK(
-            f"all candidates {candidates} were rank deficient or degenerate"
-        )
-    # min keeps the first, i.e. smallest, K among equal scores
-    return min(scores, key=lambda K: float(np.mean(scores[K])))
+                fold[K] = None
+            else:
+                fold[K] = (f_fc, _l2_distance(panel.grid.weights, f_fc, panel.values[s]))
+        folds.append(fold)
+    return candidates, folds
+
+
+def _choose_K(candidates: list, folds: list) -> int:
+    """The K that every fold scored with the least mean d2, the smaller on ties."""
+    scored = [K for K in candidates if all(fold.get(K) is not None for fold in folds)]
+    if not scored:
+        raise NoFeasibleK(f"all candidates {candidates} were rank deficient or degenerate")
+    return min(scored, key=lambda K: float(np.mean([fold[K][1] for fold in folds])))
+
+
+def select_K_cv(panel: DensityPanel, candidates, n_validation: int = 5) -> int:
+    """Choose the truncation level by rolling cross-validation.
+
+    For each candidate K, the periods before each of the last n_validation
+    periods forecast that period; the score is the mean L2 density error.
+    The smallest-scoring candidate wins, ties broken toward smaller K. One
+    spectrum per training prefix forecasts every K, each scored once.
+    Candidates that exceed the usable rank, or whose forecast clips to a
+    density without mass (DegenerateForecast), in any fold are skipped.
+
+    Raises
+    ------
+    TooFewPeriods
+        If T <= n_validation + 5.
+    NoFeasibleK
+        If every candidate was skipped.
+    """
+    return _choose_K(*_folds(panel, candidates, n_validation, len(panel) - n_validation))
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,10 +353,10 @@ def rolling_backtest(
     """Rolling out-of-sample forecast comparison of FAR, AVE, and LAST.
 
     For each of the last n_test periods: K is re-selected by
-    cross-validation on the data before the period, the model refitted, and
-    the normalized forecast scored against the realized density. Aggregates
-    report the mean and median of every measure per predictor. The
-    selections share their folds' spectra: one per training prefix.
+    cross-validation on the data before the period, and the normalized
+    forecast at K, read from the period's own CV fold (a refit's within
+    roundoff), scored against the realized density. Aggregates report the
+    mean and median of every measure per predictor. Each prefix has one fold.
     """
     if n_test < 1:
         raise ValueError(f"need n_test >= 1, got {n_test}")
@@ -371,16 +367,20 @@ def rolling_backtest(
         )
     records = {}
     selected = []
-    spectra = {}
     labels = panel.labels[T - n_test :]
-    for s in range(T - n_test, T):
+    candidates, folds = _folds(panel, K_candidates, n_validation, T - n_test - n_validation)
+    for i, s in enumerate(range(T - n_test, T)):
         train = panel.head(s)
         truth = GridFunction._wrap(panel.grid, panel.values[s])
         label = panel.labels[s]
-        K = _select_K(train, K_candidates, n_validation, spectra)
+        K = _choose_K(candidates, folds[i : i + n_validation])
         selected.append(K)
-        model = fit(train, K)
-        f_far = to_density(forecast_one_step(model, model.w_last), model.mean_density)
+        fold = folds[i + n_validation]
+        if K not in fold:
+            raise RankDeficient(f"K={K} exceeds the usable rank of the first {s} periods")
+        if fold[K] is None:
+            raise DegenerateForecast(f"the K={K} forecast of period {label} has no mass")
+        f_far = GridFunction._wrap(panel.grid, fold[K][0])
         records[("FAR", label)] = error_metrics(f_far, truth)
         records[("AVE", label)] = error_metrics(predictor_ave(train), truth)
         records[("LAST", label)] = error_metrics(predictor_last(train), truth)

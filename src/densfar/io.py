@@ -12,10 +12,11 @@ messages and line numbers.
 Binary files hold little-endian IEEE-754 doubles in one zlib stream
 behind a CRC-32 (see "persistence" below) and round-trip bit-exact. JSON
 files carry the same payload as nested arrays; Python serializes floats by
-shortest round-trip representation, so JSON round-trips are exact as well. A model or grid-function file is written as JSON when its
-name ends in `.json` and as binary otherwise, and is read by its bytes, not
-its name: a file whose first non-whitespace byte, after an optional UTF-8
-byte-order mark, is `{` is JSON, any other binary.
+shortest round-trip representation, so JSON round-trips are exact as well.
+A model or grid-function file is written as JSON when its name ends in
+`.json` and as binary otherwise, and is read by its bytes, not its name: a
+file whose first non-whitespace byte, after an optional UTF-8 byte-order
+mark, is `{` is JSON, any other binary.
 All text output is written with 17 significant digits and files are
 written to a temporary name and atomically renamed.
 

@@ -569,8 +569,9 @@ def kde(
     and is read off long-double prefix sums of the window's moments; where
     their roundoff bound exceeds 1e-13 of the largest sum it is summed term
     by term (see ``_epanechnikov_rows``). The normal kernel is positive
-    everywhere, so its sum takes all N n terms; around anchors every Bs <= 32 grid points they factor into 2 n / Bs
-    exponentials per observation (see ``_normal_sums``).
+    everywhere, so its sum takes all N n terms; around anchors every Bs <= 32
+    grid points they factor into 2 n / Bs exponentials per observation (see
+    ``_normal_sums``).
 
     Parameters
     ----------

@@ -170,7 +170,7 @@ def _dense_regeneration(model, pool, rng):
     grid = model.grid
     a_w = model.A_hat.kernel * grid.weights[None, :]
     idx = rng.integers(0, len(pool), size=model.sample_size - 1)
-    states = [model.w_initial.values]
+    states = [model.demeaned[0]]
     for t in idx:
         states.append(a_w @ states[-1] + pool[t])
     raw = np.clip(model.mean_density.values + np.array(states), 0.0, None)

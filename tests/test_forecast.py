@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import truncnorm
 
 from densfar import forecast
-from densfar.errors import DegenerateForecast, NoFeasibleK, TooFewPeriods
+from densfar.errors import DegenerateForecast, NoFeasibleK, RankDeficient, TooFewPeriods
 from densfar.estimation import fit
 from densfar.forecast import (
     error_metrics,
@@ -372,8 +372,9 @@ def test_backtest_deterministic():
 
 
 def test_backtest_computes_one_spectrum_per_training_prefix(monkeypatch):
-    # n_test = 6 selections of 5 folds each cover the 10 prefixes T-11..T-2;
-    # each is computed once, and every selection is that of select_K_cv alone
+    # n_test = 6 selections of 5 folds each, and the last test period's own
+    # fold, cover the 11 prefixes T-11..T-1; each is computed once, every
+    # selection is that of select_K_cv alone, and nothing is refitted
     _, panel, _ = _fitted_model(T=45, seed=22)
     T, candidates = len(panel), range(1, 7)
     expected = [select_K_cv(panel.head(s), candidates, 5) for s in range(T - 6, T)]
@@ -383,8 +384,63 @@ def test_backtest_computes_one_spectrum_per_training_prefix(monkeypatch):
         prefixes.append((len(train), kmax))
         return truncated(train, kmax)
 
+    def refit(*args, **kwargs):
+        raise AssertionError("the backtest refitted a model")
+
     monkeypatch.setattr(forecast, "_truncated_forecasts", recording)
+    monkeypatch.setattr(forecast, "fit", refit)
     report = rolling_backtest(panel, 6, candidates, n_validation=5)
     assert list(report.selected_K) == expected
     assert len(prefixes) == len(set(prefixes))
-    assert {s for s, _ in prefixes} == set(range(T - 11, T - 1))
+    assert {s for s, _ in prefixes} == set(range(T - 11, T))
+
+
+@pytest.mark.parametrize("n, T", [(64, 45), (32, 60)])
+def test_backtest_far_forecast_matches_a_refit(n, T):
+    # the FAR forecast read from a prefix's CV fold is the refit's at the
+    # selected K, whether the prefixes have fewer periods than grid points
+    # or more; AVE and LAST do not change at all
+    _, panel, _ = _fitted_model(T=T, seed=24, n=n)
+    n_test = 6
+    report = rolling_backtest(panel, n_test, range(1, 5), n_validation=5)
+    oracle = {}
+    for s, K in zip(range(T - n_test, T), report.selected_K):
+        train, label = panel.head(s), panel.labels[s]
+        truth = GridFunction(panel.grid, panel.values[s])
+        model = fit(train, K)
+        f_far = to_density(forecast_one_step(model, model.w_last), model.mean_density)
+        oracle[("FAR", label)] = error_metrics(f_far, truth)
+        oracle[("AVE", label)] = error_metrics(predictor_ave(train), truth)
+        oracle[("LAST", label)] = error_metrics(predictor_last(train), truth)
+    assert report.records.keys() == oracle.keys()
+    for key in oracle:
+        if key[0] != "FAR":
+            assert report.records[key] == oracle[key]
+    for measure in forecast.MEASURES:
+        got = np.array([getattr(report.records[("FAR", lab)], measure) for lab in report.labels])
+        want = np.array([getattr(oracle[("FAR", lab)], measure) for lab in report.labels])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_backtest_raises_the_refit_errors_of_its_last_prefix(monkeypatch):
+    # the last test period's FAR forecast comes from its own prefix's fold:
+    # a K past that prefix's usable rank is RankDeficient, a forecast that
+    # clips to no mass DegenerateForecast, as a refit at K would raise
+    _, panel, _ = _fitted_model(T=45, seed=21)
+    T, truncated = len(panel), forecast._truncated_forecasts
+
+    def last_prefix(steps):
+        def patched(train, kmax):
+            f_bar, rows = truncated(train, kmax)
+            return (f_bar, steps(f_bar, rows)) if len(train) == T - 1 else (f_bar, rows)
+        return patched
+
+    monkeypatch.setattr(forecast, "_truncated_forecasts", last_prefix(lambda f, rows: rows[:0]))
+    with pytest.raises(RankDeficient):
+        rolling_backtest(panel, 6, [1, 2], n_validation=5)
+    monkeypatch.setattr(
+        forecast, "_truncated_forecasts",
+        last_prefix(lambda f, rows: np.broadcast_to(-f.values, rows.shape)),
+    )
+    with pytest.raises(DegenerateForecast):
+        rolling_backtest(panel, 6, [1, 2], n_validation=5)
