@@ -29,14 +29,7 @@ from .bootstrap import (
     vardecomp_statistic,
 )
 from .errors import DensfarError
-from .estimation import (
-    FarModel,
-    estimate_operator,
-    fit,
-    mean_density,
-    principal_components,
-    residuals,
-)
+from .estimation import FarModel, fit, mean_density
 from .forecast import (
     BacktestReport,
     ErrorReport,

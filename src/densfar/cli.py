@@ -212,7 +212,7 @@ def _cmd_forecast(args) -> int:
     model = _validated(dfio.load_model, args.model)
     raw = _validated(dfio.read_observations, args.input)
     # only the last period's density enters the forecast
-    last = RawPanel(labels=raw.labels[-1:], blocks=raw.blocks[-1:])
+    last = RawPanel(raw.labels[-1:], [raw.values[raw.offsets[-2]:]])
     # with the model's kernel, so the start state is estimated as the fit's densities were
     panel = _validated(estimate_panel, last, model.grid, model.kernel)
     w_T = project_zero_integral(

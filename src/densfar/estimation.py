@@ -40,10 +40,8 @@ and falls back to the full spectrum when that does not converge in a few
 sweeps.
 
 The dense form of these steps, each operator an n-by-n kernel, is the
-tests' agreement oracle for :func:`fit`, in ``tests/reference.py``. It
-re-exports :func:`principal_components`, :func:`estimate_operator` and
-:func:`residuals`, kept here because the benchmark's tracer needs this
-module to bind `eigh_operator`, `compose` and `apply_operator`.
+tests' agreement oracle for :func:`fit`, in ``tests/reference.py``; it is
+not part of the package.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     OperatorRep,
+    # unused here; perfbench/traced.py's PATCH_SITES lists estimation as their site
     apply_operator,
     compose,
     eigh_operator,
@@ -72,9 +71,6 @@ __all__ = [
     "FarModel",
     "RANK_CUTOFF_REL",
     "mean_density",
-    "principal_components",
-    "estimate_operator",
-    "residuals",
     "fit",
     "fit_demeaned",
 ]
@@ -166,11 +162,6 @@ def _deviations(panel: DensityPanel, f_bar: GridFunction, out=None) -> np.ndarra
     return dev
 
 
-def principal_components(Q_hat: OperatorRep) -> EigenSystem:
-    """Eigenpairs of the covariance operator, in descending order."""
-    return eigh_operator(Q_hat)
-
-
 def usable_rank(eigen: EigenSystem) -> int:
     """Largest K with lambda_K above the relative rank cutoff."""
     vals = eigen.eigenvalues
@@ -184,19 +175,6 @@ def _check_rank(eigen: EigenSystem, K: int) -> None:
         raise RankDeficient(
             f"K={K} exceeds the usable rank {usable_rank(eigen)} of the covariance"
         )
-
-
-def estimate_operator(P_hat: OperatorRep, Q_K_plus: OperatorRep) -> OperatorRep:
-    """Plug-in autoregressive operator: the composition P Qplus."""
-    return compose(P_hat, Q_K_plus)
-
-
-def residuals(w, A_hat: OperatorRep) -> list:
-    """Fitted residuals e_t = w_t - A w_{t-1}, for t = 2..T."""
-    w = list(w)
-    if len(w) < 2:
-        raise TooFewPeriods(f"residuals need >= 2 periods, got {len(w)}")
-    return [w[t] - apply_operator(A_hat, w[t - 1]) for t in range(1, len(w))]
 
 
 def _snapshots(panel: DensityPanel, out=None) -> tuple:

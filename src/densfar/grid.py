@@ -147,9 +147,6 @@ class GridSpec:
         """Wrap raw values as a GridFunction on this grid."""
         return GridFunction(self, values)
 
-    def zeros(self) -> "GridFunction":
-        return GridFunction(self, np.zeros(self.n))
-
     def constant(self, c: float) -> "GridFunction":
         return GridFunction(self, np.full(self.n, float(c)))
 

@@ -110,6 +110,7 @@ def _read_rows(path) -> RawPanel:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     blocks: dict = {}
+    runs, last = 0, None
     with fh:
         reader = csv.reader(fh)
         try:
@@ -137,23 +138,39 @@ def _read_rows(path) -> RawPanel:
                     raise ParseError(f"not a number: {row[1]!r}", line=lineno) from None
                 if not math.isfinite(value):
                     raise ParseError(f"non-finite value: {row[1]!r}", line=lineno)
+                if period != last:
+                    runs, last = runs + 1, period
                 blocks.setdefault(period, []).append(value)
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not UTF-8 text") from None
         except csv.Error as exc:
             raise ParseError(str(exc), line=reader.line_num) from None
-    return _assemble(path, blocks)
+    return _assemble(path, blocks, runs == len(blocks))
 
 
-def _assemble(path, blocks: dict) -> RawPanel:
-    # blocks maps each period, in order of first appearance, to its values
+def _assemble(path, blocks: dict, grouped: bool) -> RawPanel:
+    # blocks maps each period, in order of first appearance, to its values;
+    # grouped when each period's rows are contiguous in the file
     if not blocks:
         raise EmptyFile(f"{path} has a header but no data rows")
     labels = sorted(blocks, key=natural_sort_key)
     for first, second in zip(labels, labels[1:]):
         if natural_sort_key(first) == natural_sort_key(second):
             raise ParseError(f"period labels {first!r} and {second!r} name the same period")
-    return RawPanel(labels=tuple(labels), blocks=tuple(blocks[lab] for lab in labels))
+    # a grouped file has a period order, which the sort may keep or reverse
+    # (newest first) but not scramble: name the file's first two adjacent
+    # periods that the sort puts the other way round from its first and last
+    order = list(blocks)
+    if grouped and order != labels and order[::-1] != labels:
+        rank = {lab: i for i, lab in enumerate(labels)}
+        up = rank[order[0]] < rank[order[-1]]
+        first, second = next((a, b) for a, b in zip(order, order[1:])
+                             if (rank[a] < rank[b]) != up)
+        raise ParseError(f"sorting the period labels would swap {first!r} and {second!r}, "
+                         "scrambling the file's period order; use labels that sort in "
+                         "time order, such as zero-padded 2019-01")
+    return RawPanel._wrap(tuple(labels), np.concatenate([blocks[lab] for lab in labels]),
+                          np.cumsum([0] + [len(blocks[lab]) for lab in labels]))
 
 
 _SCAN_BYTES = 1 << 20
@@ -199,11 +216,17 @@ def _read_plain(path) -> RawPanel | None:
         if not period:
             return None
         label_id[i] = ids.setdefault(period, len(ids))
-    if len(ids) < len(starts):  # a period in several runs: gather its rows in file order
-        row_id = np.repeat(label_id[run_label], np.diff(np.r_[starts, len(rows)]))
+    # runs of labels that strip to one period (" 3 " then "3") are one run
+    run_id = label_id[run_label]
+    new_period = np.r_[True, run_id[1:] != run_id[:-1]]
+    grouped = np.count_nonzero(new_period) == len(ids)
+    if grouped:
+        starts = starts[new_period]
+    else:  # a period in several runs: gather its rows in file order
+        row_id = np.repeat(run_id, np.diff(np.r_[starts, len(rows)]))
         values = values[np.argsort(row_id, kind="stable")]
         starts = np.r_[0, np.cumsum(np.bincount(row_id))[:-1]]
-    return _assemble(path, dict(zip(ids, np.split(values, starts[1:]))))
+    return _assemble(path, dict(zip(ids, np.split(values, starts[1:]))), grouped)
 
 
 def _scan_plain(path):

@@ -1,10 +1,10 @@
 """Kernel density estimation for panels of repeated observations.
 
-Raw data come as blocks of observations per period. Each block is turned
-into a density on the shared grid with an Epanechnikov or normal kernel and
-a rule-of-thumb bandwidth, then renormalized so every estimated density
-integrates to one over the support (mass beyond the support is redistributed
-proportionally rather than reflected).
+A raw panel holds its observations in one array, in period order. Each
+period is turned into a density on the shared grid with an Epanechnikov or
+normal kernel and a rule-of-thumb bandwidth, then renormalized so every
+estimated density integrates to one over the support (mass beyond the
+support is redistributed proportionally rather than reflected).
 
 The Epanechnikov sum at a grid point x covers its window, the run of sorted
 observations whose rounded term 1 - u^2 is positive; an empty window sums to
@@ -29,7 +29,7 @@ within 1e-12 of the largest term-by-term sum (about 1e-15 measured on those
 panels). A step above 1.5 h sqrt(2), or a support so far from zero that the
 stored grid points depart from uniform spacing, is summed term by term.
 `estimate_panel` sums consecutive periods together (for the normal kernel,
-runs of equal-size periods), each row equal to `kde` of its block.
+runs of equal-size periods), each row equal to `kde` of its period.
 """
 
 from __future__ import annotations
@@ -82,18 +82,18 @@ def _check_kernel(kernel: str) -> str:
     return kernel
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RawPanel:
-    """Ordered panel of raw observation blocks, one block per period."""
+    """Raw observations of T periods, stored once as the read-only 1-d array
+    `values`: period t (labels[t]) is values[offsets[t]:offsets[t + 1]]."""
 
     labels: tuple
-    blocks: tuple
+    values: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        blocks = tuple(
-            np.array(b, dtype=np.float64, copy=True) for b in self.blocks
-        )
+    def __init__(self, labels, blocks):
+        labels = tuple(str(x) for x in labels)
+        blocks = tuple(np.asarray(b, dtype=np.float64) for b in blocks)
         if len(labels) != len(blocks):
             raise ValueError("labels and blocks must have equal length")
         if not labels:
@@ -106,32 +106,37 @@ class RawPanel:
                 raise ValueError(f"period {lab!r}: block must be a nonempty 1-d array")
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"period {lab!r}: observations must be finite")
-            block.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "blocks", blocks)
+        offsets = np.cumsum([0] + [b.size for b in blocks])
+        self._set(labels, np.concatenate(blocks), offsets)
 
     @classmethod
-    def _wrap(cls, labels: tuple, blocks: tuple) -> "RawPanel":
-        # fast path for draws the program makes itself: nonempty finite 1-d
-        # float64 blocks under string labels in natural order, kept without
-        # a copy or the per-period checks
+    def _wrap(cls, labels: tuple, values: np.ndarray, offsets: np.ndarray) -> "RawPanel":
+        # fast path for arrays the program reads or draws itself: finite 1-d
+        # float64 values, nonempty periods under string labels in natural
+        # order, kept without a copy or the per-period checks
         obj = object.__new__(cls)
-        for block in blocks:
-            block.setflags(write=False)
-        object.__setattr__(obj, "labels", labels)
-        object.__setattr__(obj, "blocks", blocks)
+        obj._set(labels, values, offsets)
         return obj
+
+    def _set(self, labels: tuple, values: np.ndarray, offsets: np.ndarray) -> None:
+        values.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "offsets", offsets)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """Read-only views of the periods' observations, built on first access."""
+        bounds = self.offsets.tolist()
+        return tuple(self.values[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def __len__(self) -> int:
         return len(self.labels)
 
     @property
     def counts(self) -> np.ndarray:
-        return np.array([b.size for b in self.blocks])
-
-    def pooled(self) -> np.ndarray:
-        """All observations concatenated in period order."""
-        return np.concatenate(self.blocks)
+        return np.diff(self.offsets)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -199,7 +204,7 @@ def period_labels(m: int) -> list:
 
 
 def select_support(panel: RawPanel, coverage: float = 0.999) -> tuple:
-    """Choose a support [a, b] for the density grid from pooled observations.
+    """Choose a support [a, b] for the density grid from the panel's `values`.
 
     Takes the symmetric-in-probability empirical quantile interval of the
     pooled sample at levels (1-coverage)/2 and 1-(1-coverage)/2, then expands
@@ -215,7 +220,7 @@ def select_support(panel: RawPanel, coverage: float = 0.999) -> tuple:
     """
     if not 0.5 < coverage < 1.0:
         raise ValueError(f"need 0.5 < coverage < 1, got {coverage}")
-    pooled = panel.pooled()
+    pooled = panel.values
     if pooled.size < 100:
         raise TooFewObservations(
             f"support selection needs >= 100 pooled observations, got {pooled.size}"
@@ -601,7 +606,7 @@ def estimate_panel(
     Each period uses its own unbiased sample standard deviation and count in
     the rule-of-thumb bandwidth. Consecutive periods are estimated together
     (for the normal kernel, runs of equal-size periods), each row equal to
-    ``kde`` of its block. Errors from individual periods are re-raised with
+    ``kde`` of its period. Errors from individual periods are re-raised with
     the period label attached, for the first failing period.
     """
     _check_kernel(kernel)
@@ -618,7 +623,7 @@ def estimate_panel(
             stop += 1
         labels = panel.labels[start:stop]
         if kernel == "normal":
-            obs = np.stack(panel.blocks[start:stop])
+            obs = panel.values[panel.offsets[start] : panel.offsets[stop]].reshape(-1, width)
             sigma = np.std(obs, axis=1, ddof=1) if width > 1 else np.zeros(len(obs))
         else:
             obs = panel.blocks[start:stop]

@@ -551,13 +551,12 @@ def _study_iteration(config: StudyConfig, T: int, N: int, it: int):
         burn_in=config.burn_in,
     )
     # only the first T periods are observed; simulate_far's rows are
-    # nonnegative with unit mass, and the draws are finite points of the grid
-    # under labels in natural order, so the panel keeps them unchecked and
-    # uncopied
-    raw = RawPanel._wrap(panel_true.labels[:T], tuple(_sample_rows(
-        config.generator.grid, panel_true.values[:T], N,
-        [(config.seed, T, N, it, 1, t) for t in range(T)],
-    )[0]))
+    # nonnegative with unit mass, and the (T, N) draws are finite points of
+    # the grid under labels in natural order, so the panel keeps them
+    # unchecked and uncopied, N to a period
+    draws, _, _ = _sample_rows(config.generator.grid, panel_true.values[:T], N,
+                               [(config.seed, T, N, it, 1, t) for t in range(T)])
+    raw = RawPanel._wrap(panel_true.labels[:T], draws.reshape(-1), np.arange(T + 1) * N)
     train = estimate_panel(raw, config.generator.grid, config.kernel)
     truth = GridFunction._wrap(panel_true.grid, panel_true.values[T])
     model = fit(train, config.K, kernel=config.kernel)

@@ -8,10 +8,8 @@ dense SVD of W^{1/2} kernel W^{1/2}. `model_P_hat` and `model_residuals` read
 a fitted model's lag-1 cross-covariance and residual functions, which no
 package code needs. The package computes the same objects
 from the T-by-n panel and the operators' factors; agreement tests compare the
-two. `principal_components`, `estimate_operator` and `residuals` are the
-package's own (the benchmark's tracer needs `densfar.estimation` to bind the
-grid functions they call) and are re-exported so that every test imports the
-oracle from here.
+two. Every test imports the oracle from here; none of it is part of the
+package.
 """
 
 from __future__ import annotations
@@ -21,17 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from densfar.errors import DensfarError, TooFewPeriods
-from densfar.estimation import (
-    _check_rank,
-    _deviations,
-    estimate_operator,
-    principal_components,
-    residuals,
-)
+from densfar.estimation import _check_rank, _deviations
 from densfar.grid import (
     EigenSystem,
     GridFunction,
     OperatorRep,
+    apply_operator,
+    compose,
+    eigh_operator,
     _orientation,
     _readonly,
     _require_same_grid,
@@ -126,6 +121,11 @@ def lag1_cross_covariance(w) -> OperatorRep:
     return OperatorRep(grid, mat[1:].T @ mat[:-1] / len(w))
 
 
+def principal_components(Q_hat: OperatorRep) -> EigenSystem:
+    """Eigenpairs of the covariance operator, in descending order."""
+    return eigh_operator(Q_hat)
+
+
 def regularized_inverse(eigen: EigenSystem, K: int) -> OperatorRep:
     """Rank-K inverse sum_{k<=K} lambda_k^{-1} v_k (x) v_k.
 
@@ -144,6 +144,19 @@ def regularized_inverse(eigen: EigenSystem, K: int) -> OperatorRep:
         v = eigen.vectors[k]
         kernel += np.outer(v, v) / eigen.eigenvalues[k]
     return OperatorRep(grid, kernel)
+
+
+def estimate_operator(P_hat: OperatorRep, Q_K_plus: OperatorRep) -> OperatorRep:
+    """Plug-in autoregressive operator: the composition P Qplus."""
+    return compose(P_hat, Q_K_plus)
+
+
+def residuals(w, A_hat: OperatorRep) -> list:
+    """Fitted residuals e_t = w_t - A w_{t-1}, for t = 2..T."""
+    w = list(w)
+    if len(w) < 2:
+        raise TooFewPeriods(f"residuals need >= 2 periods, got {len(w)}")
+    return [w[t] - apply_operator(A_hat, w[t - 1]) for t in range(1, len(w))]
 
 
 def noise_covariance(resid, divisor: int | None = None) -> OperatorRep:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from densfar import io as dfio
+from densfar.cli import main
 from densfar.errors import DensfarError, EmptyFile, FormatError, IoError, ParseError
 from densfar.estimation import fit
 from densfar.forecast import make_forecast
@@ -24,6 +25,7 @@ from densfar.io import (
     save_model,
     write_csv,
 )
+from densfar.kde import natural_sort_key
 from densfar.simulate import make_cosine_generator, simulate_far
 
 from reference import model_P_hat, model_residuals
@@ -251,6 +253,127 @@ def test_c_path_agrees_with_csv_loop(tmp_path, header, rows, hazard, end, final)
     path = tmp_path / "hazard.csv"
     path.write_bytes((end.join([header, *rows]) + (end if final else "")).encode())
     assert _outcome(read_observations, path) == _outcome(dfio._read_rows, path)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_LABELS), st.sampled_from(_VALUES)), max_size=12),
+    newest_first=st.booleans(),
+    hazard=st.one_of(st.none(), st.tuples(st.integers(0, 12), _HAZARD_ROW)),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+    final=st.booleans(),
+)
+def test_c_path_agrees_with_csv_loop_in_natural_order(tmp_path, rows, newest_first, hazard,
+                                                      end, final):
+    # files grouped in label order, oldest or newest first, so that most of
+    # them end in a panel rather than in the period order error
+    rows = [",".join(row) for row in sorted(
+        rows, key=lambda row: natural_sort_key(row[0].strip()), reverse=newest_first)]
+    if hazard is not None:
+        rows.insert(*hazard)
+    path = tmp_path / "ordered.csv"
+    path.write_bytes((end.join(["period,value", *rows]) + (end if final else "")).encode())
+    assert _outcome(read_observations, path) == _outcome(dfio._read_rows, path)
+
+
+def _write_periods(path, labels, quote=False, per_period=30):
+    rng = np.random.default_rng(len(labels))
+    lines = ["period,value"]
+    for label in labels:
+        cell = f'"{label}"' if quote else label
+        lines.extend(f"{cell},{x!r}" for x in rng.normal(size=per_period).tolist())
+    path.write_text("\n".join(lines) + "\n")
+
+
+_MONTHS = [(y, m) for y in (2019, 2020, 2021) for m in range(1, 13)]
+_SCRAMBLED = {
+    # US Excel exports dates in this form; "2/1/2019" sorts after "1/1/2021"
+    "m/1/yyyy": ([f"{m}/1/{y}" for y, m in _MONTHS], "'12/1/2019' and '1/1/2020'"),
+    # "2019-Feb" sorts before "2019-Jan"
+    "yyyy-Mon": ([f"{y}-{'JanFebMarAprMayJunJulAugSepOctNovDec'[3 * m - 3:3 * m]}"
+                  for y, m in _MONTHS], "'2019-Jan' and '2019-Feb'"),
+    # newest first, the first pair out of that order is the turn of the year
+    "m/1/yyyy-newest-first": ([f"{m}/1/{y}" for y, m in _MONTHS[::-1]],
+                              "'1/1/2021' and '12/1/2020'"),
+}
+
+
+@pytest.mark.parametrize("quote", [False, True])
+@pytest.mark.parametrize("style", sorted(_SCRAMBLED))
+def test_grouped_file_that_the_sort_would_scramble_is_refused(tmp_path, capsys, style, quote):
+    labels, pair = _SCRAMBLED[style]
+    path = tmp_path / "months.csv"
+    _write_periods(path, labels, quote=quote)
+    # a quoted label sends the file to the csv loop; both readers refuse it alike
+    assert (dfio._scan_plain(path) is None) == quote
+    with pytest.raises(ParseError, match=pair) as err:
+        read_observations(path)
+    assert "2019-01" in str(err.value) and "\n" not in str(err.value)
+    assert _outcome(dfio._read_rows, path) == (ParseError, str(err.value))
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(path), "--K", "1",
+                 "--out", str(tmp_path / "model.bin")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and pair in stderr
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_padded_labels_of_one_period_are_one_run(tmp_path, monkeypatch):
+    # " 2" and "2" are one period: a file grouped on the stripped labels is
+    # grouped on the C path too, and its order is checked as in the loop
+    monkeypatch.setattr(dfio, "_read_rows", _no_loop)
+    path = tmp_path / "padded.csv"
+    path.write_text("period,value\n1,0.5\n 2,1.5\n2,2.5\n10 ,3.5\n10,4.5\n")
+    panel = read_observations(path)
+    assert panel.labels == ("1", "2", "10") and panel.offsets.tolist() == [0, 1, 3, 5]
+    assert panel.values.tolist() == [0.5, 1.5, 2.5, 3.5, 4.5]
+    monkeypatch.undo()
+    path.write_text("period,value\n2,0.5\n 2,1.5\n10,2.5\n10 ,3.5\n1,4.5\n")
+    assert _outcome(dfio._read_plain, path) == _outcome(dfio._read_rows, path)
+    with pytest.raises(ParseError, match="'2' and '10'"):
+        read_observations(path)
+
+
+def test_newest_first_grouped_file_reads_ascending(tmp_path):
+    labels = [f"{y}-{m:02d}" for y, m in _MONTHS]
+    path = tmp_path / "newest-first.csv"
+    _write_periods(path, labels[::-1])
+    oldest_first = tmp_path / "oldest-first.csv"
+    _write_periods(oldest_first, labels)
+    panel = read_observations(path)
+    assert panel.labels == tuple(labels)
+    assert np.array_equal(panel.counts, np.full(36, 30))
+    # the same rows as the file's blocks, period by period
+    rows = path.read_text().splitlines()[1:]
+    for label, block in zip(panel.labels, panel.blocks):
+        want = [float(r.split(",")[1]) for r in rows if r.startswith(label + ",")]
+        assert block.tolist() == want
+    assert read_observations(oldest_first).labels == tuple(labels)
+
+
+def _interleaved(path):
+    rng = np.random.default_rng(6)
+    labels = rng.choice(["2", " 10", "10", "1 ", "b"], size=600)
+    rows = [f"{label},{x!r}" for label, x in zip(labels, rng.normal(size=600).tolist())]
+    path.write_text("\n".join(["period,value", *rows]) + "\n")
+
+
+@pytest.mark.parametrize("layout", ["grouped", "newest-first", "interleaved"])
+def test_readers_give_one_array_panels_alike(tmp_path, layout):
+    path = tmp_path / f"{layout}.csv"
+    labels = [f"2020-{m:02d}" for m in range(1, 13)]
+    if layout == "interleaved":
+        _interleaved(path)
+    else:
+        _write_periods(path, labels if layout == "grouped" else labels[::-1])
+    plain, loop = dfio._read_plain(path), dfio._read_rows(path)
+    assert plain is not None
+    assert plain.labels == loop.labels
+    assert np.array_equal(plain.values, loop.values)
+    assert np.array_equal(plain.offsets, loop.offsets)
+    assert plain.offsets[0] == 0 and plain.offsets[-1] == plain.values.size
+    assert not plain.values.flags.writeable and not loop.values.flags.writeable
 
 
 # -- grid function files --------------------------------------------------------------

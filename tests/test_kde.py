@@ -634,6 +634,27 @@ def test_density_panel_is_one_readonly_array():
     assert head.labels == panel.labels[:4]
 
 
+def test_raw_panel_is_one_readonly_array():
+    blocks = [np.random.default_rng(t).normal(size=50 + 10 * t) for t in range(4)]
+    raw = RawPanel(labels=("1", "2", "3", "10"), blocks=blocks)
+    assert raw.values.ndim == 1 and raw.values.dtype == np.float64
+    assert not raw.values.flags.writeable and not raw.offsets.flags.writeable
+    with pytest.raises(ValueError):
+        raw.values[0] = 1.0
+    assert np.array_equal(raw.values, np.concatenate(blocks))
+    assert raw.offsets.tolist() == [0, 50, 110, 180, 260]
+    assert np.array_equal(raw.counts, np.diff(raw.offsets))
+    for t, (view, block) in enumerate(zip(raw.blocks, blocks)):
+        assert np.shares_memory(view, raw.values)
+        assert not view.flags.writeable
+        assert np.array_equal(view, block)
+        assert np.array_equal(view, raw.values[raw.offsets[t] : raw.offsets[t + 1]])
+    # the constructor copies its blocks once, so a caller's later edit does not reach it
+    blocks[0][:] = 0.0
+    assert not np.array_equal(raw.blocks[0], blocks[0])
+    assert np.array_equal(raw.values[:50], np.random.default_rng(0).normal(size=50))
+
+
 def test_density_panel_rejects_bad_mass():
     g = make_grid(0.0, 1.0, 64)
     with pytest.raises(ValueError):
